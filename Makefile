@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet fmt-check test verify race bench-smoke fuzz-smoke serve-smoke lint escapecheck staticcheck govulncheck perfdiff pgo-capture pgo-verify ci
+.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke lint escapecheck staticcheck govulncheck perfdiff pgo-capture pgo-verify ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,14 @@ race:
 # Compile-and-run every benchmark once so kernel benchmarks can't rot.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# The repo's benchmark driver (cmd/bench, BENCHMARK.json) end to end in smoke
+# mode: every workload, both tiers, real child processes and a built giraffed,
+# inputs a tenth the size and one timed second per run (~40 s). It checks
+# every output against the reference pass, so it fails on a wrong answer or a
+# broken driver — not on speed. The table goes to stderr; the JSON is dropped.
+bench-quick:
+	$(GO) run ./cmd/bench -quick >/dev/null
 
 # Short native-fuzz runs over the two untrusted input surfaces (the capture
 # binary format and FASTQ). The checked-in corpora under testdata/fuzz seed
@@ -168,4 +176,4 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-ci: verify vet fmt-check lint staticcheck govulncheck race bench-smoke fuzz-smoke serve-smoke
+ci: verify vet fmt-check lint staticcheck govulncheck race bench-smoke bench-quick fuzz-smoke serve-smoke

@@ -181,6 +181,11 @@ func main() {
 		log.Printf("profiling into %s (rotating every %v)", *profileDir, *profileEvery)
 	}
 
+	// The handler goes in before the listener exists: once a client can
+	// connect (or a supervisor can read the "serving on" line), a SIGTERM
+	// must already mean drain-and-write-the-manifest, never the default kill.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
@@ -194,8 +199,6 @@ func main() {
 	// Graceful drain: flip /healthz and /map to 503, let in-flight requests
 	// finish (bounded by -drain-timeout), drain the mapping pool, then write
 	// the manifest so the run is diffable post-hoc.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	select {
 	case <-ctx.Done():
 		log.Printf("signal received, draining (timeout %v)", *drainTimeout)

@@ -154,9 +154,9 @@ func (m *Mapper) sharedRow(worker int) int {
 }
 
 // TryPublishEpoch is the batch-boundary hook of the epoch discipline:
-// callers (pipeline workers, the batch scheduler's callback, the serving
-// session) invoke it after finishing a batch, off the record-mapping hot
-// path. It ticks the epoch clock, and — when this call wins the
+// callers (the pipeline.Session worker loop, which serves both streaming
+// and serving runs, and the batch scheduler's callback) invoke it after
+// finishing a batch, off the record-mapping hot path. It ticks the epoch clock, and — when this call wins the
 // CAS-elected publication — rebuilds both directions' snapshots from the
 // accumulated access-frequency feedback, records the build cost, and
 // leaves the duration for this worker's next batch to attribute in its
@@ -288,11 +288,11 @@ func (m *Mapper) MapBatch(worker int, recs []seeds.ReadSeeds, base int, out [][]
 // MapBatchUntil is MapBatch with a cooperative cancellation point between
 // records: when stop becomes true mid-batch, the remaining records are left
 // unmapped and mapped reports how many completed. This is the mechanism
-// behind request-level deadlines in the serving path (pipeline.Session): a
-// deadline that fires while a batch is on a worker stops the mapper at the
-// next record boundary instead of running the batch to completion. A nil
-// stop never cancels, so the batch pipeline pays only a nil check per
-// record. sb, when non-nil, receives the batch's request attribution: the
+// behind pipeline.Session's cancellation — a request deadline on the serving
+// path, a failed run's shared flag on the streaming path: a stop that fires
+// while a batch is on a worker halts the mapper at the next record boundary
+// instead of running the batch to completion. A nil stop never cancels, so
+// MapBatch callers pay only a nil check per record. sb, when non-nil, receives the batch's request attribution: the
 // cache-build and per-record kernel nanos accumulate into it and its trace
 // ID tags every slow-read exemplar the batch produces (the serving path's
 // map_subbatch span decomposition).

@@ -136,8 +136,6 @@ func (r *Reporter) Stop() {
 // the reporter-driven /progress JSON, and the slow-read exemplar reservoir
 // at /slow.
 type DebugServer struct {
-	reg      *Registry
-	slow     *SlowReads
 	reporter *Reporter
 	ln       net.Listener
 	srv      *http.Server
@@ -153,8 +151,6 @@ func StartDebugServer(addr string, reg *Registry, slow *SlowReads, interval time
 		return nil, err
 	}
 	d := &DebugServer{
-		reg:      reg,
-		slow:     slow,
 		reporter: StartReporter(reg, interval),
 		ln:       ln,
 	}
@@ -165,9 +161,9 @@ func StartDebugServer(addr string, reg *Registry, slow *SlowReads, interval time
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/metrics", d.handleMetrics)
+	mux.Handle("/metrics", MetricsHandler(reg))
 	mux.HandleFunc("/progress", d.handleProgress)
-	mux.HandleFunc("/slow", d.handleSlow)
+	mux.Handle("/slow", SlowHandler(slow))
 	mux.HandleFunc("/", d.handleIndex)
 	d.srv = &http.Server{Handler: mux}
 	//vetgiraffe:ignore nakedgoroutine Serve returns when Close shuts the listener down
@@ -178,10 +174,14 @@ func StartDebugServer(addr string, reg *Registry, slow *SlowReads, interval time
 // Addr returns the bound listen address (useful with ":0").
 func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
 
-func (d *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := d.reg.WritePrometheus(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+// MetricsHandler serves a Prometheus-text scrape of reg: the one /metrics
+// implementation, mounted by the debug endpoint and by giraffed's own mux.
+func MetricsHandler(reg *Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := reg.WritePrometheus(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	}
 }
 
@@ -194,23 +194,26 @@ func (d *DebugServer) handleProgress(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleSlow serves the exemplar reservoir: the current window's slowest
-// reads and the run-level top K (nil reservoir: empty lists, k=0).
-func (d *DebugServer) handleSlow(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	payload := struct {
-		K      int        `json:"k"`
-		Window []Exemplar `json:"window"`
-		Run    []Exemplar `json:"run"`
-	}{
-		K:      d.slow.K(),
-		Window: d.slow.Window(),
-		Run:    d.slow.Top(),
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(payload); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+// SlowHandler serves the exemplar reservoir — the current window's slowest
+// reads and the run-level top K (nil reservoir: empty lists, k=0): the one
+// /slow implementation, mounted like MetricsHandler.
+func SlowHandler(slow *SlowReads) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		payload := struct {
+			K      int        `json:"k"`
+			Window []Exemplar `json:"window"`
+			Run    []Exemplar `json:"run"`
+		}{
+			K:      slow.K(),
+			Window: slow.Window(),
+			Run:    slow.Top(),
+		}
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(payload); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	}
 }
 

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -41,28 +39,16 @@ type Exemplar struct {
 	Trace trace.ID `json:"trace_id"`
 }
 
-// slowShard is one worker's reservoir: a min-heap of its K slowest reads in
-// the current window. floor caches the heap root's TotalNanos once the heap
-// is full, so the common case — a read faster than everything retained —
-// rejects with one atomic load and no lock.
-type slowShard struct {
-	floor int64 // atomic; 0 until the heap first fills
-	mu    sync.Mutex
-	heap  []Exemplar // min-heap by TotalNanos, capacity k
-	_     [40]byte   // keep neighbouring shards off this cache line
-}
-
-// SlowReads is a sharded reservoir of the K slowest reads. Offer is the
-// mapper hot-path entry: per-worker sharded, allocation-free, and nil-safe
-// (a nil *SlowReads ignores offers), mirroring the Registry's discipline.
-// Rotate closes a window, folding it into the run-level top K; the debug
-// endpoint's /slow serves both views and the manifest archives the run view.
+// SlowReads is a sharded reservoir of the K slowest reads, ranked by
+// TotalNanos. Offer is the mapper hot-path entry: per-worker sharded,
+// allocation-free, and nil-safe (a nil *SlowReads ignores offers), mirroring
+// the Registry's discipline. Rotate closes a window, folding it into the
+// run-level top K; the debug endpoint's /slow serves both views and the
+// manifest archives the run view.
 type SlowReads struct {
 	k      int
-	shards []slowShard
-
-	mu  sync.Mutex
-	run []Exemplar // min-heap: top K across all rotated windows
+	shards []reservoir[Exemplar] // one per worker: the current window
+	run    reservoir[Exemplar]   // top K across all rotated windows
 }
 
 // NewSlowReads sizes the reservoir: one shard per worker (size for the map
@@ -75,10 +61,11 @@ func NewSlowReads(shards, k int) *SlowReads {
 	if k < 1 {
 		k = 1
 	}
-	s := &SlowReads{k: k, shards: make([]slowShard, shards)}
+	s := &SlowReads{k: k, shards: make([]reservoir[Exemplar], shards)}
 	for i := range s.shards {
-		s.shards[i].heap = make([]Exemplar, 0, k)
+		s.shards[i].init(k)
 	}
+	s.run.init(k)
 	return s
 }
 
@@ -104,23 +91,7 @@ func (s *SlowReads) Offer(shard int, ex Exemplar) {
 	if uint(shard) >= uint(len(s.shards)) {
 		shard = 0
 	}
-	sh := &s.shards[shard]
-	if ex.TotalNanos <= atomic.LoadInt64(&sh.floor) {
-		return
-	}
-	sh.mu.Lock() //vetgiraffe:ignore hotpath the atomic floor gate above means only genuine top-K inserts reach this uncontended per-shard lock
-	if len(sh.heap) < s.k {
-		sh.heap = append(sh.heap, ex)
-		siftUp(sh.heap, len(sh.heap)-1)
-		if len(sh.heap) == s.k {
-			atomic.StoreInt64(&sh.floor, sh.heap[0].TotalNanos)
-		}
-	} else if ex.TotalNanos > sh.heap[0].TotalNanos {
-		sh.heap[0] = ex
-		siftDown(sh.heap, 0)
-		atomic.StoreInt64(&sh.floor, sh.heap[0].TotalNanos)
-	}
-	sh.mu.Unlock()
+	s.shards[shard].offer(ex.TotalNanos, ex) //vetgiraffe:ignore hotpath the reservoir's atomic floor gate means only genuine top-K inserts reach its uncontended per-shard lock
 }
 
 // Rotate closes the current window: every shard's reservoir is drained into
@@ -130,26 +101,9 @@ func (s *SlowReads) Rotate() {
 	if s == nil {
 		return
 	}
-	var window []Exemplar
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		window = append(window, sh.heap...)
-		sh.heap = make([]Exemplar, 0, s.k)
-		atomic.StoreInt64(&sh.floor, 0)
-		sh.mu.Unlock()
+		s.shards[i].foldInto(&s.run)
 	}
-	s.mu.Lock()
-	for _, ex := range window {
-		if len(s.run) < s.k {
-			s.run = append(s.run, ex)
-			siftUp(s.run, len(s.run)-1)
-		} else if ex.TotalNanos > s.run[0].TotalNanos {
-			s.run[0] = ex
-			siftDown(s.run, 0)
-		}
-	}
-	s.mu.Unlock()
 }
 
 // Window returns the current (un-rotated) window's top K, slowest first.
@@ -159,10 +113,7 @@ func (s *SlowReads) Window() []Exemplar {
 	}
 	var all []Exemplar
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		all = append(all, sh.heap...)
-		sh.mu.Unlock()
+		all = s.shards[i].values(all)
 	}
 	return topK(all, s.k)
 }
@@ -173,11 +124,7 @@ func (s *SlowReads) Top() []Exemplar {
 	if s == nil {
 		return nil
 	}
-	all := s.Window()
-	s.mu.Lock()
-	all = append(all, s.run...)
-	s.mu.Unlock()
-	return topK(all, s.k)
+	return topK(s.run.values(s.Window()), s.k)
 }
 
 // topK sorts slowest-first and truncates.
@@ -192,35 +139,4 @@ func topK(all []Exemplar, k int) []Exemplar {
 		all = all[:k]
 	}
 	return all
-}
-
-// siftUp restores the min-heap property (by TotalNanos) after an append.
-func siftUp(h []Exemplar, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].TotalNanos <= h[i].TotalNanos {
-			return
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-// siftDown restores the min-heap property after replacing the root.
-func siftDown(h []Exemplar, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l].TotalNanos < h[small].TotalNanos {
-			small = l
-		}
-		if r < len(h) && h[r].TotalNanos < h[small].TotalNanos {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
 }

@@ -16,9 +16,9 @@ import (
 // nanos folded in from core.Mapper), emit, and cancel markers — and is then
 // offered to a sharded tail-based sampler: every non-2xx request is retained
 // (up to a cap), while 2xx requests compete for a top-K-by-latency reservoir
-// guarded by the same atomic-floor rejection idiom as the slow-read exemplars
-// (exemplar.go), so the common fast-2xx path recycles its trace buffer with
-// zero allocations. Sampled traces are served at /traces, exported as
+// (the same reservoir type as the slow-read exemplars, reservoir.go), so the
+// common fast-2xx path is rejected lock-free and recycles its trace buffer
+// with zero allocations. Sampled traces are served at /traces, exported as
 // Perfetto tracks (one per request), and summarised into the run manifest.
 
 // Request-lifecycle span names. Every AddSpan call site must pass one of
@@ -171,15 +171,14 @@ func (rt *ReqTrace) reset() {
 // queue_wait/map_subbatch pair for a handful of sub-batches without growing.
 const reqSpanPrealloc = 16
 
-// reqShard is one sampler shard: the window's top-K 2xx traces (min-heap by
-// duration, atomic-floor-gated) plus every non-2xx trace of the window, and a
-// free list of recycled trace buffers feeding the zero-alloc Start path.
+// reqShard is one sampler shard: the window's top-K 2xx traces by duration
+// plus every non-2xx trace of the window, and a free list of recycled trace
+// buffers feeding the zero-alloc Start path.
 type reqShard struct {
-	floor int64 // atomic: heap root's dur once the heap is full; 0 before
-	mu    sync.Mutex
-	heap  []*ReqTrace // min-heap by dur, capacity k (2xx window reservoir)
-	errs  []*ReqTrace // all non-2xx this window, capacity errCap
-	free  []*ReqTrace // recycled buffers (only ever fed from the 2xx path)
+	top  reservoir[*ReqTrace] // 2xx window reservoir, capacity k
+	mu   sync.Mutex           // guards errs and free
+	errs []*ReqTrace          // all non-2xx this window, capacity errCap
+	free []*ReqTrace          // recycled buffers (only ever fed from the 2xx path)
 }
 
 // ReqTracer is the sharded tail-based request sampler. The sampling decision
@@ -201,8 +200,9 @@ type ReqTracer struct {
 
 	droppedN atomic.Int64 // authoritative drop count (metric mirrors it)
 
+	run reservoir[*ReqTrace] // top-K 2xx across rotated windows
+
 	mu      sync.Mutex
-	run     []*ReqTrace // min-heap: top-K 2xx across rotated windows
 	runErrs []*ReqTrace // rotated non-2xx, capacity errCap*shards
 }
 
@@ -231,10 +231,11 @@ func NewReqTracer(shards, k, errCap int, reg *Registry) *ReqTracer {
 	}
 	for i := range t.shards {
 		sh := &t.shards[i]
-		sh.heap = make([]*ReqTrace, 0, k)
+		sh.top.init(k)
 		sh.errs = make([]*ReqTrace, 0, errCap)
 		sh.free = make([]*ReqTrace, 0, k+errCap)
 	}
+	t.run.init(k)
 	return t
 }
 
@@ -330,34 +331,13 @@ func (t *ReqTracer) finishDur(rt *ReqTrace, status int, durNanos int64) {
 	// 2xx tail sampling: one atomic load rejects anything faster than the
 	// K-th slowest retained request, and the buffer goes straight back to the
 	// free list — a successful request is fully done with its trace by the
-	// time Finish runs, so reuse is safe.
-	if durNanos <= atomic.LoadInt64(&sh.floor) {
-		t.recycle(sh, rt)
-		return
-	}
-	var evicted *ReqTrace
-	sh.mu.Lock()
-	if len(sh.heap) < t.k {
-		sh.heap = append(sh.heap, rt)
-		reqSiftUp(sh.heap, len(sh.heap)-1)
-		if len(sh.heap) == t.k {
-			atomic.StoreInt64(&sh.floor, sh.heap[0].dur)
-		}
-	} else if durNanos > sh.heap[0].dur {
-		evicted = sh.heap[0]
-		sh.heap[0] = rt
-		reqSiftDown(sh.heap, 0)
-		atomic.StoreInt64(&sh.floor, sh.heap[0].dur)
+	// time Finish runs, and it was never retained, so reuse is safe. A trace
+	// that ranks displaces the shard's fastest retained one, which is dropped,
+	// not recycled: a Snapshot in progress may still be reading it.
+	if sh.top.offer(durNanos, rt) {
+		t.sampled.Inc(rt.shard)
 	} else {
-		// Lost the race between the floor load and the lock.
-		sh.mu.Unlock()
 		t.recycle(sh, rt)
-		return
-	}
-	sh.mu.Unlock()
-	t.sampled.Inc(rt.shard)
-	if evicted != nil {
-		t.recycle(sh, evicted)
 	}
 }
 
@@ -381,30 +361,18 @@ func (t *ReqTracer) Rotate() {
 	if t == nil {
 		return
 	}
-	var window, errs []*ReqTrace
+	var errs []*ReqTrace
 	for i := range t.shards {
 		sh := &t.shards[i]
+		// Traces the run-level reservoir displaces are dropped as well.
+		sh.top.foldInto(&t.run)
 		sh.mu.Lock()
-		window = append(window, sh.heap...)
 		errs = append(errs, sh.errs...)
-		sh.heap = make([]*ReqTrace, 0, t.k)
 		sh.errs = make([]*ReqTrace, 0, t.errCap)
-		atomic.StoreInt64(&sh.floor, 0)
 		sh.mu.Unlock()
 	}
 	runErrCap := t.errCap * len(t.shards)
 	t.mu.Lock()
-	for _, rt := range window {
-		if len(t.run) < t.k {
-			t.run = append(t.run, rt)
-			reqSiftUp(t.run, len(t.run)-1)
-		} else if rt.dur > t.run[0].dur {
-			t.run[0] = rt
-			reqSiftDown(t.run, 0)
-		}
-		// Evicted run-level traces are dropped, not recycled: snapshots taken
-		// before this rotation may still reference them.
-	}
 	for _, rt := range errs {
 		if len(t.runErrs) < runErrCap {
 			t.runErrs = append(t.runErrs, rt)
@@ -448,13 +416,13 @@ func (t *ReqTracer) Snapshot() ReqTraceSnapshot {
 	var refs []*ReqTrace
 	for i := range t.shards {
 		sh := &t.shards[i]
+		refs = sh.top.values(refs)
 		sh.mu.Lock()
-		refs = append(refs, sh.heap...)
 		refs = append(refs, sh.errs...)
 		sh.mu.Unlock()
 	}
+	refs = t.run.values(refs)
 	t.mu.Lock()
-	refs = append(refs, t.run...)
 	refs = append(refs, t.runErrs...)
 	t.mu.Unlock()
 	snap := ReqTraceSnapshot{K: t.k, Dropped: t.droppedN.Load()}
@@ -535,36 +503,5 @@ func statusKey(status int) string {
 		return "504"
 	default:
 		return "other"
-	}
-}
-
-// reqSiftUp restores the min-heap property (by dur) after an append.
-func reqSiftUp(h []*ReqTrace, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].dur <= h[i].dur {
-			return
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-// reqSiftDown restores the min-heap property after replacing the root.
-func reqSiftDown(h []*ReqTrace, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l].dur < h[small].dur {
-			small = l
-		}
-		if r < len(h) && h[r].dur < h[small].dur {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
 	}
 }

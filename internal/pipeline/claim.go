@@ -6,98 +6,92 @@ import (
 	"repro/internal/sched"
 )
 
-// claimQueue is the bounded hand-off between a producer (the streaming
-// ingest stage, or Session.Submit) and the persistent worker pool. It holds
-// at most depth in-flight items (the backpressure bound: a full queue blocks
+// claimQueue is the bounded hand-off between a Session's producers (Submit,
+// or the streaming front end's ingest stage) and its worker pool. It holds
+// at most depth queued jobs (the backpressure bound: a full queue blocks
 // push, or fails tryPushAll), and the scheduling policy decides which queued
-// item a worker claims — the streaming analogue of sched.RunBatches' claim
+// job a worker claims — the streaming analogue of sched.RunBatches' claim
 // disciplines:
 //
 //   - Dynamic: one shared FIFO, workers claim in arrival order.
-//   - Static: item seq is pinned to worker seq mod W; no balancing.
+//   - Static: the n-th admitted job is pinned to worker n mod W; no
+//     balancing.
 //   - WorkStealing: pinned like Static, but an idle worker steals the
-//     oldest item from another worker's backlog, round-robin.
-type claimQueue[T any] struct {
+//     oldest job from another worker's backlog, round-robin.
+//
+// A failed run needs no wake-up of its own: it sets its jobs' stop flag and
+// the workers drain the queue by skipping them, which is also what unblocks
+// a producer waiting in push.
+type claimQueue struct {
 	mu    sync.Mutex
-	avail *sync.Cond // an item was queued, or the queue closed/aborted
-	space *sync.Cond // an item was claimed, or the queue aborted
+	avail *sync.Cond // a job was queued, or the queue closed
+	space *sync.Cond // a job was claimed
 
 	kind    sched.Kind
-	queues  [][]T // one FIFO for Dynamic, one per worker otherwise
+	queues  [][]*sjob // one FIFO for Dynamic, one per worker otherwise
 	queued  int
 	depth   int
-	nextSeq int // tryPushAll's slot assignment counter
+	nextSeq int // admission order; picks the slot under the pinned policies
 	closed  bool
-	aborted bool
 }
 
-func newClaimQueue[T any](kind sched.Kind, workers, depth int) *claimQueue[T] {
+func newClaimQueue(kind sched.Kind, workers, depth int) *claimQueue {
 	n := workers
 	if kind == sched.Dynamic {
 		n = 1
 	}
-	q := &claimQueue[T]{kind: kind, queues: make([][]T, n), depth: depth}
+	q := &claimQueue{kind: kind, queues: make([][]*sjob, n), depth: depth}
 	q.avail = sync.NewCond(&q.mu)
 	q.space = sync.NewCond(&q.mu)
 	return q
 }
 
-// push blocks until there is room for v (whose producer-assigned sequence
-// number pins it to a worker under the non-dynamic policies), returning
-// false if the pipeline aborted while waiting.
-func (q *claimQueue[T]) push(seq int, v T) bool {
+// push blocks until there is room for j. It is the streaming front end's
+// entry point: one producer, which stops pushing before it closes the queue.
+func (q *claimQueue) push(j *sjob) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.queued >= q.depth && !q.aborted {
+	for q.queued >= q.depth {
 		q.space.Wait()
 	}
-	if q.aborted {
-		return false
-	}
-	q.enqueue(seq, v)
-	return true
+	q.enqueue(j)
 }
 
 // tryPushAll is the admission-control entry point: it enqueues every item
 // or none, without blocking. It fails once the queue is closed (draining)
 // or when the items would not all fit under the depth bound — the caller
 // turns that into a queue-full rejection instead of queueing unboundedly.
-// Sequence numbers are assigned internally, in admission order.
-func (q *claimQueue[T]) tryPushAll(vs []T) bool {
+func (q *claimQueue) tryPushAll(js []*sjob) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || q.aborted || q.queued+len(vs) > q.depth {
+	if q.closed || q.queued+len(js) > q.depth {
 		return false
 	}
-	for _, v := range vs {
-		q.enqueue(q.nextSeq, v)
-		q.nextSeq++
+	for _, j := range js {
+		q.enqueue(j)
 	}
 	return true
 }
 
-// enqueue appends v to seq's slot (caller holds q.mu).
-func (q *claimQueue[T]) enqueue(seq int, v T) {
+// enqueue appends j to the next admission slot (caller holds q.mu).
+func (q *claimQueue) enqueue(j *sjob) {
 	slot := 0
 	if q.kind != sched.Dynamic {
-		slot = seq % len(q.queues)
+		slot = q.nextSeq % len(q.queues)
 	}
-	q.queues[slot] = append(q.queues[slot], v)
+	q.nextSeq++
+	q.queues[slot] = append(q.queues[slot], j)
 	q.queued++
 	q.avail.Broadcast()
 }
 
-// pop blocks until worker w claims an item. stolen reports that the item
-// came from another worker's backlog (WorkStealing only); ok is false once
-// the queue is closed and drained, or aborted.
-func (q *claimQueue[T]) pop(w int) (v T, stolen, ok bool) {
+// pop blocks until worker w claims a job. stolen reports that the job came
+// from another worker's backlog (WorkStealing only); ok is false once the
+// queue is closed and drained.
+func (q *claimQueue) pop(w int) (j *sjob, stolen, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if q.aborted {
-			var zero T
-			return zero, false, false
-		}
 		own := 0
 		if q.kind != sched.Dynamic {
 			own = w
@@ -114,15 +108,14 @@ func (q *claimQueue[T]) pop(w int) (v T, stolen, ok bool) {
 			}
 		}
 		if q.closed && q.queued == 0 {
-			var zero T
-			return zero, false, false
+			return nil, false, false
 		}
 		q.avail.Wait()
 	}
 }
 
-// take removes the oldest item from slot (caller holds q.mu).
-func (q *claimQueue[T]) take(slot int) T {
+// take removes the oldest job from slot (caller holds q.mu).
+func (q *claimQueue) take(slot int) *sjob {
 	v := q.queues[slot][0]
 	q.queues[slot] = q.queues[slot][1:]
 	q.queued--
@@ -135,18 +128,9 @@ func (q *claimQueue[T]) take(slot int) T {
 }
 
 // close marks the end of production; drained workers exit.
-func (q *claimQueue[T]) close() {
+func (q *claimQueue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
 	q.avail.Broadcast()
-}
-
-// abort unblocks everyone; pending items are dropped.
-func (q *claimQueue[T]) abort() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.aborted = true
-	q.avail.Broadcast()
-	q.space.Broadcast()
 }

@@ -1,13 +1,24 @@
-// Package pipeline is the streaming mapping pipeline: a bounded ingest
-// stage reads captured records incrementally, a long-lived worker pool maps
-// them batch by batch through a shared core.Mapper (each batch with a fresh
-// CachedGBWT, as Giraffe rebuilds its cache per batch, so the §VII-B
-// capacity parameter keeps its meaning), and an order-preserving emit stage
-// writes results as batches complete. The stages overlap — ingest I/O hides
-// behind mapping, mapping behind emit — and every hand-off is bounded, so
-// memory is governed by the in-flight window (Depth × BatchSize records)
-// instead of the workload size. Emit replays batches in ingest order, which
-// keeps the CSV output byte-identical to the batch proxy's.
+// Package pipeline is one worker pool with two front ends. The pool is
+// Session: long-lived workers claim queued jobs from a bounded claimQueue
+// under the configured scheduling policy and map each through a shared
+// core.Mapper (each job with a fresh CachedGBWT, as Giraffe rebuilds its cache
+// per batch, so the §VII-B capacity parameter keeps its meaning). Session.worker
+// is the only claim → map → account loop in the package, so a per-worker or
+// per-batch hook (the epoch tick today; scratch arenas, a recover) goes there
+// once and every caller gets it.
+//
+// The serving front end is Session.Submit: a request becomes a window of
+// sub-batch jobs admitted all-or-nothing, its context cancels them, and the
+// caller waits for the window to complete. The streaming front end is Run:
+// a bounded ingest stage reads records incrementally and submits each batch
+// as a one-job request, and an emit stage waits on those requests in ingest
+// order and writes results as they complete. The stages overlap — ingest I/O
+// hides behind mapping, mapping behind emit — and every hand-off is bounded,
+// so memory is governed by the in-flight window (Depth × BatchSize records)
+// instead of the workload size. Because emit walks a FIFO of submitted
+// batches, the CSV output is ordered by construction and byte-identical to
+// the batch proxy's. A failed stream sets one stop flag shared by all of its
+// jobs — the same cancellation a request deadline uses.
 package pipeline
 
 import (
@@ -16,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,8 +47,9 @@ type Options struct {
 	// BatchSize is the records per in-flight batch; ≤0 means the scheduler
 	// default (512, as in Giraffe).
 	BatchSize int
-	// Depth is the maximum number of batches queued for mapping (the
-	// backpressure bound); ≤0 means 2×Workers.
+	// Depth is the backpressure bound, in batches; ≤0 means 2×Workers. A
+	// Session admits at most Depth queued sub-batches; Run keeps at most
+	// Depth batches between ingest and emit (queued, mapping or mapped).
 	Depth int
 	// Scheduler selects how workers claim queued batches.
 	Scheduler sched.Kind
@@ -146,20 +157,13 @@ func (s *Stats) Throughput() float64 {
 	return obs.Rate(float64(s.Reads), s.Makespan)
 }
 
-// batch is one in-flight unit of work.
-type batch struct {
-	seq        int // ingest order; emit replays in this order
-	base       int // global index of recs[0] in the workload
-	recs       []seeds.ReadSeeds
-	exts       [][]extend.Extension
-	ingested   time.Time
-	ingestSecs float64
-	mapSecs    float64
-}
-
-// Run streams records from src through m's mapping kernels into emit. The
-// worker pool persists across batches; per-batch CachedGBWT discipline is
-// preserved by core.Mapper.MapBatch. Results are emitted in input order.
+// Run streams records from src through m's mapping kernels into emit, as a
+// front end of a Session it owns for the length of the run. Ingest (its own
+// goroutine) reads a batch and submits it as a one-job request, blocking
+// while the in-flight window is full; the Session's workers map it under the
+// per-batch CachedGBWT discipline; emit (the caller's goroutine) waits on the
+// submitted requests in ingest order, so results are emitted in input order
+// by construction.
 //
 // Trace spans (when the mapper was built with a trace recorder) tag map
 // workers 0..Workers-1, the ingest stage as worker Workers, and the emit
@@ -190,59 +194,49 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 	// Single-writer stages use the same shard indices as their trace rows:
 	// ingest = Workers, emit = Workers+1 (the registry clamps out-of-range
 	// shards to 0, which stays correct — just shared — if it was sized
-	// smaller).
+	// smaller). Everything a map worker records (claims, steals, reads,
+	// batches, the map-stage histogram) is the Session's to write, not Run's.
 	reg := m.Options().Obs
-	// The first Workers shards are map workers: scrapes derive the claim
-	// imbalance and steal-share gauges over exactly that population (the
-	// ingest/emit shards below never claim batches).
-	reg.SetWorkerShards(opts.Workers)
 	ingestShard, emitShard := opts.Workers, opts.Workers+1
-	mReads := reg.Counter(obs.MetricPipelineReads)
-	mBatches := reg.Counter(obs.MetricPipelineBatches)
 	mInFlight := reg.Gauge(obs.MetricPipelineInFlight)
 	hIngest := reg.Histogram(obs.MetricStageIngest)
-	hMap := reg.Histogram(obs.MetricStageMap)
 	hEmit := reg.Histogram(obs.MetricStageEmit)
 	hBatch := reg.Histogram(obs.MetricBatchLatency)
-	mClaims := reg.Counter(obs.MetricSchedClaims)
-	mSteals := reg.Counter(obs.MetricSchedSteals)
 	// pprof label contexts, prebuilt once per run: stage goroutines label
 	// themselves at batch boundaries (never per record) so a -profile
 	// capture decomposes by stage and worker at zero cost to the hot path.
 	labels := obs.NewProfLabels(obs.ClassBatch, opts.Workers)
+	s := startSession(m, opts, reg, nil, labels)
 
-	st := &Stats{Sched: sched.Stats{Processed: make([]int64, opts.Workers)}}
-	cacheStats := make([]gbwt.CacheStats, opts.Workers)
-	cq := newClaimQueue[*batch](opts.Scheduler, opts.Workers, opts.Depth)
-	done := make(chan *batch, opts.Depth)
-	abortCh := make(chan struct{})
-	var failOnce sync.Once
+	// stop is the run's one failure flag, shared by every job: once set,
+	// queued batches are skipped, the batch on a worker stops at the next
+	// record, ingest winds down and emit drains without emitting. Whoever
+	// flips it owns firstErr; emit reads it only after ingest has exited.
+	var stop atomic.Bool
 	var firstErr error
 	fail := func(err error) {
-		failOnce.Do(func() {
+		if stop.CompareAndSwap(false, true) {
 			firstErr = err
-			close(abortCh)
-			cq.abort()
-		})
-	}
-	aborted := func() bool {
-		select {
-		case <-abortCh:
-			return true
-		default:
-			return false
 		}
 	}
 
+	// inflight is one submitted batch on its way to emit.
+	type inflight struct {
+		job    *sjob
+		ingest time.Duration
+	}
+	// The FIFO of handles is the in-flight window: ingest blocks on it once
+	// Depth batches are submitted and not yet emitted, which is what bounds
+	// memory, and its order is the emit order.
+	fifo := make(chan inflight, opts.Depth)
+	st := &Stats{}
 	start := time.Now()
 
-	// Ingest: read bounded batches from the source; push blocks when the
-	// in-flight window is full, which is what bounds memory.
 	go func() {
-		defer cq.close()
+		defer close(fifo)
 		labels.ApplyIngest()
-		seq, base := 0, 0
-		for {
+		base := 0
+		for !stop.Load() {
 			t0 := time.Now()
 			recs, err := readBatch(src, opts.BatchSize)
 			d := time.Since(t0)
@@ -255,19 +249,15 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 				return
 			}
 			if len(recs) > 0 {
-				b := &batch{
-					seq:        seq,
-					base:       base,
-					recs:       recs,
-					exts:       make([][]extend.Extension, len(recs)),
-					ingested:   time.Now(),
-					ingestSecs: d.Seconds(),
+				req := &srequest{done: make(chan struct{})}
+				req.remaining.Store(1)
+				j := &sjob{
+					req: req, stop: &stop, recs: recs, out: make([][]extend.Extension, len(recs)),
+					base: base, enq: time.Now(),
 				}
-				if !cq.push(b.seq, b) {
-					return
-				}
+				s.cq.push(j)
 				mInFlight.Add(ingestShard, 1)
-				seq++
+				fifo <- inflight{job: j, ingest: d}
 				base += len(recs)
 			}
 			if err == io.EOF {
@@ -276,100 +266,43 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 		}
 	}()
 
-	// Map: the persistent worker pool claims batches under the scheduling
-	// policy and hands completed batches to emit.
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			labels.ApplyMap(worker)
-			for {
-				b, stolen, ok := cq.pop(worker)
-				if !ok {
-					return
-				}
-				mClaims.Inc(worker)
-				if stolen {
-					atomic.AddInt64(&st.Sched.Steals, 1)
-					mSteals.Inc(worker)
-				}
-				t0 := time.Now()
-				cacheStats[worker].Add(m.MapBatch(worker, b.recs, b.base, b.exts))
-				// Batch boundary: tick the shared-cache epoch clock (no-op
-				// unless the mapper runs the epoch discipline).
-				m.TryPublishEpoch(worker)
-				d := time.Since(t0)
-				b.mapSecs = d.Seconds()
-				if rec != nil {
-					rec.Record(worker, trace.RegionMapBatch, t0, d)
-				}
-				hMap.Observe(worker, d)
-				atomic.AddInt64(&st.Sched.Processed[worker], int64(len(b.recs)))
-				select {
-				case done <- b:
-				case <-abortCh:
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
-	// Emit (in the caller's goroutine): reorder completed batches back into
-	// ingest order and write them out. Out-of-order completions wait in
-	// `pending`, which the in-flight bound keeps small.
 	// Emit runs on the caller's goroutine, so its label is cleared on the way
 	// out rather than left to leak into whatever the caller does next.
 	labels.ApplyEmit()
 	defer labels.Clear()
-	next := 0
-	pending := make(map[int]*batch)
-	for b := range done {
-		pending[b.seq] = b
-		for {
-			nb, ready := pending[next]
-			if !ready {
-				break
-			}
-			delete(pending, next)
-			next++
-			st.Batches++
-			st.Reads += len(nb.recs)
-			st.MapLatency.Add(nb.mapSecs)
-			st.IngestLatency.Add(nb.ingestSecs)
-			mInFlight.Add(emitShard, -1)
-			mBatches.Inc(emitShard)
-			mReads.Add(emitShard, int64(len(nb.recs)))
-			if aborted() {
-				continue // drain without emitting
-			}
-			t0 := time.Now()
-			err := emitBatch(emit, nb)
-			d := time.Since(t0)
-			if rec != nil {
-				rec.Record(emitShard, trace.RegionEmit, t0, d)
-			}
-			hEmit.Observe(emitShard, d)
-			if err != nil {
-				fail(fmt.Errorf("pipeline: emit: %w", err))
-				continue
-			}
-			lat := time.Since(nb.ingested)
-			st.BatchLatency.Add(lat.Seconds())
-			hBatch.Observe(emitShard, lat)
+	for h := range fifo {
+		j := h.job
+		<-j.req.done
+		mInFlight.Add(emitShard, -1)
+		if stop.Load() {
+			continue // failed run: drain without emitting
 		}
+		st.Batches++
+		st.Reads += len(j.recs)
+		st.MapLatency.Add(j.mapDur.Seconds())
+		st.IngestLatency.Add(h.ingest.Seconds())
+		t0 := time.Now()
+		err := emitBatch(emit, j)
+		d := time.Since(t0)
+		if rec != nil {
+			rec.Record(emitShard, trace.RegionEmit, t0, d)
+		}
+		hEmit.Observe(emitShard, d)
+		if err != nil {
+			fail(fmt.Errorf("pipeline: emit: %w", err))
+			continue
+		}
+		lat := time.Since(j.enq)
+		st.BatchLatency.Add(lat.Seconds())
+		hBatch.Observe(emitShard, lat)
 	}
+	s.Close()
 	st.Makespan = time.Since(start)
-	for _, cs := range cacheStats {
-		st.Cache.Add(cs)
-	}
-	if aborted() {
+	if stop.Load() {
 		return nil, firstErr
 	}
+	st.Sched = sched.Stats{Processed: s.processed, Steals: s.stolen.Load()}
+	st.Cache = s.CacheStats()
 	return st, nil
 }
 
@@ -404,9 +337,9 @@ func readBatch(src Source, n int) ([]seeds.ReadSeeds, error) {
 	return out, nil
 }
 
-func emitBatch(emit Emitter, b *batch) error {
+func emitBatch(emit Emitter, b *sjob) error {
 	for j := range b.recs {
-		if err := emit.Emit(&b.recs[j], b.exts[j]); err != nil {
+		if err := emit.Emit(&b.recs[j], b.out[j]); err != nil {
 			return err
 		}
 	}

@@ -7,10 +7,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/extend"
 	"repro/internal/gbwt"
 	"repro/internal/obs"
 	"repro/internal/seeds"
+	"repro/internal/trace"
 )
 
 // Submission errors. ErrQueueFull is the admission-control signal: the
@@ -37,25 +39,25 @@ type EpochPublisher interface {
 	TryPublishEpoch(worker int) bool
 }
 
-// Session is the reusable submit API over the streaming pipeline's worker
-// pool: where Run drains one source and exits, a Session keeps the pool and
-// the loaded substrate hot and maps request after request — the serving
-// building block behind cmd/giraffed.
+// Session is the package's one worker pool and its reusable submit API: a
+// Session keeps the pool and the loaded substrate hot and maps request after
+// request — the serving building block behind cmd/giraffed — and Run drives
+// a private one for the length of a stream.
 //
 // Each Submit is split into sub-batches of Options.BatchSize (preserving the
-// per-batch CachedGBWT discipline, §VII-B) which enter the same bounded
-// claim queue the streaming pipeline uses, under the same scheduling
-// policies. Admission is all-or-nothing and non-blocking: a request whose
-// sub-batches would overflow Options.Depth is rejected with ErrQueueFull
-// before any of them queue. Request contexts cancel in-flight work: a
-// deadline that fires while sub-batches are queued skips them entirely, and
-// one that fires while a worker is mapping stops the kernel at the next
-// record boundary (core.Mapper.MapBatchUntil).
+// per-batch CachedGBWT discipline, §VII-B) which enter the bounded claim
+// queue under the configured scheduling policy. Admission is all-or-nothing
+// and non-blocking: a request whose sub-batches would overflow Options.Depth
+// is rejected with ErrQueueFull before any of them queue. Request contexts
+// cancel in-flight work: a deadline that fires while sub-batches are queued
+// skips them entirely, and one that fires while a worker is mapping stops
+// the kernel at the next record boundary (core.Mapper.MapBatchUntil).
 type Session struct {
 	m    BatchMapper
-	ep   EpochPublisher // non-nil when m also publishes epochs
+	ep   EpochPublisher  // non-nil when m also publishes epochs
+	rec  *trace.Recorder // non-nil when m is a core.Mapper built with one
 	opts Options
-	cq   *claimQueue[*sjob]
+	cq   *claimQueue
 	wg   sync.WaitGroup
 
 	closed    atomic.Bool
@@ -64,12 +66,20 @@ type Session struct {
 	mu    sync.Mutex
 	cache gbwt.CacheStats
 
-	// labels carry the serving-class pprof labels the pool workers wear, so
+	// processed[w] counts the records worker w mapped and stolen the claims
+	// that were steals — what sched.Stats reports for a batch run. Each
+	// processed slot is written by its worker alone, unsynchronised, so Run
+	// reads them only after Close.
+	processed []int64
+	stolen    atomic.Int64
+
+	// labels carry the request-class pprof labels the pool workers wear, so
 	// a -profile capture splits map time between the serving path and batch
 	// runs.
 	labels *obs.ProfLabels
 
-	// Metric handles are nil-safe no-ops when reg is nil.
+	// Metric handles are nil-safe no-ops when their registry is nil: the
+	// serve_* ones always are for a stream run's pool.
 	submitShard   int
 	qDepth        *obs.Gauge
 	inFlight      *obs.Gauge
@@ -89,11 +99,15 @@ type Session struct {
 
 // sjob is one queued sub-batch of a submitted request.
 type sjob struct {
-	req  *srequest
-	recs []seeds.ReadSeeds
-	out  [][]extend.Extension // disjoint window into the request's results
-	base int                  // global read index of recs[0]
-	enq  time.Time
+	req *srequest
+	// stop is what the worker polls: the owning request's flag for a Submit,
+	// the run-wide failure flag for a streamed batch.
+	stop   *atomic.Bool
+	recs   []seeds.ReadSeeds
+	out    [][]extend.Extension // disjoint window into the request's results
+	base   int                  // global read index of recs[0]
+	enq    time.Time
+	mapDur time.Duration // set by the worker; read after req.done closes
 	// tr is the request's trace (nil when the caller is untraced); sb is
 	// this sub-batch's kernel attribution, passed into MapBatchUntil.
 	tr *obs.ReqTrace
@@ -110,45 +124,59 @@ type srequest struct {
 
 // NewSession starts the persistent worker pool. reg may be nil (no
 // metrics); when set, the session records the request-scoped serving
-// metrics plus the same pipeline/scheduler counters the streaming pipeline
-// does, so /progress, the flight recorder, and cmd/obsdiff work unchanged
-// on serving runs.
+// metrics plus the same pipeline/scheduler counters a streaming run does, so
+// /progress, the flight recorder, and cmd/obsdiff work unchanged on serving
+// runs.
 func NewSession(m BatchMapper, opts Options, reg *obs.Registry) (*Session, error) {
 	if m == nil {
 		return nil, errors.New("pipeline: nil mapper")
 	}
 	opts = opts.normalize()
+	return startSession(m, opts, reg, reg, obs.NewProfLabels(obs.ClassServe, opts.Workers)), nil
+}
+
+// startSession builds the pool over normalized opts and starts its workers.
+// The pipeline/scheduler series go to reg and the request-scoped serve_*
+// series to serveReg, which Run leaves nil: its pool then holds nil handles
+// for them and registers none, with no branch in the worker loop.
+func startSession(m BatchMapper, opts Options, reg, serveReg *obs.Registry, labels *obs.ProfLabels) *Session {
+	// The first Workers shards are map workers: scrapes derive the claim
+	// imbalance and steal-share gauges over exactly that population.
 	reg.SetWorkerShards(opts.Workers)
 	s := &Session{
-		m:    m,
-		opts: opts,
-		cq:   newClaimQueue[*sjob](opts.Scheduler, opts.Workers, opts.Depth),
+		m:         m,
+		opts:      opts,
+		cq:        newClaimQueue(opts.Scheduler, opts.Workers, opts.Depth),
+		processed: make([]int64, opts.Workers),
+		labels:    labels,
 
 		submitShard:   opts.Workers,
-		qDepth:        reg.Gauge(obs.MetricServeQueueDepth),
-		inFlight:      reg.Gauge(obs.MetricServeInFlight),
-		requests:      reg.Counter(obs.MetricServeRequests),
-		reads:         reg.Counter(obs.MetricServeReads),
-		queueRejects:  reg.Counter(obs.MetricServeQueueRejects),
-		canceled:      reg.Counter(obs.MetricServeCanceled),
-		canceledReads: reg.Counter(obs.MetricServeCanceledReads),
+		qDepth:        serveReg.Gauge(obs.MetricServeQueueDepth),
+		inFlight:      serveReg.Gauge(obs.MetricServeInFlight),
+		requests:      serveReg.Counter(obs.MetricServeRequests),
+		reads:         serveReg.Counter(obs.MetricServeReads),
+		queueRejects:  serveReg.Counter(obs.MetricServeQueueRejects),
+		canceled:      serveReg.Counter(obs.MetricServeCanceled),
+		canceledReads: serveReg.Counter(obs.MetricServeCanceledReads),
 		claims:        reg.Counter(obs.MetricSchedClaims),
 		steals:        reg.Counter(obs.MetricSchedSteals),
 		pipeReads:     reg.Counter(obs.MetricPipelineReads),
 		pipeBatches:   reg.Counter(obs.MetricPipelineBatches),
-		hService:      reg.Histogram(obs.MetricServeServiceLatency),
-		hQueueWait:    reg.Histogram(obs.MetricServeQueueWait),
+		hService:      serveReg.Histogram(obs.MetricServeServiceLatency),
+		hQueueWait:    serveReg.Histogram(obs.MetricServeQueueWait),
 		hMap:          reg.Histogram(obs.MetricStageMap),
 	}
 	if ep, ok := m.(EpochPublisher); ok {
 		s.ep = ep
 	}
-	s.labels = obs.NewProfLabels(obs.ClassServe, opts.Workers)
+	if cm, ok := m.(*core.Mapper); ok {
+		s.rec = cm.Options().Trace
+	}
 	for w := 0; w < opts.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker(w)
 	}
-	return s, nil
+	return s
 }
 
 // Options returns the session's normalized options (Depth is the admission
@@ -194,7 +222,7 @@ func (s *Session) SubmitTraced(ctx context.Context, recs []seeds.ReadSeeds, rt *
 			hi = len(recs)
 		}
 		j := &sjob{
-			req: req, recs: recs[lo:hi], out: out[lo:hi], base: base + lo, enq: now,
+			req: req, stop: &req.stop, recs: recs[lo:hi], out: out[lo:hi], base: base + lo, enq: now,
 		}
 		if rt != nil {
 			j.tr = rt
@@ -240,8 +268,10 @@ func (s *Session) SubmitTraced(ctx context.Context, recs []seeds.ReadSeeds, rt *
 	}
 }
 
-// worker is one pool member: claim, map (unless the request is already
-// dead), account, signal completion.
+// worker is one pool member and the package's only claim → map → account
+// loop: claim, map (unless the job is already stopped), account, signal
+// completion. Anything that must run once per worker or per mapped batch
+// (scratch arenas, a recover) belongs here and nowhere else.
 func (s *Session) worker(w int) {
 	defer s.wg.Done()
 	s.labels.ApplyMap(w)
@@ -253,6 +283,7 @@ func (s *Session) worker(w int) {
 		s.qDepth.Add(w, -1)
 		s.claims.Inc(w)
 		if stolen {
+			s.stolen.Add(1)
 			s.steals.Inc(w)
 		}
 		// The queue-wait span and the serve_queue_wait_seconds histogram see
@@ -261,26 +292,29 @@ func (s *Session) worker(w int) {
 		qw := time.Since(j.enq)
 		s.hQueueWait.Observe(w, qw)
 		j.tr.AddSpan(obs.SpanQueueWait, w, j.enq, qw)
-		if j.req.stop.Load() {
+		if j.stop.Load() {
 			s.canceled.Inc(w)
 			s.canceledReads.Add(w, int64(len(j.recs)))
 			j.tr.AddSpan(obs.SpanCancel, w, j.enq.Add(qw), 0)
 		} else {
 			t0 := time.Now()
-			cs, n := s.m.MapBatchUntil(w, j.recs, j.base, j.out, &j.req.stop, jobSubBatch(j))
-			// Sub-batch boundary: tick the shared-cache epoch clock so the
-			// serving path republishes on the same cadence as the batch
-			// pipeline (no-op when the mapper has no epoch cache).
+			cs, n := s.m.MapBatchUntil(w, j.recs, j.base, j.out, j.stop, jobSubBatch(j))
+			// Sub-batch boundary: tick the shared-cache epoch clock (no-op
+			// when the mapper has no epoch cache).
 			if s.ep != nil {
 				s.ep.TryPublishEpoch(w)
 			}
 			j.req.mapped.Add(int64(n))
+			s.processed[w] += int64(n)
 			s.pipeReads.Add(w, int64(n))
 			s.pipeBatches.Inc(w)
-			dMap := time.Since(t0)
-			s.hMap.Observe(w, dMap)
+			j.mapDur = time.Since(t0)
+			if s.rec != nil {
+				s.rec.Record(w, trace.RegionMapBatch, t0, j.mapDur)
+			}
+			s.hMap.Observe(w, j.mapDur)
 			partial := n < len(j.recs)
-			j.tr.AddMapSpan(w, t0, dMap, jobSubBatch(j), partial)
+			j.tr.AddMapSpan(w, t0, j.mapDur, jobSubBatch(j), partial)
 			if partial {
 				s.canceled.Inc(w)
 				s.canceledReads.Add(w, int64(len(j.recs)-n))

@@ -145,8 +145,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /map", s.handleMap)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /slow", s.handleSlow)
+	s.mux.Handle("GET /metrics", obs.MetricsHandler(cfg.Reg))
+	s.mux.Handle("GET /slow", obs.SlowHandler(cfg.Slow))
 	s.mux.HandleFunc("GET /traces", s.handleTraces)
 	return s, nil
 }
@@ -437,28 +437,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: obs.SanitizeFloat(time.Since(s.start).Seconds()),
 		Draining:      s.draining.Load(),
 		Metrics:       s.cfg.Reg.Snapshot(),
-	}
-	s.writeJSON(w, http.StatusOK, payload)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.cfg.Reg.WritePrometheus(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// handleSlow mirrors the debug endpoint's /slow: current window and
-// run-level top-K slow-read exemplars.
-func (s *Server) handleSlow(w http.ResponseWriter, _ *http.Request) {
-	payload := struct {
-		K      int            `json:"k"`
-		Window []obs.Exemplar `json:"window"`
-		Run    []obs.Exemplar `json:"run"`
-	}{
-		K:      s.cfg.Slow.K(),
-		Window: s.cfg.Slow.Window(),
-		Run:    s.cfg.Slow.Top(),
 	}
 	s.writeJSON(w, http.StatusOK, payload)
 }
