@@ -36,9 +36,12 @@ verify: build test
 # internal/serve layers concurrent HTTP admission/deadline/drain on top).
 # internal/gbwt joins for the epoch-published shared cache (lock-free
 # snapshot readers racing the builder's republish); internal/workload rides
-# along for the zipf sampler feeding those stress tests.
+# along for the zipf sampler feeding those stress tests. internal/extend and
+# internal/cluster join because their working memory is now pooled per call
+# by core.Mapper: internal/core's four-goroutine test shares one Mapper, and
+# the kernels' own scratch-reuse tests run instrumented too.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/pipeline/... ./internal/core/... ./internal/trace/... ./internal/fastq/... ./internal/seeds/... ./internal/obs/... ./internal/serve/... ./internal/gbwt/... ./internal/workload/...
+	$(GO) test -race ./internal/sched/... ./internal/pipeline/... ./internal/core/... ./internal/trace/... ./internal/fastq/... ./internal/seeds/... ./internal/obs/... ./internal/serve/... ./internal/gbwt/... ./internal/workload/... ./internal/extend/... ./internal/cluster/...
 	$(GO) test -race -short ./internal/giraffe/...
 
 # Compile-and-run every benchmark once so kernel benchmarks can't rot.
@@ -53,12 +56,14 @@ bench-smoke:
 bench-quick:
 	$(GO) run ./cmd/bench -quick >/dev/null
 
-# Short native-fuzz runs over the two untrusted input surfaces (the capture
-# binary format and FASTQ). The checked-in corpora under testdata/fuzz seed
-# the mutation; 10 seconds each is a smoke test, not a campaign.
+# Short native-fuzz runs over the untrusted input surfaces (the capture
+# binary format, FASTQ, and the GBWT record body every GBZ load decodes). The
+# checked-in corpora under testdata/fuzz seed the mutation; 10 seconds each
+# is a smoke test, not a campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadSeeds -fuzztime=10s ./internal/seeds
 	$(GO) test -run='^$$' -fuzz=FuzzFASTQ -fuzztime=10s ./internal/fastq
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/gbwt
 
 # serve-smoke boots cmd/giraffed against a generated workload and drives it
 # with cmd/loadgen through three phases (steady 2xx, queue-full 429s,

@@ -51,20 +51,13 @@ type Cluster struct {
 	Score float64
 }
 
-// unionFind is a standard path-halving union-find.
+// unionFind is a standard path-halving union-find over caller-supplied
+// storage.
 type unionFind struct {
 	parent []int
 }
 
-func newUnionFind(n int) *unionFind {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return &unionFind{parent: p}
-}
-
-func (u *unionFind) find(x int) int {
+func (u unionFind) find(x int) int {
 	for u.parent[x] != x {
 		u.parent[x] = u.parent[u.parent[x]]
 		x = u.parent[x]
@@ -72,7 +65,7 @@ func (u *unionFind) find(x int) int {
 	return x
 }
 
-func (u *unionFind) union(a, b int) {
+func (u unionFind) union(a, b int) {
 	ra, rb := u.find(a), u.find(b)
 	if ra != rb {
 		if ra > rb {
@@ -82,8 +75,30 @@ func (u *unionFind) union(a, b int) {
 	}
 }
 
+// Scratch is the working memory of ClusterSeeds, reused across reads by one
+// caller at a time: the sort order, backbone coordinates, union-find parents
+// and the root grouping (of which every cluster's SeedIdx is a window) share
+// one int buffer, the clusters themselves are a second. The zero value is
+// ready to use.
+//
+// Ownership: the slice a Scratch's ClusterSeeds returns, and each SeedIdx in
+// it, alias the scratch and are valid until the next call on it. Callers
+// that keep clusters across reads use the package-level ClusterSeeds.
+type Scratch struct {
+	ints []int
+	out  []Cluster
+}
+
+// ClusterSeeds groups the seeds of one read into memory the caller owns: it
+// runs Scratch.ClusterSeeds on a fresh scratch that it then lets go of.
+func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters.Probe, readIdx int) []Cluster {
+	var s Scratch
+	return s.ClusterSeeds(ix, ss, p, probe, readIdx)
+}
+
 // ClusterSeeds groups the seeds of one read. readIdx identifies the read for
-// the instrumentation address map; probe may be nil.
+// the instrumentation address map; probe may be nil. The result aliases the
+// scratch (see Scratch).
 //
 // The algorithm sorts seeds by orientation and projected backbone
 // coordinate, then unions each seed with its nearby neighbours whenever
@@ -91,18 +106,25 @@ func (u *unionFind) union(a, b int) {
 // only: a forward and a reverse seed never share a cluster.
 //
 //minigiraffe:hot
-func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters.Probe, readIdx int) []Cluster {
+func (s *Scratch) ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters.Probe, readIdx int) []Cluster {
 	p = p.normalize()
-	if len(ss) == 0 {
+	n := len(ss)
+	if n == 0 {
 		return nil
 	}
+	if len(s.ints) < 4*n {
+		s.ints = make([]int, 4*n)
+	}
+	order, coord := s.ints[:n], s.ints[n:2*n]
+	uf := unionFind{parent: s.ints[2*n : 3*n]}
+	byRoot := s.ints[3*n : 4*n]
+
 	g := ix.Graph()
 	// Sort seed indices by (orientation, backbone coordinate).
-	order := make([]int, len(ss))
-	coord := make([]int, len(ss))
 	for i := range ss {
 		order[i] = i
 		coord[i] = int(g.Backbone(ss[i].Pos.Node)) + int(ss[i].Pos.Off)
+		uf.parent[i] = i
 	}
 	slices.SortFunc(order, func(ia, ib int) int {
 		if ss[ia].Rev != ss[ib].Rev {
@@ -124,7 +146,6 @@ func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters
 		}
 	}
 
-	uf := newUnionFind(len(ss))
 	for a := 0; a < len(order); a++ {
 		i := order[a]
 		for b := a + 1; b < len(order) && b <= a+p.CheckWindow; b++ {
@@ -150,8 +171,7 @@ func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters
 	// Collect clusters and score them. Ordering seed indices by union-find
 	// root (ties by index) makes every cluster one contiguous run, so the
 	// per-read map the grouping used to allocate is unnecessary and each
-	// SeedIdx slice comes out ascending for free.
-	byRoot := make([]int, len(ss))
+	// SeedIdx is a window of the sorted indices, ascending for free.
 	nGroups := 0
 	for i := range byRoot {
 		byRoot[i] = i
@@ -165,16 +185,22 @@ func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters
 		}
 		return cmp.Compare(a, b)
 	})
-	out := make([]Cluster, 0, nGroups)
-	for lo := 0; lo < len(byRoot); {
+	if len(s.out) < nGroups {
+		s.out = make([]Cluster, nGroups)
+	}
+	out := s.out[:nGroups]
+	k := 0
+	for lo := 0; lo < n; {
 		root := uf.find(byRoot[lo])
 		hi := lo + 1
-		for hi < len(byRoot) && uf.find(byRoot[hi]) == root {
+		for hi < n && uf.find(byRoot[hi]) == root {
 			hi++
 		}
-		idxs := make([]int, hi-lo)
-		copy(idxs, byRoot[lo:hi])
-		out = append(out, Cluster{SeedIdx: idxs, Score: scoreCluster(ss, idxs)})
+		// Capacity-clipped, so an append by the caller cannot run into the
+		// next cluster's indices.
+		members := byRoot[lo:hi:hi]
+		out[k] = Cluster{SeedIdx: members, Score: scoreCluster(ss, members)}
+		k++
 		lo = hi
 	}
 	// Deterministic order: score descending, then first seed index.

@@ -237,6 +237,14 @@ func TestProbeAccounting(t *testing.T) {
 	}
 }
 
+func newUnionFind(n int) unionFind {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return unionFind{parent: p}
+}
+
 // exactClusters computes the ground-truth partition: transitive closure of
 // "graph distance ≤ limit" over all same-orientation seed pairs.
 func exactClusters(ix *distindex.Index, ss []seeds.Seed, limit int) [][]int {
@@ -300,6 +308,84 @@ func TestWindowedClusteringMatchesExact(t *testing.T) {
 	}
 }
 
+// randomSeedSet draws clumps plus scattered seeds on both strands.
+func randomSeedSet(rng *rand.Rand, ids []vgraph.NodeID, n int) []seeds.Seed {
+	ss := make([]seeds.Seed, 0, n)
+	for len(ss) < n {
+		center := 200 + rng.Intn(3400)
+		rev := rng.Intn(2) == 0
+		for k := 0; k < 1+rng.Intn(6) && len(ss) < n; k++ {
+			sd := seedAt(ids, 16, center+rng.Intn(150), float32(1+rng.Intn(3)), int32(rng.Intn(5)*20))
+			sd.Rev = rev
+			ss = append(ss, sd)
+		}
+	}
+	return ss
+}
+
+// TestScratchMatchesFresh: one Scratch reused over seed sets that grow and
+// shrink returns, field for field and in the same order, what a fresh
+// scratch returns — nothing is left over from the read before.
+func TestScratchMatchesFresh(t *testing.T) {
+	g, ids := linearGraph(t, 4000, 16)
+	ix := distindex.New(g)
+	rng := rand.New(rand.NewSource(5))
+	var s Scratch
+	for trial := 0; trial < 200; trial++ {
+		ss := randomSeedSet(rng, ids, rng.Intn(40))
+		got := s.ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+		want := ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d seeds): reused scratch %+v != fresh %+v", trial, len(ss), got, want)
+		}
+	}
+}
+
+// TestFreshResultIsCallerOwned: the package-level entry returns memory that
+// later calls, on it or on any Scratch, leave alone (cmd/bench and the
+// rescue path keep clusters across reads).
+func TestFreshResultIsCallerOwned(t *testing.T) {
+	g, ids := linearGraph(t, 4000, 16)
+	ix := distindex.New(g)
+	rng := rand.New(rand.NewSource(6))
+	first := randomSeedSet(rng, ids, 30)
+	got := ClusterSeeds(ix, first, DefaultParams(), nil, 0)
+	saved := make([]Cluster, len(got))
+	for i, c := range got {
+		saved[i] = Cluster{SeedIdx: append([]int(nil), c.SeedIdx...), Score: c.Score}
+	}
+	var s Scratch
+	for trial := 0; trial < 20; trial++ {
+		ss := randomSeedSet(rng, ids, 30)
+		ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+		s.ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+	}
+	if !reflect.DeepEqual(got, saved) {
+		t.Fatalf("a later call changed an earlier result: now %+v, was %+v", got, saved)
+	}
+	for _, c := range got {
+		if cap(c.SeedIdx) != len(c.SeedIdx) {
+			t.Fatalf("SeedIdx %v has spare capacity %d: an append would run into its neighbour", c.SeedIdx, cap(c.SeedIdx))
+		}
+	}
+}
+
+// TestClusterAllocations: a warm Scratch clusters a read without allocating;
+// the fresh-scratch entry pays for its two buffers.
+func TestClusterAllocations(t *testing.T) {
+	g, ids := linearGraph(t, 4000, 16)
+	ix := distindex.New(g)
+	ss := randomSeedSet(rand.New(rand.NewSource(7)), ids, 24)
+	var s Scratch
+	s.ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+	if n := testing.AllocsPerRun(100, func() { s.ClusterSeeds(ix, ss, DefaultParams(), nil, 0) }); n != 0 {
+		t.Errorf("warm scratch: %.1f allocations per read, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ClusterSeeds(ix, ss, DefaultParams(), nil, 0) }); n > 2 {
+		t.Errorf("fresh scratch: %.1f allocations per read, want ≤ 2", n)
+	}
+}
+
 func BenchmarkClusterSeeds(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	g := &vgraph.Graph{}
@@ -329,9 +415,17 @@ func BenchmarkClusterSeeds(b *testing.B) {
 		ss = append(ss, seedAt(ids, 16, rng.Intn(5900), 1, int32(rng.Intn(140))))
 	}
 	p := DefaultParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ClusterSeeds(ix, ss, p, nil, 0)
-	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ClusterSeeds(ix, ss, p, nil, 0)
+		}
+	})
+	b.Run("scratch", func(b *testing.B) {
+		var s Scratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.ClusterSeeds(ix, ss, p, nil, 0)
+		}
+	})
 }

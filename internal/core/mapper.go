@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -77,6 +78,37 @@ type Mapper struct {
 	// MapBatchUntil so exemplars can attribute the build to the reads that
 	// ran behind it.
 	pendingShared []atomic.Int64
+
+	// states pools the kernels' working memory. A state is taken for the
+	// length of one MapBatchUntil or MapRecord call and put back after, so
+	// two concurrent calls never share one — whatever worker indices they
+	// pass: pipeline workers may outnumber Options.Threads (sharedRow clamps
+	// them onto one row), which is why this is not an array indexed by
+	// worker. A pointer, so the WithoutProbe copy shares the pool.
+	states *sync.Pool
+}
+
+// mapState is the per-call working memory of the two kernels: the clusters
+// of a read live in cl until the next read, and env carries the extension
+// kernel's buffers. Extensions are copied out to the caller (see extend.Env),
+// so nothing a call returns points into a pooled state.
+type mapState struct {
+	cl  cluster.Scratch
+	env extend.Env
+}
+
+// acquire takes a state from the pool and points its environment at the
+// call's reader; release drops the reader (a pooled state must not keep a
+// finished batch's record cache alive) and puts the state back.
+func (m *Mapper) acquire(reader gbwt.BiReader) *mapState {
+	st := m.states.Get().(*mapState)
+	st.env.Graph, st.env.Bi, st.env.Probe = m.file.Graph, reader, m.opts.Probe
+	return st
+}
+
+func (m *Mapper) release(st *mapState) {
+	st.env.Bi = gbwt.BiReader{}
+	m.states.Put(st)
 }
 
 // NewMapper prepares the indexes from a GBZ file: the graph distance index
@@ -112,13 +144,14 @@ func NewMapperFromIndexes(f *gbz.File, dist *distindex.Index, bi *gbwt.Bidirecti
 	}
 	opts = opts.normalize()
 	m := &Mapper{
-		file:  f,
-		dist:  dist,
-		bi:    bi,
-		opts:  opts,
-		met:   newMapperMetrics(opts.Obs),
-		slow:  opts.Slow,
-		instr: opts.Trace != nil || opts.Obs != nil || opts.Slow != nil,
+		file:   f,
+		dist:   dist,
+		bi:     bi,
+		opts:   opts,
+		met:    newMapperMetrics(opts.Obs),
+		slow:   opts.Slow,
+		instr:  opts.Trace != nil || opts.Obs != nil || opts.Slow != nil,
+		states: &sync.Pool{New: func() any { return new(mapState) }},
 	}
 	if opts.EpochCapacity > 0 {
 		// Row count sizes the snapshot's per-worker hit-counter rows and
@@ -209,15 +242,21 @@ func (m *Mapper) NewReader(worker int) gbwt.BiReader {
 // MapRecord runs the two critical functions (cluster_seeds and
 // process_until_threshold_c) for one record. index is the record's global
 // position in the workload; worker tags trace spans. The reader carries the
-// batch's cache state and must not be shared across goroutines.
+// batch's cache state and must not be shared across goroutines. The
+// extensions returned are the caller's: the kernels' working memory is
+// pooled, taken for this call only, and nothing returned points into it.
 //
 //minigiraffe:hot
 func (m *Mapper) MapRecord(worker int, reader gbwt.BiReader, rec *seeds.ReadSeeds, index int) []extend.Extension {
-	return m.mapRecordSlow(worker, reader, rec, index, 0, 0, nil)
+	st := m.acquire(reader)
+	exts := m.mapRecordSlow(worker, st, rec, index, 0, 0, nil)
+	m.release(st)
+	return exts
 }
 
-// mapRecordSlow is MapRecord plus the slow-read exemplar capture:
-// cacheNanos attributes the caller's per-batch CachedGBWT rebuild to each
+// mapRecordSlow is MapRecord on a state the caller acquired (once per batch,
+// so the extension environment is built once per batch too) plus the
+// slow-read exemplar capture: cacheNanos attributes the caller's per-batch CachedGBWT rebuild to each
 // read it covers, sharedNanos an epoch publication the worker performed at
 // the preceding batch boundary. The capture is allocation-free (Exemplar
 // is a value; the reservoir preallocates) and skipped entirely when no
@@ -227,13 +266,13 @@ func (m *Mapper) MapRecord(worker int, reader gbwt.BiReader, rec *seeds.ReadSeed
 // batch returns) and its trace ID tags the exemplar.
 //
 //minigiraffe:hot
-func (m *Mapper) mapRecordSlow(worker int, reader gbwt.BiReader, rec *seeds.ReadSeeds, index int, cacheNanos, sharedNanos int64, sb *obs.SubBatch) []extend.Extension {
+func (m *Mapper) mapRecordSlow(worker int, st *mapState, rec *seeds.ReadSeeds, index int, cacheNanos, sharedNanos int64, sb *obs.SubBatch) []extend.Extension {
 	var t0 time.Time
 	var dc, dt time.Duration
 	if m.instr {
 		t0 = time.Now()
 	}
-	cls := cluster.ClusterSeeds(m.dist, rec.Seeds, m.opts.Cluster, m.opts.Probe, index)
+	cls := st.cl.ClusterSeeds(m.dist, rec.Seeds, m.opts.Cluster, m.opts.Probe, index)
 	if m.instr {
 		dc = time.Since(t0)
 		if m.opts.Trace != nil {
@@ -242,8 +281,7 @@ func (m *Mapper) mapRecordSlow(worker int, reader gbwt.BiReader, rec *seeds.Read
 		m.met.cluster.Observe(worker, dc)
 		t0 = time.Now()
 	}
-	env := &extend.Env{Graph: m.file.Graph, Bi: reader, Probe: m.opts.Probe}
-	exts := extend.ProcessUntilThresholdC(env, &rec.Read, rec.Seeds, cls, m.opts.Extend, index)
+	exts := extend.ProcessUntilThresholdC(&st.env, &rec.Read, rec.Seeds, cls, m.opts.Extend, index)
 	if m.instr {
 		dt = time.Since(t0)
 		if m.opts.Trace != nil {
@@ -323,13 +361,15 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 			sb.CacheBuildNanos += int64(d)
 		}
 	}
+	st := m.acquire(reader)
 	for j := range recs {
 		if stop != nil && stop.Load() {
 			break
 		}
-		out[j] = m.mapRecordSlow(worker, reader, &recs[j], base+j, cacheNanos, sharedNanos, sb)
+		out[j] = m.mapRecordSlow(worker, st, &recs[j], base+j, cacheNanos, sharedNanos, sb)
 		mapped++
 	}
+	m.release(st)
 	cs = ReaderCacheStats(reader)
 	if m.shared != nil {
 		m.met.epochShared.Add(worker, cs.SharedHits)

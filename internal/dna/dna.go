@@ -110,10 +110,16 @@ func (s Sequence) Clone() Sequence {
 // RevComp returns the reverse complement of s as a new sequence.
 func (s Sequence) RevComp() Sequence {
 	out := make(Sequence, len(s))
-	for i, b := range s {
-		out[len(s)-1-i] = b.Complement()
-	}
+	s.RevCompInto(out)
 	return out
+}
+
+// RevCompInto writes the reverse complement of s into dst, which must be
+// len(s) long and must not overlap s.
+func (s Sequence) RevCompInto(dst Sequence) {
+	for i, b := range s {
+		dst[len(s)-1-i] = b.Complement()
+	}
 }
 
 // Equal reports whether s and t hold the same bases.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"repro/internal/counters"
 	"repro/internal/giraffe"
@@ -162,10 +163,18 @@ type Figure3Row struct {
 	Shares []trace.RegionShare
 }
 
+// figure3Window is the least mapping time one input's shares are taken over.
+// Region spans are wall-clock, so a descheduled worker or a GC cycle adds
+// whole milliseconds to whichever region it lands in — and A-human at test
+// scale (120 reads) maps in two milliseconds, so its shares would say where
+// the stall fell rather than where the time goes.
+const figure3Window = 400 * time.Millisecond
+
 // Figure3 reproduces the per-region runtime percentages for all input sets,
 // excluding I/O and input parsing as the paper does. The paper's headline:
 // process_until_threshold_c dominates (up to ~52% of computation),
-// cluster_seeds second.
+// cluster_seeds second. An input that maps in less than figure3Window is
+// mapped again into the same recorder until the window is full.
 func (s *Suite) Figure3() ([]Figure3Row, error) {
 	var rows []Figure3Row
 	s.section("Figure 3: per-region share of runtime (excluding IO/parse)")
@@ -179,8 +188,13 @@ func (s *Suite) Figure3() ([]Figure3Row, error) {
 			return nil, err
 		}
 		rec := trace.NewRecorder(s.cfg.Threads)
-		if _, err := giraffe.Map(ix, b.Reads, giraffe.Options{Threads: s.cfg.Threads, Trace: rec}); err != nil {
-			return nil, err
+		for start := time.Now(); ; {
+			if _, err := giraffe.Map(ix, b.Reads, giraffe.Options{Threads: s.cfg.Threads, Trace: rec}); err != nil {
+				return nil, err
+			}
+			if time.Since(start) >= figure3Window {
+				break
+			}
 		}
 		shares := rec.Shares(trace.RegionIO, trace.RegionParse)
 		rows = append(rows, Figure3Row{Input: spec.Name, Shares: shares})

@@ -10,6 +10,14 @@
 // Both the parent emulator (package giraffe) and the proxy (package core)
 // call this same kernel; the paper's proxy was built by extracting exactly
 // these functions, which is why its outputs match Giraffe's bit-for-bit.
+//
+// Memory: the kernel works in buffers its Env owns and reuses from read to
+// read, and allocates only what it returns — the extensions of a read, each with
+// its own Path and Mismatches. The right walk keeps the branch it is on in
+// two stacks and its best leaf so far in one slot instead of building a
+// result per graph node; DESIGN.md §5a gives the ownership rules and the
+// argument that this picks the same leaf as a best-of-children choice at
+// every node.
 package extend
 
 import (
@@ -123,25 +131,101 @@ func (e *Extension) Key() string {
 }
 
 // Env bundles the immutable structures the kernel walks plus the per-worker
-// bidirectional GBWT readers and instrumentation probe (both may differ
-// across workers). The bidirectional readers let both extension directions
-// stay haplotype-constrained, as Giraffe's extender does (§IV-B: "Giraffe
-// will try to extend seed alignments in both directions").
+// bidirectional GBWT readers, instrumentation probe (all of which may differ
+// across workers) and the kernel's working memory. The bidirectional readers
+// let both extension directions stay haplotype-constrained, as Giraffe's
+// extender does (§IV-B: "Giraffe will try to extend seed alignments in both
+// directions"). Like its readers, an Env serves one goroutine at a time; a
+// caller that maps many reads keeps one Env and repoints its fields, so the
+// buffers are sized once and reused.
 type Env struct {
 	Graph *vgraph.Graph
 	Bi    gbwt.BiReader
 	Probe counters.Probe // nil disables accounting
+
+	s scratch
 }
 
-// extKey is the comparable identity used to deduplicate extensions on the
-// hot path. Extension.Key() builds the same identity as a string, which
-// costs one fmt.Sprintf per candidate; it is kept for cold-path validation
-// and debugging output only.
-type extKey struct {
-	node               vgraph.NodeID
-	off                int32
-	readStart, readEnd int32
-	rev                bool
+// scratch is the working memory of the extension kernel, so that mapping a
+// read allocates only what the caller keeps. The zero value is ready to use;
+// buffers are sized once per read and written by index.
+//
+// Ownership: everything in a scratch belongs to the kernel and is dead
+// between calls. ProcessUntilThresholdC copies what survives — the
+// exact-size []Extension, and a Path and Mismatches per extension — into
+// memory the caller owns, so a result is never changed by a later call on the
+// same Env.
+type scratch struct {
+	// Right walk: the mismatch offsets and nodes of the branch being walked
+	// (stacks: a node's entries sit above its parent's) and a copy of the
+	// best leaf offered so far.
+	curMism, bestMism []int32
+	curPath, bestPath []vgraph.NodeID
+	best              rightLeaf
+	// Left walk (greedy, a single branch), in walk order.
+	leftMism []int32
+	leftPath []vgraph.NodeID
+	left     leftEnd
+
+	picked []int        // pickSeeds' sorted copy of a cluster's seed indices
+	rev    dna.Sequence // the read's reverse complement
+	out    []Extension  // the extensions kept so far
+}
+
+// rightLeaf is where one branch of the right walk stopped: at the mismatch
+// budget, at the read's end, or at a node no haplotype continues from.
+type rightLeaf struct {
+	readPos      int32 // exclusive end of the matched read interval
+	nMism, nPath int   // depth of the mismatch and path stacks at the leaf
+	reached      bool  // read end reached
+	ok           bool  // a leaf has been offered
+}
+
+// leftEnd is where the left walk stopped.
+type leftEnd struct {
+	readPos      int32           // inclusive start of the matched read interval
+	pos          vgraph.Position // graph position of the leftmost matched base
+	nMism, nPath int
+	reached      bool // read start reached
+}
+
+// size readies the scratch for one read. A right walk enters at most one
+// node per remaining read base (labels are non-empty, and a node is entered
+// only with read left to match), a left walk likewise, and the two together
+// hold at most MaxMismatches mismatches; the candidates number at most
+// MaxClusters×MaxSeedsPerCluster.
+func (s *scratch) size(readLen int, p Params) {
+	if n := readLen + 1; len(s.curPath) < n {
+		nodes := make([]vgraph.NodeID, 3*n)
+		s.curPath, s.bestPath, s.leftPath = nodes[:n], nodes[n:2*n], nodes[2*n:]
+	}
+	if n := p.MaxMismatches; len(s.curMism) < n {
+		offs := make([]int32, 3*n)
+		s.curMism, s.bestMism, s.leftMism = offs[:n], offs[n:2*n], offs[2*n:]
+	}
+	if n := p.MaxClusters * p.MaxSeedsPerCluster; len(s.out) < n {
+		s.out = make([]Extension, n)
+	}
+}
+
+// sameAlignment reports whether two extensions are the same alignment for
+// deduplication: same start position, read interval and strand — the
+// identity Extension.Key() spells as a string, compared field by field
+// because Key costs a fmt.Sprintf per candidate and is kept for cold-path
+// validation and debugging output only.
+func sameAlignment(a, b *Extension) bool {
+	return a.StartPos == b.StartPos && a.ReadStart == b.ReadStart && a.ReadEnd == b.ReadEnd && a.Rev == b.Rev
+}
+
+// walk is the per-read state every level of the extension walks shares: it
+// lives on ProcessUntilThresholdC's stack and is passed down by pointer, so
+// the recursion carries only what changes from node to node.
+type walk struct {
+	env     *Env
+	s       *scratch
+	r       dna.Sequence // the oriented read
+	p       Params
+	readIdx int
 }
 
 // ProcessUntilThresholdC runs the extension stage for one read: clusters
@@ -150,7 +234,8 @@ type extKey struct {
 // processed cluster's best seeds are extended and the deduplicated
 // extensions are returned sorted by descending score (ties broken by
 // position for determinism). readIdx identifies the read for the probe's
-// address map.
+// address map. The result is the caller's: it shares no memory with
+// env or with any other call's result.
 //
 //minigiraffe:hot
 func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters []cluster.Cluster, p Params, readIdx int) []Extension {
@@ -158,14 +243,17 @@ func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters 
 	if len(clusters) == 0 {
 		return nil
 	}
+	s := &env.s
+	s.size(len(read.Seq), p)
+	w := walk{env: env, s: s, p: p, readIdx: readIdx}
 	best := clusters[0].Score
-	var fwd, rev dna.Sequence
-	fwd = read.Seq
-	// Deduplicate via a linear scan over comparable keys: the candidate set
-	// is capped at MaxClusters×MaxSeedsPerCluster (64 at the defaults), so a
-	// scan beats hashing and keeps this function map- and Sprintf-free.
-	keys := make([]extKey, 0, p.MaxClusters*p.MaxSeedsPerCluster)
-	out := make([]Extension, 0, p.MaxClusters*p.MaxSeedsPerCluster)
+	fwd := read.Seq
+	haveRev := false
+	// Deduplicate via a linear scan over the extensions kept so far: the
+	// candidate set is capped at MaxClusters×MaxSeedsPerCluster (64 at the
+	// defaults), so a scan beats hashing and keeps this function map- and
+	// Sprintf-free.
+	kept := 0
 
 	processed := 0
 	for _, cl := range clusters {
@@ -179,32 +267,30 @@ func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters 
 		if env.Probe != nil {
 			env.Probe.Instr(32)
 		}
-		for _, si := range pickSeeds(ss, cl.SeedIdx, p.MaxSeedsPerCluster) {
+		for _, si := range s.pickSeeds(ss, cl.SeedIdx, p.MaxSeedsPerCluster) {
 			seed := ss[si]
-			oriented := fwd
+			w.r = fwd
 			if seed.Rev {
-				if rev == nil {
-					rev = fwd.RevComp()
+				if !haveRev {
+					if cap(s.rev) < len(fwd) {
+						s.rev = make(dna.Sequence, len(fwd))
+					}
+					s.rev = s.rev[:len(fwd)]
+					fwd.RevCompInto(s.rev)
+					haveRev = true
 					if env.Probe != nil {
 						env.Probe.Instr(int64(len(fwd)) * 2)
 					}
 				}
-				oriented = rev
+				w.r = s.rev
 			}
-			ext, ok := extendSeed(env, oriented, seed, p, readIdx)
+			ext, ok := w.extendSeed(seed)
 			if !ok {
 				continue
 			}
-			key := extKey{
-				node:      ext.StartPos.Node,
-				off:       ext.StartPos.Off,
-				readStart: ext.ReadStart,
-				readEnd:   ext.ReadEnd,
-				rev:       ext.Rev,
-			}
 			dup := false
-			for _, k := range keys {
-				if k == key {
+			for k := range s.out[:kept] {
+				if sameAlignment(&s.out[k], &ext) {
 					dup = true
 					break
 				}
@@ -212,10 +298,16 @@ func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters 
 			if dup {
 				continue
 			}
-			keys = append(keys, key)
-			out = append(out, ext)
+			// Only a candidate that survives gets a Path and Mismatches of
+			// its own; until here it lived in the scratch.
+			s.materialise(&ext)
+			s.out[kept] = ext
+			kept++
 		}
 	}
+	out := make([]Extension, kept)
+	copy(out, s.out[:kept])
+	clear(s.out[:kept]) // the caller's slices are not the scratch's to keep alive
 	slices.SortFunc(out, func(a, b Extension) int {
 		if a.Score != b.Score {
 			return cmp.Compare(b.Score, a.Score)
@@ -232,9 +324,13 @@ func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters 
 }
 
 // pickSeeds selects up to max seed indices from the cluster, preferring
-// higher scores then lower read offsets (deterministic).
-func pickSeeds(ss []seeds.Seed, idxs []int, max int) []int {
-	sorted := make([]int, len(idxs))
+// higher scores then lower read offsets (deterministic). The result is a
+// window of the scratch, valid until the next call.
+func (s *scratch) pickSeeds(ss []seeds.Seed, idxs []int, max int) []int {
+	if cap(s.picked) < len(idxs) {
+		s.picked = make([]int, len(idxs))
+	}
+	sorted := s.picked[:len(idxs)]
 	copy(sorted, idxs)
 	slices.SortFunc(sorted, func(a, b int) int {
 		sa, sb := ss[a], ss[b]
@@ -252,26 +348,20 @@ func pickSeeds(ss []seeds.Seed, idxs []int, max int) []int {
 	return sorted
 }
 
-// walkResult carries one direction's outcome.
-type walkResult struct {
-	readPos int32           // exclusive end (right) / inclusive start (left)
-	mism    []int32         // mismatch read offsets, walk order
-	path    []vgraph.NodeID // nodes entered during the walk, walk order
-	pos     vgraph.Position // final boundary position (left only)
-	reached bool            // read end/start reached
-}
-
-// extendSeed extends a single seed bidirectionally. Returns false if the
-// anchor itself is invalid (position outside the node).
+// extendSeed extends a single seed bidirectionally, leaving both walks in
+// the scratch and returning the extension without its Path and Mismatches
+// (see materialise). Returns false if the anchor itself is invalid (position
+// outside the node).
 //
 //minigiraffe:hot
-func extendSeed(env *Env, r dna.Sequence, seed seeds.Seed, p Params, readIdx int) (Extension, bool) {
+func (w *walk) extendSeed(seed seeds.Seed) (Extension, bool) {
+	env, s, p := w.env, w.s, &w.p
 	g := env.Graph
 	node := seed.Pos.Node
 	if !g.Has(node) || int(seed.Pos.Off) >= g.SeqLen(node) {
 		return Extension{}, false
 	}
-	if int(seed.ReadOff) >= len(r) || seed.ReadOff < 0 {
+	if int(seed.ReadOff) >= len(w.r) || seed.ReadOff < 0 {
 		return Extension{}, false
 	}
 
@@ -284,13 +374,16 @@ func extendSeed(env *Env, r dna.Sequence, seed seeds.Seed, p Params, readIdx int
 		return Extension{}, false
 	}
 	// Right: from the anchor base forward, haplotype-constrained.
-	right := extendRight(env, r, seed.ReadOff, node, seed.Pos.Off, state, 0, p, readIdx)
+	s.best.ok = false
+	w.right(seed.ReadOff, node, seed.Pos.Off, state, 0, 0)
+	right := &s.best
 
 	// Left: from the base before the anchor backward, haplotype-constrained
 	// through the reverse index. The left walk restricts the same seed
 	// state (its haplotypes are a superset of the right walk's survivors,
 	// which is what Giraffe's extender tracks per direction).
-	left := extendLeft(env, r, seed.ReadOff-1, node, seed.Pos.Off-1, state, p.MaxMismatches-len(right.mism), p, readIdx)
+	w.left(seed.ReadOff-1, node, seed.Pos.Off-1, state, p.MaxMismatches-right.nMism)
+	left := &s.left
 
 	ext := Extension{
 		StartPos:  left.pos,
@@ -298,27 +391,8 @@ func extendSeed(env *Env, r dna.Sequence, seed seeds.Seed, p Params, readIdx int
 		ReadEnd:   right.readPos,
 		Rev:       seed.Rev,
 	}
-	// Assemble mismatches: left's are collected walking backward. Sized up
-	// front; stays nil when the alignment is mismatch-free.
-	if n := len(left.mism) + len(right.mism); n > 0 {
-		mism := make([]int32, 0, n)
-		for i := len(left.mism) - 1; i >= 0; i-- {
-			mism = append(mism, left.mism[i])
-		}
-		mism = append(mism, right.mism...)
-		ext.Mismatches = mism
-	}
-	// Path: left path is collected walking backward (excluding seed node);
-	// right path starts with the seed node.
-	path := make([]vgraph.NodeID, 0, len(left.path)+len(right.path))
-	for i := len(left.path) - 1; i >= 0; i-- {
-		path = append(path, left.path[i])
-	}
-	path = append(path, right.path...)
-	ext.Path = path
-
-	matched := ext.Len() - int32(len(ext.Mismatches))
-	ext.Score = matched*p.MatchScore - int32(len(ext.Mismatches))*p.MismatchPenalty
+	nMism := int32(left.nMism + right.nMism)
+	ext.Score = score1(ext.Len(), nMism, p)
 	if left.reached {
 		ext.Score += p.FullLengthBonus
 	}
@@ -328,17 +402,42 @@ func extendSeed(env *Env, r dna.Sequence, seed seeds.Seed, p Params, readIdx int
 	return ext, true
 }
 
-// extendRight walks the graph forward from (node, off) matching r[i:],
-// following GBWT haplotypes, branching at node boundaries and keeping the
-// best-scoring completion. The returned path includes the starting node.
+// materialise gives the extension extendSeed just returned a Path and
+// Mismatches of its own, copied out of the scratch: the left walk's entries
+// were collected walking backward (and exclude the seed node), the right
+// walk's start with the seed node. Mismatches stays nil when the alignment
+// is mismatch-free.
+func (s *scratch) materialise(ext *Extension) {
+	left, right := &s.left, &s.best
+	if n := left.nMism + right.nMism; n > 0 {
+		mism := make([]int32, n)
+		for i := 0; i < left.nMism; i++ {
+			mism[i] = s.leftMism[left.nMism-1-i]
+		}
+		copy(mism[left.nMism:], s.bestMism[:right.nMism])
+		ext.Mismatches = mism
+	}
+	path := make([]vgraph.NodeID, left.nPath+right.nPath)
+	for i := 0; i < left.nPath; i++ {
+		path[i] = s.leftPath[left.nPath-1-i]
+	}
+	copy(path[left.nPath:], s.bestPath[:right.nPath])
+	ext.Path = path
+}
+
+// right walks the graph forward from (node, off) matching r[i:], following
+// GBWT haplotypes and branching at node boundaries. It keeps no per-node
+// result: the branch being walked lives on the scratch's mismatch and path
+// stacks (nMism and nPath are their depths on entry), and every leaf — the
+// mismatch budget, the read's end, a dead end — is offered to the scratch's
+// single best-leaf slot. The path includes the starting node.
 //
 //minigiraffe:hot
-func extendRight(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32, state gbwt.BiState, mismUsed int, p Params, readIdx int) walkResult {
-	g := env.Graph
-	label := g.Seq(node)
-	// At most MaxMismatches-mismUsed mismatches can be consumed here: the
-	// budget check below stops the walk before the slice would grow.
-	mism := make([]int32, 0, p.MaxMismatches-mismUsed)
+func (w *walk) right(i int32, node vgraph.NodeID, off int32, state gbwt.BiState, nMism, nPath int) {
+	env, s, r := w.env, w.s, w.r
+	s.curPath[nPath] = node
+	nPath++
+	label := env.Graph.Seq(node)
 	if env.Probe != nil {
 		n := int32(len(label)) - off
 		if rem := int32(len(r)) - i; rem < n {
@@ -346,23 +445,26 @@ func extendRight(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int3
 		}
 		if n > 0 {
 			env.Probe.Access(counters.NodeSeqAddr(uint32(node), off), int(n))
-			env.Probe.Access(counters.ReadAddr(readIdx, i), int(n))
+			env.Probe.Access(counters.ReadAddr(w.readIdx, i), int(n))
 			env.Probe.Instr(int64(n) * 6)
 		}
 	}
 	for int(off) < len(label) && int(i) < len(r) {
 		if label[off] != r[i] {
-			if mismUsed+len(mism)+1 > p.MaxMismatches {
+			if nMism+1 > w.p.MaxMismatches {
 				// Stop before consuming the over-budget mismatch.
-				return walkResult{readPos: i, mism: mism, path: []vgraph.NodeID{node}}
+				w.offerRight(i, nMism, nPath, false)
+				return
 			}
-			mism = append(mism, i)
+			s.curMism[nMism] = i
+			nMism++
 		}
 		off++
 		i++
 	}
 	if int(i) >= len(r) {
-		return walkResult{readPos: i, mism: mism, path: []vgraph.NodeID{node}, reached: true}
+		w.offerRight(i, nMism, nPath, true)
+		return
 	}
 	// Node exhausted: branch along haplotype-consistent successors.
 	rec := env.Bi.Fwd.Record(state.Fwd.Node)
@@ -370,8 +472,7 @@ func extendRight(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int3
 		env.Probe.Access(counters.RecordAddr(uint32(state.Fwd.Node)), counters.RecordStride)
 		env.Probe.Instr(20)
 	}
-	var best walkResult
-	haveBest := false
+	branched := false
 	if rec != nil {
 		for _, e := range rec.Edges {
 			if e.To == gbwt.Endmarker {
@@ -381,65 +482,61 @@ func extendRight(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int3
 			if next.Empty() {
 				continue
 			}
-			sub := extendRight(env, r, i, e.To, 0, next, mismUsed+len(mism), p, readIdx)
-			if !haveBest || betterRight(sub, best, p) {
-				best = sub
-				haveBest = true
-			}
+			branched = true
+			w.right(i, e.To, 0, next, nMism, nPath)
 		}
 	}
-	if !haveBest {
+	if !branched {
 		// Dead end: the extension stops at the node boundary.
-		return walkResult{readPos: i, mism: mism, path: []vgraph.NodeID{node}}
+		w.offerRight(i, nMism, nPath, false)
 	}
-	merged := walkResult{
-		readPos: best.readPos,
-		mism:    append(mism, best.mism...),
-		path:    append([]vgraph.NodeID{node}, best.path...),
-		reached: best.reached,
-	}
-	return merged
 }
 
-// betterRight compares right-walk completions by score.
-func betterRight(a, b walkResult, p Params) bool {
-	sa := score1(a.readPos, int32(len(a.mism)), p)
-	sb := score1(b.readPos, int32(len(b.mism)), p)
-	if sa != sb {
-		return sa > sb
+// offerRight makes the branch on the stacks the best leaf if it beats the
+// one held: higher score, then longer reach; on a full tie the earlier leaf
+// stays.
+//
+// Why one global slot equals a best-of-children choice at every node: the
+// leaves below a node share the stack up to that node, and score1 is linear
+// in the mismatch count, so ranking them by (score over the whole branch,
+// reach) orders them exactly as ranking by (score from that node on, reach)
+// does — the shared prefix shifts every score by the same constant. A
+// tournament that keeps, at each node, the first-best of its children's
+// winners therefore ends with the first-best leaf of the whole walk in
+// depth-first order, which is what a single slot with a strict comparison
+// keeps. Edges are visited in strictly ascending To (the record decoder
+// refuses any other order), so "first in depth-first order" is also
+// "smallest next node at the first point two tied branches part".
+func (w *walk) offerRight(readPos int32, nMism, nPath int, reached bool) {
+	s := w.s
+	if b := &s.best; b.ok {
+		sc, bsc := score1(readPos, int32(nMism), &w.p), score1(b.readPos, int32(b.nMism), &w.p)
+		if sc < bsc || (sc == bsc && readPos <= b.readPos) {
+			return
+		}
 	}
-	// Deterministic tie-break: longer reach, then lexicographically smaller
-	// first path node.
-	if a.readPos != b.readPos {
-		return a.readPos > b.readPos
-	}
-	if len(a.path) > 0 && len(b.path) > 0 && a.path[0] != b.path[0] {
-		return a.path[0] < b.path[0]
-	}
-	return false
+	s.best = rightLeaf{readPos: readPos, nMism: nMism, nPath: nPath, reached: reached, ok: true}
+	copy(s.bestMism, s.curMism[:nMism])
+	copy(s.bestPath, s.curPath[:nPath])
 }
 
-func score1(reach, mism int32, p Params) int32 {
+func score1(reach, mism int32, p *Params) int32 {
 	return (reach-mism)*p.MatchScore - mism*p.MismatchPenalty
 }
 
-// extendLeft walks the graph backward from (node, off) matching r[..i]
-// leftward. Predecessor steps are fully haplotype-constrained: the
-// bidirectional state is extended left through the reverse index, so only
-// walks some indexed haplotype actually takes survive. The returned pos is
-// the graph position of the leftmost matched base; readPos is the inclusive
-// read start; path lists nodes *before* the seed node, in walk
-// (right-to-left) order.
+// left walks the graph backward from (node, off) matching r[..i] leftward,
+// into the scratch's left buffers and s.left. Predecessor steps are fully
+// haplotype-constrained: the bidirectional state is extended left through
+// the reverse index, so only walks some indexed haplotype actually takes
+// survive. s.left.pos is the graph position of the leftmost matched base;
+// readPos is the inclusive read start; the path lists nodes *before* the
+// seed node, in walk (right-to-left) order.
 //
 //minigiraffe:hot
-func extendLeft(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32, state gbwt.BiState, mismBudget int, p Params, readIdx int) walkResult {
+func (w *walk) left(i int32, node vgraph.NodeID, off int32, state gbwt.BiState, mismBudget int) {
+	env, s, r := w.env, w.s, w.r
 	g := env.Graph
-	mb := mismBudget
-	if mb < 0 {
-		mb = 0
-	}
-	mism := make([]int32, 0, mb)
-	path := make([]vgraph.NodeID, 0, 4)
+	nMism, nPath := 0, 0
 	curNode, curOff := node, off
 	for {
 		label := g.Seq(curNode)
@@ -450,47 +547,51 @@ func extendLeft(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32
 			}
 			if n > 0 {
 				env.Probe.Access(counters.NodeSeqAddr(uint32(curNode), curOff-n+1), int(n))
-				env.Probe.Access(counters.ReadAddr(readIdx, i-n+1), int(n))
+				env.Probe.Access(counters.ReadAddr(w.readIdx, i-n+1), int(n))
 				env.Probe.Instr(int64(n) * 6)
 			}
 		}
 		for curOff >= 0 && i >= 0 {
 			if label[curOff] != r[i] {
-				if len(mism)+1 > mismBudget {
-					return walkResult{
+				if nMism+1 > mismBudget {
+					s.left = leftEnd{
 						readPos: i + 1,
-						mism:    mism,
-						path:    path,
 						pos:     vgraph.Position{Node: curNode, Off: curOff + 1},
+						nMism:   nMism,
+						nPath:   nPath,
 					}
+					return
 				}
-				mism = append(mism, i)
+				s.leftMism[nMism] = i
+				nMism++
 			}
 			curOff--
 			i--
 		}
 		if i < 0 {
-			return walkResult{
-				readPos: 0,
-				mism:    mism,
-				path:    path,
+			s.left = leftEnd{
 				pos:     vgraph.Position{Node: curNode, Off: curOff + 1},
+				nMism:   nMism,
+				nPath:   nPath,
 				reached: true,
 			}
+			return
 		}
 		// Node start reached: step to the best haplotype-consistent
 		// predecessor. Greedy: choose the predecessor whose tail matches the
 		// read furthest (deterministic by node id on ties).
-		pred, next := bestPredecessor(env, r, i, state, p)
+		pred, next := bestPredecessor(env, r, i, state)
 		if pred == vgraph.Invalid {
-			return walkResult{
+			s.left = leftEnd{
 				readPos: i + 1,
-				mism:    mism,
-				path:    path,
 				pos:     vgraph.Position{Node: curNode, Off: 0},
+				nMism:   nMism,
+				nPath:   nPath,
 			}
+			return
 		}
-		path = append(path, pred)
+		s.leftPath[nPath] = pred
+		nPath++
 		state = next
 		curNode = pred
 		curOff = int32(g.SeqLen(pred)) - 1
@@ -503,7 +604,7 @@ func extendLeft(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32
 // continues leftward.
 //
 //minigiraffe:hot
-func bestPredecessor(env *Env, r dna.Sequence, i int32, state gbwt.BiState, p Params) (vgraph.NodeID, gbwt.BiState) {
+func bestPredecessor(env *Env, r dna.Sequence, i int32, state gbwt.BiState) (vgraph.NodeID, gbwt.BiState) {
 	g := env.Graph
 	rec := env.Bi.Rev.Record(state.Rev.Node)
 	if env.Probe != nil {

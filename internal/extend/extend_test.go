@@ -1,8 +1,11 @@
 package extend
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -52,6 +55,13 @@ func buildFixture(t testing.TB, seed int64, refLen, nHaps int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return finishFixture(t, pg, rng, nHaps)
+}
+
+// finishFixture draws nHaps random haplotypes through pg and indexes them.
+func finishFixture(t testing.TB, pg *vgraph.Pangenome, rng *rand.Rand, nHaps int) *fixture {
+	t.Helper()
+	var err error
 	f := &fixture{pg: pg}
 	for h := 0; h < nHaps; h++ {
 		alleles := make([]int, pg.NumSites())
@@ -347,6 +357,552 @@ func TestParamsNormalize(t *testing.T) {
 	custom := Params{MaxMismatches: 2}.normalize()
 	if custom.MaxMismatches != 2 || custom.MaxClusters != DefaultParams().MaxClusters {
 		t.Errorf("partial normalize wrong: %+v", custom)
+	}
+}
+
+// The reference kernel: the per-level tournament the scratch-backed walk
+// replaced, kept here verbatim (allocation per node and all) as an oracle
+// that shares none of the new walk's code — only bestPredecessor, which did
+// not change. refProcess is what ProcessUntilThresholdC was.
+
+type extKey struct {
+	node               vgraph.NodeID
+	off                int32
+	readStart, readEnd int32
+	rev                bool
+}
+
+func refProcess(env *Env, read *dna.Read, ss []seeds.Seed, clusters []cluster.Cluster, p Params, readIdx int) []Extension {
+	p = p.normalize()
+	if len(clusters) == 0 {
+		return nil
+	}
+	best := clusters[0].Score
+	var fwd, rev dna.Sequence
+	fwd = read.Seq
+	// Deduplicate via a linear scan over comparable keys: the candidate set
+	// is capped at MaxClusters×MaxSeedsPerCluster (64 at the defaults), so a
+	// scan beats hashing and keeps this function map- and Sprintf-free.
+	keys := make([]extKey, 0, p.MaxClusters*p.MaxSeedsPerCluster)
+	out := make([]Extension, 0, p.MaxClusters*p.MaxSeedsPerCluster)
+
+	processed := 0
+	for _, cl := range clusters {
+		if processed >= p.MaxClusters {
+			break
+		}
+		if processed >= p.MinClusters && cl.Score < p.ScoreFraction*best {
+			break
+		}
+		processed++
+		if env.Probe != nil {
+			env.Probe.Instr(32)
+		}
+		for _, si := range refPickSeeds(ss, cl.SeedIdx, p.MaxSeedsPerCluster) {
+			seed := ss[si]
+			oriented := fwd
+			if seed.Rev {
+				if rev == nil {
+					rev = fwd.RevComp()
+					if env.Probe != nil {
+						env.Probe.Instr(int64(len(fwd)) * 2)
+					}
+				}
+				oriented = rev
+			}
+			ext, ok := refExtendSeed(env, oriented, seed, p, readIdx)
+			if !ok {
+				continue
+			}
+			key := extKey{
+				node:      ext.StartPos.Node,
+				off:       ext.StartPos.Off,
+				readStart: ext.ReadStart,
+				readEnd:   ext.ReadEnd,
+				rev:       ext.Rev,
+			}
+			dup := false
+			for _, k := range keys {
+				if k == key {
+					dup = true
+					break
+				}
+			}
+			if dup {
+				continue
+			}
+			keys = append(keys, key)
+			out = append(out, ext)
+		}
+	}
+	slices.SortFunc(out, func(a, b Extension) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
+		}
+		if a.StartPos.Node != b.StartPos.Node {
+			return cmp.Compare(a.StartPos.Node, b.StartPos.Node)
+		}
+		if a.StartPos.Off != b.StartPos.Off {
+			return cmp.Compare(a.StartPos.Off, b.StartPos.Off)
+		}
+		return cmp.Compare(a.ReadStart, b.ReadStart)
+	})
+	return out
+}
+
+// refPickSeeds selects up to max seed indices from the cluster, preferring
+// higher scores then lower read offsets (deterministic).
+func refPickSeeds(ss []seeds.Seed, idxs []int, max int) []int {
+	sorted := make([]int, len(idxs))
+	copy(sorted, idxs)
+	slices.SortFunc(sorted, func(a, b int) int {
+		sa, sb := ss[a], ss[b]
+		if sa.Score != sb.Score {
+			return cmp.Compare(sb.Score, sa.Score)
+		}
+		if sa.ReadOff != sb.ReadOff {
+			return cmp.Compare(sa.ReadOff, sb.ReadOff)
+		}
+		return cmp.Compare(a, b)
+	})
+	if len(sorted) > max {
+		sorted = sorted[:max]
+	}
+	return sorted
+}
+
+// refWalk carries one direction's outcome.
+type refWalk struct {
+	readPos int32           // exclusive end (right) / inclusive start (left)
+	mism    []int32         // mismatch read offsets, walk order
+	path    []vgraph.NodeID // nodes entered during the walk, walk order
+	pos     vgraph.Position // final boundary position (left only)
+	reached bool            // read end/start reached
+}
+
+// refExtendSeed extends a single seed bidirectionally. Returns false if the
+// anchor itself is invalid (position outside the node).
+func refExtendSeed(env *Env, r dna.Sequence, seed seeds.Seed, p Params, readIdx int) (Extension, bool) {
+	g := env.Graph
+	node := seed.Pos.Node
+	if !g.Has(node) || int(seed.Pos.Off) >= g.SeqLen(node) {
+		return Extension{}, false
+	}
+	if int(seed.ReadOff) >= len(r) || seed.ReadOff < 0 {
+		return Extension{}, false
+	}
+
+	// The seed's single-node match anchors a bidirectional search state.
+	state := gbwt.BiState{
+		Fwd: env.Bi.Fwd.Base().FullState(node),
+		Rev: env.Bi.Rev.Base().FullState(node),
+	}
+	if state.Empty() {
+		return Extension{}, false
+	}
+	// Right: from the anchor base forward, haplotype-constrained.
+	right := refExtendRight(env, r, seed.ReadOff, node, seed.Pos.Off, state, 0, p, readIdx)
+
+	// Left: from the base before the anchor backward, haplotype-constrained
+	// through the reverse index. The left walk restricts the same seed
+	// state (its haplotypes are a superset of the right walk's survivors,
+	// which is what Giraffe's extender tracks per direction).
+	left := refExtendLeft(env, r, seed.ReadOff-1, node, seed.Pos.Off-1, state, p.MaxMismatches-len(right.mism), p, readIdx)
+
+	ext := Extension{
+		StartPos:  left.pos,
+		ReadStart: left.readPos,
+		ReadEnd:   right.readPos,
+		Rev:       seed.Rev,
+	}
+	// Assemble mismatches: left's are collected walking backward. Sized up
+	// front; stays nil when the alignment is mismatch-free.
+	if n := len(left.mism) + len(right.mism); n > 0 {
+		mism := make([]int32, 0, n)
+		for i := len(left.mism) - 1; i >= 0; i-- {
+			mism = append(mism, left.mism[i])
+		}
+		mism = append(mism, right.mism...)
+		ext.Mismatches = mism
+	}
+	// Path: left path is collected walking backward (excluding seed node);
+	// right path starts with the seed node.
+	path := make([]vgraph.NodeID, 0, len(left.path)+len(right.path))
+	for i := len(left.path) - 1; i >= 0; i-- {
+		path = append(path, left.path[i])
+	}
+	path = append(path, right.path...)
+	ext.Path = path
+
+	matched := ext.Len() - int32(len(ext.Mismatches))
+	ext.Score = matched*p.MatchScore - int32(len(ext.Mismatches))*p.MismatchPenalty
+	if left.reached {
+		ext.Score += p.FullLengthBonus
+	}
+	if right.reached {
+		ext.Score += p.FullLengthBonus
+	}
+	return ext, true
+}
+
+// refExtendRight walks the graph forward from (node, off) matching r[i:],
+// following GBWT haplotypes, branching at node boundaries and keeping the
+// best-scoring completion. The returned path includes the starting node.
+func refExtendRight(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32, state gbwt.BiState, mismUsed int, p Params, readIdx int) refWalk {
+	g := env.Graph
+	label := g.Seq(node)
+	// At most MaxMismatches-mismUsed mismatches can be consumed here: the
+	// budget check below stops the walk before the slice would grow.
+	mism := make([]int32, 0, p.MaxMismatches-mismUsed)
+	if env.Probe != nil {
+		n := int32(len(label)) - off
+		if rem := int32(len(r)) - i; rem < n {
+			n = rem
+		}
+		if n > 0 {
+			env.Probe.Access(counters.NodeSeqAddr(uint32(node), off), int(n))
+			env.Probe.Access(counters.ReadAddr(readIdx, i), int(n))
+			env.Probe.Instr(int64(n) * 6)
+		}
+	}
+	for int(off) < len(label) && int(i) < len(r) {
+		if label[off] != r[i] {
+			if mismUsed+len(mism)+1 > p.MaxMismatches {
+				// Stop before consuming the over-budget mismatch.
+				return refWalk{readPos: i, mism: mism, path: []vgraph.NodeID{node}}
+			}
+			mism = append(mism, i)
+		}
+		off++
+		i++
+	}
+	if int(i) >= len(r) {
+		return refWalk{readPos: i, mism: mism, path: []vgraph.NodeID{node}, reached: true}
+	}
+	// Node exhausted: branch along haplotype-consistent successors.
+	rec := env.Bi.Fwd.Record(state.Fwd.Node)
+	if env.Probe != nil {
+		env.Probe.Access(counters.RecordAddr(uint32(state.Fwd.Node)), counters.RecordStride)
+		env.Probe.Instr(20)
+	}
+	var best refWalk
+	haveBest := false
+	if rec != nil {
+		for _, e := range rec.Edges {
+			if e.To == gbwt.Endmarker {
+				continue
+			}
+			next := gbwt.ExtendRightWith(env.Bi, state, e.To)
+			if next.Empty() {
+				continue
+			}
+			sub := refExtendRight(env, r, i, e.To, 0, next, mismUsed+len(mism), p, readIdx)
+			if !haveBest || refBetterRight(sub, best, p) {
+				best = sub
+				haveBest = true
+			}
+		}
+	}
+	if !haveBest {
+		// Dead end: the extension stops at the node boundary.
+		return refWalk{readPos: i, mism: mism, path: []vgraph.NodeID{node}}
+	}
+	merged := refWalk{
+		readPos: best.readPos,
+		mism:    append(mism, best.mism...),
+		path:    append([]vgraph.NodeID{node}, best.path...),
+		reached: best.reached,
+	}
+	return merged
+}
+
+// refBetterRight compares right-walk completions by score.
+func refBetterRight(a, b refWalk, p Params) bool {
+	sa := refScore1(a.readPos, int32(len(a.mism)), p)
+	sb := refScore1(b.readPos, int32(len(b.mism)), p)
+	if sa != sb {
+		return sa > sb
+	}
+	// Deterministic tie-break: longer reach, then lexicographically smaller
+	// first path node.
+	if a.readPos != b.readPos {
+		return a.readPos > b.readPos
+	}
+	if len(a.path) > 0 && len(b.path) > 0 && a.path[0] != b.path[0] {
+		return a.path[0] < b.path[0]
+	}
+	return false
+}
+
+func refScore1(reach, mism int32, p Params) int32 {
+	return (reach-mism)*p.MatchScore - mism*p.MismatchPenalty
+}
+
+// refExtendLeft walks the graph backward from (node, off) matching r[..i]
+// leftward. Predecessor steps are fully haplotype-constrained: the
+// bidirectional state is extended left through the reverse index, so only
+// walks some indexed haplotype actually takes survive. The returned pos is
+// the graph position of the leftmost matched base; readPos is the inclusive
+// read start; path lists nodes *before* the seed node, in walk
+// (right-to-left) order.
+func refExtendLeft(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32, state gbwt.BiState, mismBudget int, p Params, readIdx int) refWalk {
+	g := env.Graph
+	mb := mismBudget
+	if mb < 0 {
+		mb = 0
+	}
+	mism := make([]int32, 0, mb)
+	path := make([]vgraph.NodeID, 0, 4)
+	curNode, curOff := node, off
+	for {
+		label := g.Seq(curNode)
+		if env.Probe != nil && curOff >= 0 && i >= 0 {
+			n := curOff + 1
+			if i+1 < n {
+				n = i + 1
+			}
+			if n > 0 {
+				env.Probe.Access(counters.NodeSeqAddr(uint32(curNode), curOff-n+1), int(n))
+				env.Probe.Access(counters.ReadAddr(readIdx, i-n+1), int(n))
+				env.Probe.Instr(int64(n) * 6)
+			}
+		}
+		for curOff >= 0 && i >= 0 {
+			if label[curOff] != r[i] {
+				if len(mism)+1 > mismBudget {
+					return refWalk{
+						readPos: i + 1,
+						mism:    mism,
+						path:    path,
+						pos:     vgraph.Position{Node: curNode, Off: curOff + 1},
+					}
+				}
+				mism = append(mism, i)
+			}
+			curOff--
+			i--
+		}
+		if i < 0 {
+			return refWalk{
+				readPos: 0,
+				mism:    mism,
+				path:    path,
+				pos:     vgraph.Position{Node: curNode, Off: curOff + 1},
+				reached: true,
+			}
+		}
+		// Node start reached: step to the best haplotype-consistent
+		// predecessor. Greedy: choose the predecessor whose tail matches the
+		// read furthest (deterministic by node id on ties).
+		pred, next := bestPredecessor(env, r, i, state)
+		if pred == vgraph.Invalid {
+			return refWalk{
+				readPos: i + 1,
+				mism:    mism,
+				path:    path,
+				pos:     vgraph.Position{Node: curNode, Off: 0},
+			}
+		}
+		path = append(path, pred)
+		state = next
+		curNode = pred
+		curOff = int32(g.SeqLen(pred)) - 1
+	}
+}
+
+// denseFixture builds a random bubble chain much denser than buildFixture's:
+// short nodes and a variant every 6–25 bases, SNP sites with up to three
+// alternative alleles, so that a right walk branches every few bases and
+// tied branches (both alleles mismatching a substituted read base, then
+// rejoining) are common.
+func denseFixture(t testing.TB, seed int64, refLen, nHaps int) *fixture {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ref := make(dna.Sequence, refLen)
+	for i := range ref {
+		ref[i] = dna.Base(rng.Intn(4))
+	}
+	var vs []vgraph.Variant
+	for pos := 20; pos < refLen-20; pos += 6 + rng.Intn(20) {
+		switch rng.Intn(4) {
+		case 0, 1:
+			vs = append(vs, vgraph.Variant{Pos: pos, Kind: vgraph.SNP, Alt: dna.Sequence{(ref[pos] + 1 + dna.Base(rng.Intn(3))) & 3}})
+		case 2:
+			ins := make(dna.Sequence, 1+rng.Intn(3))
+			for i := range ins {
+				ins[i] = dna.Base(rng.Intn(4))
+			}
+			vs = append(vs, vgraph.Variant{Pos: pos, Kind: vgraph.Insertion, Alt: ins})
+		case 3:
+			vs = append(vs, vgraph.Variant{Pos: pos, Kind: vgraph.Deletion, DelLen: 1 + rng.Intn(3)})
+		}
+	}
+	pg, err := vgraph.BuildPangenome(ref, vs, 3+rng.Intn(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return finishFixture(t, pg, rng, nHaps)
+}
+
+// checkAgainstReference maps the read on both strands with the kernel and
+// with the reference, through separate readers of the same capacity, and
+// requires every field of every extension, and their order, to agree.
+func (f *fixture) checkAgainstReference(t *testing.T, env *Env, read *dna.Read, p Params, what string) int {
+	t.Helper()
+	n := 0
+	for _, seq := range []dna.Sequence{read.Seq, read.Seq.RevComp()} {
+		r := &dna.Read{Name: read.Name, Seq: seq, Fragment: -1}
+		ss, err := seeds.Extract(f.minIx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls := cluster.ClusterSeeds(f.dist, ss, cluster.DefaultParams(), nil, 0)
+		refEnv := &Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(256)}
+		want := refProcess(refEnv, r, ss, cls, p, 0)
+		got := ProcessUntilThresholdC(env, r, ss, cls, p, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: kernel and reference disagree\n got  %+v\n want %+v", what, got, want)
+		}
+		n += len(got)
+	}
+	return n
+}
+
+// TestMatchesReferenceKernel is the oracle test: over the sparse fixtures the
+// other tests use and over dense random bubble chains, with reads carrying
+// 0…MaxMismatches+2 substitutions, the scratch-backed walk returns exactly
+// what the per-level tournament returned. One Env (so one scratch) serves
+// every read of a fixture, which is how the mapper uses it.
+func TestMatchesReferenceKernel(t *testing.T) {
+	fixtures := []*fixture{
+		buildFixture(t, 4, 5000, 8),
+		buildFixture(t, 11, 8000, 8),
+		denseFixture(t, 21, 3000, 10),
+		denseFixture(t, 22, 3000, 16),
+		denseFixture(t, 23, 2000, 24),
+	}
+	for _, p := range []Params{{}, {MaxMismatches: 2, MaxSeedsPerCluster: 8}} {
+		maxSubs := p.normalize().MaxMismatches + 2
+		for fi, f := range fixtures {
+			rng := rand.New(rand.NewSource(int64(100 + fi)))
+			env := &Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(256)}
+			total := 0
+			for trial := 0; trial < 60; trial++ {
+				hap := rng.Intn(len(f.seqs))
+				length := 40 + rng.Intn(110)
+				start := rng.Intn(len(f.seqs[hap]) - length)
+				seq := f.seqs[hap][start : start+length].Clone()
+				for e := trial % (maxSubs + 1); e > 0; e-- {
+					at := rng.Intn(len(seq))
+					seq[at] = (seq[at] + 1 + dna.Base(rng.Intn(3))) & 3
+				}
+				read := &dna.Read{Name: "o", Seq: seq, Fragment: -1}
+				total += f.checkAgainstReference(t, env, read, p, fmt.Sprintf("fixture %d trial %d", fi, trial))
+			}
+			if total == 0 {
+				t.Errorf("fixture %d: no extensions compared", fi)
+			}
+		}
+	}
+}
+
+// TestScoreTieGoesToLongerReach pins the second key of the leaf order on a
+// hand-built fork, because random reads rarely produce it: from node 1 the
+// walk can take node 2 (6 matching bases, then a dead end: reach 14, no
+// mismatch, score 14) or node 3 (11 bases with one mismatch: reach 19, score
+// 19-5 = 14). The scores tie, node 2's leaf comes first in depth-first
+// order, and the longer reach must still win.
+func TestScoreTieGoesToLongerReach(t *testing.T) {
+	var g vgraph.Graph
+	for _, label := range []string{"ACGTACGT", "TTGCAT", "TTGCATGACCA"} {
+		if _, err := g.AddNode(dna.MustParse(label)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, to := range []vgraph.NodeID{2, 3} {
+		if err := g.AddEdge(1, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bi, err := gbwt.NewBidirectional([][]vgraph.NodeID{{1, 2}, {1, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := &dna.Read{Name: "tie", Seq: dna.MustParse("ACGTACGT" + "TTGCATGAGCA" + "GGG"), Fragment: -1}
+	ss := []seeds.Seed{{Pos: vgraph.Position{Node: 1}, Score: 1}}
+	cls := []cluster.Cluster{{SeedIdx: []int{0}, Score: 1}}
+	got := ProcessUntilThresholdC(&Env{Graph: &g, Bi: bi.NewBiReader(16)}, read, ss, cls, Params{}, 0)
+	want := refProcess(&Env{Graph: &g, Bi: bi.NewBiReader(16)}, read, ss, cls, Params{}, 0)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("kernel and reference disagree\n got  %+v\n want %+v", got, want)
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got[0].Path, []vgraph.NodeID{1, 3}) || got[0].ReadEnd != 19 || got[0].Score != 14+5 {
+		t.Fatalf("want the reach-19 leaf through node 3 (score 14 + the left full-length bonus), got %+v", got)
+	}
+}
+
+// TestResultsDoNotAliasScratch: what one call returns is unchanged by the
+// next call on the same Env.
+func TestResultsDoNotAliasScratch(t *testing.T) {
+	f := denseFixture(t, 31, 3000, 12)
+	env := &Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(256)}
+	mapOne := func(seq dna.Sequence) []Extension {
+		read := &dna.Read{Name: "a", Seq: seq, Fragment: -1}
+		ss, err := seeds.Extract(f.minIx, read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls := cluster.ClusterSeeds(f.dist, ss, cluster.DefaultParams(), nil, 0)
+		return ProcessUntilThresholdC(env, read, ss, cls, Params{}, 0)
+	}
+	first := f.seqs[0][200:340].Clone()
+	first[70] = (first[70] + 1) & 3
+	got := mapOne(first)
+	if len(got) == 0 || len(got[0].Mismatches) == 0 {
+		t.Fatalf("want a first result with mismatches, got %+v", got)
+	}
+	saved := make([]Extension, len(got))
+	for i, e := range got {
+		saved[i] = e
+		saved[i].Path = append([]vgraph.NodeID(nil), e.Path...)
+		saved[i].Mismatches = append([]int32(nil), e.Mismatches...)
+	}
+	for _, at := range []int{900, 1500, 2100} {
+		mapOne(f.seqs[3][at : at+140].RevComp())
+	}
+	if !reflect.DeepEqual(got, saved) {
+		t.Fatalf("a later call on the same scratch changed an earlier result\n now %+v\n was %+v", got, saved)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("result has cap %d for len %d, want an exact-size copy", cap(got), len(got))
+	}
+}
+
+// TestKernelAllocations locks the allocation budget: on a warm scratch and a
+// warm reader, one read costs the result slice plus a Path and (when there
+// are mismatches) a Mismatches per extension — nothing per node, per seed or
+// per candidate.
+func TestKernelAllocations(t *testing.T) {
+	f := buildFixture(t, 11, 8000, 8)
+	seq := f.seqs[2][1000:1120].Clone()
+	seq[30] = (seq[30] + 1) & 3
+	read := &dna.Read{Name: "a", Seq: seq, Fragment: -1}
+	ss, err := seeds.Extract(f.minIx, read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := cluster.ClusterSeeds(f.dist, ss, cluster.DefaultParams(), nil, 0)
+	env := &Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(256)}
+	exts := ProcessUntilThresholdC(env, read, ss, cls, Params{}, 0)
+	if len(exts) == 0 {
+		t.Fatal("no extensions")
+	}
+	budget := float64(1 + 2*len(exts))
+	got := testing.AllocsPerRun(100, func() {
+		ProcessUntilThresholdC(env, read, ss, cls, Params{}, 0)
+	})
+	if got > budget {
+		t.Errorf("%.1f allocations per read for %d extensions, budget %.0f", got, len(exts), budget)
 	}
 }
 

@@ -22,13 +22,29 @@ func BenchmarkRecordDecode(b *testing.B) {
 			break
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rec := g.Record(v); rec == nil {
-			b.Fatal("nil record")
+	// heap is GBWT.Record, what an uncached reader and the epoch builder pay;
+	// slab is a CachedGBWT miss, decoding into chunks the cache owns (a fresh
+	// slab every 1024 records, about a batch's worth of misses).
+	b.Run("heap", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if rec := g.Record(v); rec == nil {
+				b.Fatal("nil record")
+			}
 		}
-	}
+	})
+	b.Run("slab", func(b *testing.B) {
+		var slab recordSlab
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%1024 == 0 {
+				slab = recordSlab{}
+			}
+			if rec := g.record(v, &slab); rec == nil {
+				b.Fatal("nil record")
+			}
+		}
+	})
 }
 
 func BenchmarkExtendCachedVsUncached(b *testing.B) {

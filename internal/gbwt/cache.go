@@ -18,6 +18,10 @@ type CachedGBWT struct {
 	used int
 	// capacity 0 disables caching entirely.
 	disabled bool
+	// slab holds every record the table points at: a miss decodes into it
+	// instead of allocating, and it lives exactly as long as the entries do
+	// (Reset drops both).
+	slab recordSlab
 
 	stats CacheStats
 }
@@ -117,7 +121,7 @@ func (c *CachedGBWT) Record(v NodeID) *DecodedRecord {
 		i = (i + 1) & (len(c.keys) - 1)
 	}
 	c.stats.Misses++
-	rec := c.g.Record(v)
+	rec := c.g.record(v, &c.slab)
 	if rec == nil {
 		return nil
 	}
@@ -169,11 +173,14 @@ func (c *CachedGBWT) Extend(s SearchState, to NodeID) SearchState {
 // Find searches for a node path through the cache.
 func (c *CachedGBWT) Find(path []NodeID) SearchState { return FindWith(c, path) }
 
-// Reset drops all cached records, keeping the current capacity.
+// Reset drops all cached records and the slab they were decoded into,
+// keeping the current table capacity. Records handed out earlier stay valid:
+// they keep their chunks alive and no chunk is written again.
 func (c *CachedGBWT) Reset() {
 	for i := range c.keys {
 		c.keys[i] = 0
 		c.vals[i] = nil
 	}
 	c.used = 0
+	c.slab = recordSlab{}
 }

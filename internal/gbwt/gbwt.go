@@ -11,6 +11,15 @@
 // "CachedGBWT capacity" tuning parameter studied in the miniGiraffe paper
 // (§VII-B): too small and the mapper pays repeated decompressions and
 // rehashes; too large and it wastes cache locality.
+//
+// Memory: GBWT.Record allocates the record it returns, and the caller owns
+// it. A CachedGBWT decodes its misses into a slab of its own (recordSlab:
+// geometrically growing chunks, handed out as capacity-clipped windows), so
+// a miss costs no allocation; its records live as long as the cache's
+// entries do and remain valid for whoever still holds one afterwards.
+// Record bodies come from untrusted files: the decoder checks every count
+// before sizing anything from it and that edges ascend strictly in To, and
+// the loader checks each record without building it (FuzzDecodeRecord).
 package gbwt
 
 import (
@@ -129,12 +138,16 @@ func (g *GBWT) NumVisits(v NodeID) int {
 }
 
 // Record decodes and returns node v's record, or nil when v is unvisited.
-// Each call decompresses afresh; use CachedGBWT to amortise.
-func (g *GBWT) Record(v NodeID) *DecodedRecord {
+// Each call decompresses afresh into memory the caller owns; use CachedGBWT
+// to amortise.
+func (g *GBWT) Record(v NodeID) *DecodedRecord { return g.record(v, nil) }
+
+// record is Record with the decoded storage taken from slab (nil: the heap).
+func (g *GBWT) record(v NodeID, slab *recordSlab) *DecodedRecord {
 	if int(v) >= len(g.comp) || g.comp[v] == nil {
 		return nil
 	}
-	rec, err := decodeRecord(g.comp[v])
+	rec, err := decodeRecord(g.comp[v], uint64(g.visits[v]), slab)
 	if err != nil {
 		// Compressed records are produced by this package; a decode failure
 		// is a programming error, not a user error.

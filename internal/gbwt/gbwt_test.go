@@ -2,8 +2,11 @@ package gbwt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/dna"
@@ -259,7 +262,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		}
 		rec := g.Record(v)
 		enc := encodeRecord(rec)
-		dec, err := decodeRecord(enc)
+		dec, err := decodeRecord(enc, uint64(len(rec.Ranks)), nil)
 		if err != nil {
 			t.Fatalf("decode(encode) node %d: %v", v, err)
 		}
@@ -270,20 +273,28 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRecordErrors(t *testing.T) {
-	bad := [][]byte{
-		{},                 // truncated numEdges
-		{0x01},             // truncated edge
-		{0x00, 0x05, 0x00}, // run for record with no edges... rank >= nEdges
+	bad := []struct {
+		body   []byte
+		visits uint64 // the count the index holds for the record
+		why    string
+	}{
+		{[]byte{}, 0, "truncated numEdges"},
+		{[]byte{0x01}, 0, "truncated edge"},
+		{[]byte{0x00, 0x05, 0x00, 0x05}, 5, "run of a rank the record has no edge for"},
+		{[]byte{0x01, 0x00, 0x00, 0x02, 0x00, 0x03}, 2, "run longer than the visits left"},
+		{[]byte{0x01, 0x00, 0x00, 0x01, 0x00, 0x00}, 1, "zero-length run"},
+		{[]byte{0x01, 0x00, 0x00, 0x01, 0x00, 0x01}, 2, "fewer visits than the index holds"},
+		{[]byte{0x01, 0x01, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}, 1 << 62, "more visits than a SearchState addresses"},
 	}
-	for i, b := range bad {
-		if _, err := decodeRecord(b); err == nil {
-			t.Errorf("case %d: corrupt record accepted", i)
+	for _, c := range bad {
+		if _, err := decodeRecord(c.body, c.visits, nil); err == nil {
+			t.Errorf("%s: corrupt record accepted", c.why)
 		}
 	}
 	// Trailing garbage.
 	rec := &DecodedRecord{Edges: []Edge{{To: 0}}, Ranks: []byte{0}}
 	enc := append(encodeRecord(rec), 0xFF)
-	if _, err := decodeRecord(enc); err == nil {
+	if _, err := decodeRecord(enc, 1, nil); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
@@ -324,6 +335,64 @@ func TestDeserializeCorrupt(t *testing.T) {
 	}
 	if _, err := Deserialize(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream accepted")
+	}
+}
+
+// TestDeserializeHostileVisitCount: a record body claiming 2⁶² visits used to
+// reach make([]byte, 0, nVisits) and panic the loader (gbz.Load, giraffed
+// start-up). Both the declared count and the body's claim are bounded before
+// anything is sized from them.
+func TestDeserializeHostileVisitCount(t *testing.T) {
+	// file wraps one record body as a one-node index declaring the given
+	// visit count for it.
+	file := func(declared, body []byte) []byte {
+		f := []byte{0x01, 0x01, 0x00} // numPaths 1, n 1, endDA [0]
+		f = binary.AppendUvarint(f, uint64(len(body)))
+		f = append(f, declared...)
+		return append(f, body...)
+	}
+	huge := binary.AppendUvarint(nil, 1<<62)
+	body := append([]byte{0x01, 0x01, 0x00}, huge...)
+	for _, declared := range [][]byte{{0x01}, huge} {
+		if _, err := Deserialize(bytes.NewReader(file(declared, body))); err == nil {
+			t.Errorf("declared count % x: record claiming 2^62 visits accepted", declared)
+		}
+	}
+	// A count that does fit, declared and claimed in one run: fourteen bytes
+	// that are a valid record of 2³¹−1 visits. Loading it must not build the
+	// 2 GiB rank body it stands for.
+	most := binary.AppendUvarint(nil, math.MaxInt32)
+	bomb := append(append([]byte{0x01, 0x01, 0x00}, most...), append([]byte{0x00}, most...)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := Deserialize(bytes.NewReader(file(most, bomb)))
+	runtime.ReadMemStats(&after)
+	if err != nil || g.visits[0] != math.MaxInt32 {
+		t.Fatalf("one run of 2^31-1 visits: err %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("loading a 14-byte record allocated %d bytes", grew)
+	}
+}
+
+func TestDecodeRefusesUnorderedEdges(t *testing.T) {
+	tail := []byte{0x01, 0x01, 0x01} // one visit, one run of rank 1
+	for name, edges := range map[string][]byte{
+		"same node twice":      {0x02, 0x05, 0x00, 0x00, 0x00},
+		"first beyond uint32":  append(append([]byte{0x02}, binary.AppendUvarint(nil, 1<<32)...), 0x00, 0x01, 0x00),
+		"second beyond uint32": append(append([]byte{0x02, 0x05, 0x00}, binary.AppendUvarint(nil, math.MaxUint32-4)...), 0x00),
+		"delta wraps uint64":   append(append([]byte{0x02, 0x05, 0x00}, binary.AppendUvarint(nil, math.MaxUint64-1)...), 0x00),
+		"offset beyond int32":  append(append([]byte{0x02, 0x05}, binary.AppendUvarint(nil, 1<<31)...), 0x01, 0x00),
+	} {
+		if rec, err := decodeRecord(append(edges, tail...), 1, nil); err == nil {
+			t.Errorf("%s: accepted as %+v", name, rec.Edges)
+		}
+	}
+	// The largest node a record can name, right after node 5.
+	ok := append(append([]byte{0x02, 0x05, 0x00}, binary.AppendUvarint(nil, math.MaxUint32-5)...), 0x00)
+	rec, err := decodeRecord(append(ok, tail...), 1, nil)
+	if err != nil || rec.Edges[1].To != math.MaxUint32 {
+		t.Fatalf("edges 5, MaxUint32: %+v, err %v", rec, err)
 	}
 }
 

@@ -137,20 +137,24 @@ type ReadMinimizer struct {
 	Score float64
 }
 
-// LookupRead computes the read's minimizers and gathers their graph
-// occurrences. Minimizers absent from the index are omitted.
-func (ix *Index) LookupRead(seq dna.Sequence) ([]ReadMinimizer, error) {
-	mins, err := Minimizers(seq, ix.cfg)
+// AppendLookup computes the read's minimizers and appends them, each with
+// its graph occurrences (aliasing index storage), to dst. Minimizers absent
+// from the index are omitted. With room in dst it allocates nothing, which
+// is what its once-per-read caller seeds.Extract wants: a 150-base read has
+// about 30 minimizers, and the scan's stack buffer takes 64 before it spills
+// to the heap.
+func (ix *Index) AppendLookup(dst []ReadMinimizer, seq dna.Sequence) ([]ReadMinimizer, error) {
+	var buf [64]Minimizer
+	mins, err := appendMinimizers(buf[:0], seq, ix.cfg)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]ReadMinimizer, 0, len(mins))
 	for _, m := range mins {
 		occs := ix.hits[m.Kmer]
 		if len(occs) == 0 {
 			continue
 		}
-		out = append(out, ReadMinimizer{Min: m, Occs: occs, Score: Score(len(occs))})
+		dst = append(dst, ReadMinimizer{Min: m, Occs: occs, Score: Score(len(occs))})
 	}
-	return out, nil
+	return dst, nil
 }

@@ -65,62 +65,71 @@ func splitmix64(x uint64) uint64 {
 // windows) collapsed. It returns ErrSequenceTooShort when seq has no
 // complete window.
 func Minimizers(seq dna.Sequence, cfg Config) ([]Minimizer, error) {
+	return appendMinimizers(nil, seq, cfg)
+}
+
+// ringSize is the largest window whose candidates the scan keeps on its own
+// stack (Giraffe's short-read w is 11). It must be a power of two.
+const ringSize = 32
+
+// appendMinimizers is Minimizers appending to dst, for a caller that does not
+// keep the list (Index.AppendLookup scans a read into a stack buffer). It
+// allocates nothing but dst's growth, and a ring when w exceeds ringSize.
+func appendMinimizers(dst []Minimizer, seq dna.Sequence, cfg Config) ([]Minimizer, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	k, w := cfg.K, cfg.W
 	if len(seq) < k+w-1 {
-		return nil, fmt.Errorf("%w: len %d < %d", ErrSequenceTooShort, len(seq), k+w-1)
+		return dst, fmt.Errorf("%w: len %d < %d", ErrSequenceTooShort, len(seq), k+w-1)
 	}
-	nKmers := len(seq) - k + 1
+	// Sliding-window minima via a monotonic deque of the k-mers that can
+	// still win a window: hashes ascend from head to tail, so the head is
+	// the current window's minimizer. It never holds more than w k-mers and
+	// lives in a ring indexed by two counters.
+	var fixed [ringSize]Minimizer
+	ring := fixed[:]
+	if w > ringSize {
+		n := ringSize
+		for n < w {
+			n <<= 1
+		}
+		ring = make([]Minimizer, n)
+	}
+	rmask := len(ring) - 1
+	head, tail := 0, 0
+	lastEmitted := int32(-1)
 	// Rolling canonical k-mers.
 	mask := uint64(1)<<(2*k) - 1
 	var fwd, rc uint64
-	hashes := make([]uint64, nKmers)
-	kmers := make([]uint64, nKmers)
-	revs := make([]bool, nKmers)
 	for i, b := range seq {
 		fwd = ((fwd << 2) | uint64(b)) & mask
 		rc = (rc >> 2) | (uint64(b.Complement()) << uint(2*(k-1)))
-		if i >= k-1 {
-			j := i - k + 1
-			canon, rev := fwd, false
-			if rc < fwd {
-				canon, rev = rc, true
-			}
-			kmers[j] = canon
-			revs[j] = rev
-			hashes[j] = splitmix64(canon)
+		if i < k-1 {
+			continue
 		}
-	}
-	// Sliding-window minima via monotonic deque over k-mer indices.
-	var out []Minimizer
-	deque := make([]int, 0, w)
-	lastEmitted := -1
-	for j := 0; j < nKmers; j++ {
+		j := int32(i - k + 1)
+		canon, rev := fwd, false
+		if rc < fwd {
+			canon, rev = rc, true
+		}
+		hash := splitmix64(canon)
 		// Strict comparison keeps the leftmost k-mer among equal hashes,
 		// the standard minimizer tie-break.
-		for len(deque) > 0 && hashes[deque[len(deque)-1]] > hashes[j] {
-			deque = deque[:len(deque)-1]
+		for tail > head && ring[(tail-1)&rmask].Hash > hash {
+			tail--
 		}
-		deque = append(deque, j)
-		if deque[0] <= j-w {
-			deque = deque[1:]
+		ring[tail&rmask] = Minimizer{Off: j, Hash: hash, Kmer: canon, Rev: rev}
+		tail++
+		if ring[head&rmask].Off <= j-int32(w) {
+			head++
 		}
-		if j >= w-1 {
-			m := deque[0]
-			if m != lastEmitted {
-				out = append(out, Minimizer{
-					Off:  int32(m),
-					Hash: hashes[m],
-					Kmer: kmers[m],
-					Rev:  revs[m],
-				})
-				lastEmitted = m
-			}
+		if m := &ring[head&rmask]; j >= int32(w-1) && m.Off != lastEmitted {
+			dst = append(dst, *m)
+			lastEmitted = m.Off
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // KmerString decodes a 2-bit packed k-mer back to bases (for debugging and

@@ -92,6 +92,109 @@ func TestMinimizersMatchNaive(t *testing.T) {
 	}
 }
 
+// refMinimizers is the scan as it was before it moved into a ring: every
+// k-mer's hash, value and strand in three arrays, the deque over indices. It
+// shares no code with appendMinimizers beyond splitmix64.
+func refMinimizers(seq dna.Sequence, cfg Config) []Minimizer {
+	k, w := cfg.K, cfg.W
+	nKmers := len(seq) - k + 1
+	mask := uint64(1)<<(2*k) - 1
+	var fwd, rc uint64
+	hashes := make([]uint64, nKmers)
+	kmers := make([]uint64, nKmers)
+	revs := make([]bool, nKmers)
+	for i, b := range seq {
+		fwd = ((fwd << 2) | uint64(b)) & mask
+		rc = (rc >> 2) | (uint64(b.Complement()) << uint(2*(k-1)))
+		if i >= k-1 {
+			j := i - k + 1
+			canon, rev := fwd, false
+			if rc < fwd {
+				canon, rev = rc, true
+			}
+			kmers[j], revs[j], hashes[j] = canon, rev, splitmix64(canon)
+		}
+	}
+	var out []Minimizer
+	var deque []int
+	last := -1
+	for j := 0; j < nKmers; j++ {
+		for len(deque) > 0 && hashes[deque[len(deque)-1]] > hashes[j] {
+			deque = deque[:len(deque)-1]
+		}
+		deque = append(deque, j)
+		if deque[0] <= j-w {
+			deque = deque[1:]
+		}
+		if m := deque[0]; j >= w-1 && m != last {
+			out = append(out, Minimizer{Off: int32(m), Hash: hashes[m], Kmer: kmers[m], Rev: revs[m]})
+			last = m
+		}
+	}
+	return out
+}
+
+func TestMinimizersMatchReference(t *testing.T) {
+	// Every field, over the window shapes that matter to the ring: w = 1
+	// (every k-mer wins), the defaults, Giraffe's 29/11, w at and one past
+	// ringSize (the heap ring), and a low-entropy sequence full of equal
+	// hashes (the leftmost-wins tie-break).
+	cfgs := []Config{{K: 1, W: 1}, {K: 5, W: 1}, DefaultConfig(), {K: 29, W: 11}, {K: 31, W: 3},
+		{K: 7, W: ringSize}, {K: 7, W: ringSize + 1}, {K: 4, W: 100}}
+	for _, cfg := range cfgs {
+		for seed := int64(0); seed < 8; seed++ {
+			seq := randomSeq(150+int(seed)*40, seed)
+			if seed%4 == 3 {
+				for i := range seq {
+					seq[i] = dna.Base(i / 3 % 2)
+				}
+			}
+			got, err := Minimizers(seq, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refMinimizers(seq, cfg)
+			if len(got) != len(want) {
+				t.Fatalf("%+v seed %d: %d minimizers, want %d", cfg, seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%+v seed %d: minimizer %d = %+v, want %+v", cfg, seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestAppendLookupAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	seq := randomSeq(2000, 4)
+	ix, _, _ := buildLinearIndex(t, seq, 16, cfg)
+	read := seq[300:450]
+	want, err := ix.AppendLookup(nil, read)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("%d read minimizers, err %v", len(want), err)
+	}
+	var buf [64]ReadMinimizer
+	kept := ReadMinimizer{Score: -1}
+	buf[0] = kept
+	var got []ReadMinimizer
+	allocs := testing.AllocsPerRun(100, func() {
+		got, _ = ix.AppendLookup(buf[:1], read)
+	})
+	if allocs != 0 {
+		t.Errorf("AppendLookup into a buffer with room: %v allocs", allocs)
+	}
+	if len(got) != 1+len(want) || got[0].Score != kept.Score {
+		t.Fatalf("appended %d after the prefix (prefix score %v), want %d", len(got)-1, got[0].Score, len(want))
+	}
+	for i, rm := range got[1:] {
+		if rm.Min != want[i].Min || rm.Score != want[i].Score || len(rm.Occs) != len(want[i].Occs) {
+			t.Fatalf("read minimizer %d = %+v, want %+v", i, rm, want[i])
+		}
+	}
+}
+
 func TestMinimizerWindowProperty(t *testing.T) {
 	// Every window of w k-mers must contain at least one emitted minimizer.
 	cfg := Config{K: 9, W: 6}
@@ -219,7 +322,7 @@ func TestIndexFindsPlantedMatches(t *testing.T) {
 	// A read copied from the reference must have all its minimizers hit, and
 	// each hit must point at a graph position spelling the same k-mer.
 	read := seq[200:320]
-	rms, err := ix.LookupRead(read)
+	rms, err := ix.AppendLookup(nil, read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +425,7 @@ func TestBuildRejectsMissingNode(t *testing.T) {
 func TestLookupReadTooShort(t *testing.T) {
 	cfg := Config{K: 13, W: 7}
 	ix, _, _ := buildLinearIndex(t, randomSeq(300, 30), 16, cfg)
-	if _, err := ix.LookupRead(randomSeq(5, 1)); err == nil {
+	if _, err := ix.AppendLookup(nil, randomSeq(5, 1)); err == nil {
 		t.Error("short read accepted")
 	}
 }

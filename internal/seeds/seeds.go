@@ -35,15 +35,24 @@ type ReadSeeds struct {
 
 // Extract computes the seeds of a read against a minimizer index, performing
 // the orientation normalisation: a hit whose canonical orientation differs
-// between read and graph anchors the reverse-complemented read.
+// between read and graph anchors the reverse-complemented read. The returned
+// slice, sized exactly, is the call's only allocation.
 func Extract(ix *minimizer.Index, read *dna.Read) ([]Seed, error) {
-	rms, err := ix.LookupRead(read.Seq)
+	var buf [64]minimizer.ReadMinimizer
+	rms, err := ix.AppendLookup(buf[:0], read.Seq)
 	if err != nil {
 		return nil, err
 	}
+	total := 0
+	for i := range rms {
+		total += len(rms[i].Occs)
+	}
+	if total == 0 {
+		return nil, nil
+	}
 	k := int32(ix.Config().K)
 	n := int32(len(read.Seq))
-	var out []Seed
+	out := make([]Seed, 0, total)
 	for _, rm := range rms {
 		for _, occ := range rm.Occs {
 			rev := rm.Min.Rev != occ.Rev

@@ -405,6 +405,13 @@ func TestExtractOrientation(t *testing.T) {
 			t.Errorf("reverse seed %+v has no forward counterpart", s)
 		}
 	}
+	// The seeds are the one thing Extract allocates, and exactly.
+	if cap(fwdSeeds) != len(fwdSeeds) {
+		t.Errorf("cap %d for %d seeds", cap(fwdSeeds), len(fwdSeeds))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Extract(ix, fwdRead) }); allocs != 1 {
+		t.Errorf("Extract: %v allocs, want 1", allocs)
+	}
 }
 
 func TestOpenIncremental(t *testing.T) {
