@@ -101,63 +101,29 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
 
-# perfdiff replays the bench-smoke workload locally (flight recorder and
-# continuous profiler on), then diffs the fresh run against the checked-in
-# baseline under results/baseline twice: cmd/obsdiff compares the metric
-# series (did the run get slower?), cmd/profdiff aligns the CPU profiles by
-# symbol (which function is to blame?). Either exits non-zero when its gate
-# trips. Override OBSDIFF_FLAGS / PROFDIFF_FLAGS to tune thresholds (e.g.
-# OBSDIFF_FLAGS='-p99-threshold 0.5') and PERFDIFF_DIR to keep runs. The
-# profdiff gate defaults to the same loose ±10pt thresholds CI enforces:
-# a ~1s capture holds ~100 samples, so GC-timing noise alone moves small
-# functions a few points between runs of identical code.
-# A second leg replays the skewed (-zipf 1.4) workload with the epoch cache
-# on (-epoch 512, halved private overflow) against results/baseline-zipf —
-# the same workload under the per-batch rebuild discipline, recorded with
-# the same 128-read batches so several epochs publish within the run. The
-# report shows the shared-snapshot win: most lookups land in the snapshot
-# (mapper_epoch_shared_hits_total) with no cache-build or throughput cost.
-PERFDIFF_DIR ?= perfdiff-run
-OBSDIFF_FLAGS ?=
-PROFDIFF_FLAGS ?= -share-rise 0.10 -min-share 0.10
+# perfdiff is the perf gate, locally and in CI: the repo's benchmark
+# (cmd/bench, end-to-end tier only) runs at the merge base of BASE and HEAD,
+# checked out in a scratch worktree, and then in this tree — both on this
+# machine, back to back — and `cmd/bench -compare` judges the pair against the
+# bounds BENCHMARK.json fixes per end-to-end metric. It exits non-zero exactly
+# when a verdict is "worse"; both documents stay in perfdiff-run/ for
+# inspection.
+BASE ?= origin/main
 perfdiff:
-	mkdir -p $(PERFDIFF_DIR)
-	$(GO) run ./cmd/genworkload -input A-human -scale 20 -outdir $(PERFDIFF_DIR)
-	$(GO) run ./cmd/minigiraffe -gbz $(PERFDIFF_DIR)/A-human.gbz \
-		-seeds $(PERFDIFF_DIR)/A-human-seeds.bin -threads 4 -stream \
-		-obs -slow 16 -out $(PERFDIFF_DIR)/out.csv \
-		-series $(PERFDIFF_DIR)/run.series \
-		-profile $(PERFDIFF_DIR)/profiles \
-		-manifest $(PERFDIFF_DIR)/run-manifest.json
-	$(GO) run ./cmd/obsdiff -baseline results/baseline -candidate $(PERFDIFF_DIR) \
-		-report $(PERFDIFF_DIR)/perfdiff.md $(OBSDIFF_FLAGS)
-	$(GO) run ./cmd/profdiff -baseline results/baseline/profiles \
-		-candidate $(PERFDIFF_DIR)/profiles -allow-missing-baseline \
-		-report $(PERFDIFF_DIR)/profdiff.md $(PROFDIFF_FLAGS)
-	@echo "reports: $(PERFDIFF_DIR)/perfdiff.md $(PERFDIFF_DIR)/profdiff.md"
-	mkdir -p $(PERFDIFF_DIR)/zipf
-	$(GO) run ./cmd/genworkload -input A-human -scale 20 -zipf 1.4 -outdir $(PERFDIFF_DIR)/zipf
-	$(GO) run ./cmd/minigiraffe -gbz $(PERFDIFF_DIR)/zipf/A-human.gbz \
-		-seeds $(PERFDIFF_DIR)/zipf/A-human-seeds.bin -threads 4 -stream \
-		-batch 128 -capacity 128 -epoch 512 -obs -slow 16 \
-		-out $(PERFDIFF_DIR)/zipf/out.csv \
-		-series $(PERFDIFF_DIR)/zipf/run.series \
-		-profile $(PERFDIFF_DIR)/zipf/profiles \
-		-manifest $(PERFDIFF_DIR)/zipf/run-manifest.json
-	$(GO) run ./cmd/obsdiff -baseline results/baseline-zipf -candidate $(PERFDIFF_DIR)/zipf \
-		-report $(PERFDIFF_DIR)/zipf/perfdiff.md $(OBSDIFF_FLAGS)
-	$(GO) run ./cmd/profdiff -baseline results/baseline-zipf/profiles \
-		-candidate $(PERFDIFF_DIR)/zipf/profiles -allow-missing-baseline \
-		-report $(PERFDIFF_DIR)/zipf/profdiff.md $(PROFDIFF_FLAGS)
-	@echo "reports: $(PERFDIFF_DIR)/zipf/perfdiff.md $(PERFDIFF_DIR)/zipf/profdiff.md"
+	rm -rf perfdiff-run
+	git worktree prune
+	git worktree add --detach perfdiff-run/base $$(git merge-base $(BASE) HEAD)
+	cd perfdiff-run/base && $(GO) run ./cmd/bench -trace 0 > ../base.json
+	git worktree remove --force perfdiff-run/base
+	$(GO) run ./cmd/bench -trace 0 > perfdiff-run/head.json
+	$(GO) run ./cmd/bench -compare perfdiff-run/base.json perfdiff-run/head.json
 
 # pgo-capture distills a representative capture into the committed
-# default.pgo: the perfdiff workload runs with the continuous profiler on,
-# then `profdiff -merge` sums the rotated CPU segments (and any baseline
-# segments already checked in) into one profile the compiler reads with
-# `go build -pgo=default.pgo`. Commit the refreshed default.pgo after
-# deliberate hot-path changes; pgo-verify proves the committed profile
-# still drives a clean build.
+# default.pgo: a full-scale streamed run with the continuous profiler on, then
+# `go tool pprof -proto` sums the rotated CPU segments into one profile the
+# compiler reads with `go build -pgo=default.pgo`. Commit the refreshed
+# default.pgo after deliberate hot-path changes; pgo-verify proves the
+# committed profile still drives a clean build.
 PGO_DIR ?= pgo-run
 pgo-capture:
 	mkdir -p $(PGO_DIR)
@@ -167,7 +133,7 @@ pgo-capture:
 		-obs -out $(PGO_DIR)/out.csv \
 		-profile $(PGO_DIR)/profiles \
 		-manifest $(PGO_DIR)/run-manifest.json
-	$(GO) run ./cmd/profdiff -merge -o default.pgo $(PGO_DIR)/profiles
+	$(GO) tool pprof -proto -output=default.pgo $(PGO_DIR)/profiles/cpu-*.pb.gz
 	$(MAKE) pgo-verify
 
 pgo-verify:

@@ -36,7 +36,6 @@ func main() {
 	seriesPath := flag.String("series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
 	seriesEvery := flag.Duration("series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
 	profileDir := flag.String("profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
-	profileEvery := flag.Duration("profile-interval", obs.DefaultProfileInterval, "profile segment rotation interval")
 	flag.Parse()
 
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
@@ -64,7 +63,7 @@ func main() {
 	var profiles *obs.ProfileRecorder
 	if *profileDir != "" {
 		var err error
-		profiles, err = obs.StartProfiles(*profileDir, *profileEvery)
+		profiles, err = obs.StartProfiles(*profileDir, obs.DefaultProfileInterval)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -50,6 +50,13 @@ import (
 	"repro/internal/serve"
 )
 
+const (
+	// progressInterval is the debug endpoint's /progress sampling cadence.
+	progressInterval = time.Second
+	// traceErrCap is the per-shard retention cap for non-2xx request traces.
+	traceErrCap = 256
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("giraffed: ")
@@ -72,12 +79,9 @@ func main() {
 	seriesEvery := flag.Duration("series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
 	slowK := flag.Int("slow", 0, "retain the K slowest reads as exemplars (served at /slow, archived in the manifest)")
 	traceK := flag.Int("trace-k", 32, "tail-sample the K slowest 2xx requests per worker shard (0 disables request tracing)")
-	traceErrCap := flag.Int("trace-errors", 256, "per-shard retention cap for non-2xx request traces")
 	reqTracePath := flag.String("req-traces", "", "write sampled request traces as a Perfetto/Chrome trace file here on shutdown")
 	debugAddr := flag.String("debug-addr", "", "serve pprof/expvar/progress on this extra address")
-	progressEvery := flag.Duration("progress-interval", time.Second, "debug endpoint: /progress sampling interval")
 	profileDir := flag.String("profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
-	profileEvery := flag.Duration("profile-interval", obs.DefaultProfileInterval, "profile segment rotation interval")
 	flag.Parse()
 	if *gbzPath == "" {
 		flag.Usage()
@@ -102,7 +106,7 @@ func main() {
 	}
 	var tracer *obs.ReqTracer
 	if *traceK > 0 {
-		tracer = obs.NewReqTracer(workers, *traceK, *traceErrCap, reg)
+		tracer = obs.NewReqTracer(workers, *traceK, traceErrCap, reg)
 	}
 	man := obs.NewManifest("giraffed")
 	man.AddFlagSet(flag.CommandLine)
@@ -166,7 +170,7 @@ func main() {
 	}
 	var dbg *obs.DebugServer
 	if *debugAddr != "" {
-		dbg, err = obs.StartDebugServer(*debugAddr, reg, slow, *progressEvery)
+		dbg, err = obs.StartDebugServer(*debugAddr, reg, slow, progressInterval)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -174,11 +178,11 @@ func main() {
 	}
 	var profiles *obs.ProfileRecorder
 	if *profileDir != "" {
-		profiles, err = obs.StartProfiles(*profileDir, *profileEvery)
+		profiles, err = obs.StartProfiles(*profileDir, obs.DefaultProfileInterval)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("profiling into %s (rotating every %v)", *profileDir, *profileEvery)
+		log.Printf("profiling into %s (rotating every %v)", *profileDir, obs.DefaultProfileInterval)
 	}
 
 	// The handler goes in before the listener exists: once a client can

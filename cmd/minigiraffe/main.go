@@ -31,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/core"
@@ -43,6 +42,9 @@ import (
 	"repro/internal/seeds"
 	"repro/internal/trace"
 )
+
+// progressInterval is the debug endpoint's /progress sampling cadence.
+const progressInterval = time.Second
 
 func main() {
 	log.SetFlags(0)
@@ -64,14 +66,10 @@ func main() {
 	manifest := flag.String("manifest", "", "run manifest JSON path (default <out>.manifest.json when -out is set; \"off\" disables)")
 	obsOn := flag.Bool("obs", false, "enable the metrics registry (kernel/stage histograms, scheduler counters) even without -debug-addr")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar, /metrics, /progress and /slow on this address (e.g. localhost:6060); enables the metrics registry")
-	progressEvery := flag.Duration("progress-interval", time.Second, "debug endpoint: /progress sampling interval")
 	seriesPath := flag.String("series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
 	seriesEvery := flag.Duration("series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
 	slowK := flag.Int("slow", 0, "retain the K slowest reads as exemplars (served at /slow, archived in the manifest)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
-	memprofile := flag.String("memprofile", "", "write a heap profile here")
-	profileDir := flag.String("profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory (cannot be combined with -cpuprofile)")
-	profileEvery := flag.Duration("profile-interval", obs.DefaultProfileInterval, "profile segment rotation interval")
+	profileDir := flag.String("profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
 	flag.Parse()
 	if *gbzPath == "" || (*seedsPath == "") == (*fastqPath == "") {
 		flag.Usage()
@@ -82,20 +80,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *cpuprofile != "" {
-		pf, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
 	var profiles *obs.ProfileRecorder
 	if *profileDir != "" {
 		var err error
-		profiles, err = obs.StartProfiles(*profileDir, *profileEvery)
+		profiles, err = obs.StartProfiles(*profileDir, obs.DefaultProfileInterval)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -122,7 +110,7 @@ func main() {
 	var dbg *obs.DebugServer
 	if *debugAddr != "" {
 		var err error
-		dbg, err = obs.StartDebugServer(*debugAddr, reg, slow, *progressEvery)
+		dbg, err = obs.StartDebugServer(*debugAddr, reg, slow, progressInterval)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -153,11 +141,7 @@ func main() {
 	}
 	var rec *trace.Recorder
 	if *timeline != "" || *perfetto != "" {
-		n := *threads
-		if n <= 0 {
-			n = 64
-		}
-		rec = trace.NewRecorder(n)
+		rec = trace.NewRecorder(workers)
 	}
 
 	w := os.Stdout
@@ -204,19 +188,6 @@ func main() {
 		}
 	}
 
-	if *memprofile != "" {
-		pf, err := os.Create(*memprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(pf); err != nil {
-			log.Fatal(err)
-		}
-		if err := pf.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if rec != nil && *timeline != "" {
 		file, err := os.Create(*timeline)
 		if err != nil {

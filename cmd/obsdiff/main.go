@@ -1,13 +1,13 @@
-// Command obsdiff is the cross-run perf regression gate: it loads two
-// recorded runs (run manifest plus the optional archived metric series),
-// aligns them by metric name, and reports throughput and tail-latency deltas
-// per stage and kernel as a markdown report. The exit status is the verdict,
-// so CI can diff a bench-smoke run against the checked-in baseline and fail
-// the build on a regression past the noise thresholds.
+// Command obsdiff is the pairwise reader of the flight-recorder archive: it
+// loads two recorded runs (run manifest plus the optional archived metric
+// series) — batch or serving, made on the same machine — aligns them by
+// metric name, and reports throughput and tail-latency deltas per stage and
+// kernel as a markdown report. The exit status is the verdict. The repo's
+// perf gate is `make perfdiff` (cmd/bench -compare), not this command.
 //
 // Usage:
 //
-//	obsdiff -baseline results/baseline -candidate obs-smoke -report perfdiff.md
+//	obsdiff -baseline run-a -candidate run-b -report diff.md
 //
 // Exit status: 0 = within thresholds, 1 = regression, 2 = usage or load
 // error.
@@ -33,7 +33,6 @@ func main() {
 	thrDrop := flag.Float64("throughput-threshold", 0, "fractional reads/s drop that fails (default 0.15 = -15%)")
 	minCount := flag.Int64("min-count", 0, "ignore histograms with fewer observations in either run (default 100)")
 	minP99 := flag.Float64("min-p99", 0, "ignore candidate p99s below this many seconds (default 1e-4)")
-	allowMissing := flag.Bool("allow-missing-baseline", false, "exit 0 with a notice when the baseline does not exist yet")
 	flag.Parse()
 	if *baseline == "" || *candidate == "" {
 		flag.Usage()
@@ -42,10 +41,6 @@ func main() {
 
 	base, err := obs.LoadRun(*baseline)
 	if err != nil {
-		if *allowMissing && os.IsNotExist(err) {
-			fmt.Printf("obsdiff: no baseline at %s; nothing to compare (record one with `make perfdiff` or commit results/baseline)\n", *baseline)
-			return
-		}
 		log.Print(err)
 		os.Exit(2)
 	}

@@ -11,8 +11,8 @@
 // Two stricter rules ride on top:
 //
 //   - pprof label keys (the even-position arguments of runtime/pprof.Labels)
-//     must be named constants, not bare literals: cmd/profdiff groups
-//     profile samples by key, so an ad-hoc key string silently splits the
+//     must be named constants, not bare literals: pprof's -tagfocus
+//     selects samples by key, so an ad-hoc key string silently splits the
 //     stage/worker breakdown away from the obs.Label* taxonomy.
 //   - runtime_* metric names must be named constants for the same reason:
 //     the runtime-telemetry catalogue lives in internal/obs/metrics.go, and
@@ -50,7 +50,7 @@ func run(pass *analysis.Pass) error {
 					if !isNamedConst(pass, call.Args[i]) {
 						pass.Reportf(call.Args[i].Pos(),
 							"pprof label key must be a named constant (the obs.Label* taxonomy): "+
-								"profdiff groups samples by key, so an ad-hoc key splits the breakdown")
+								"pprof -tagfocus selects samples by key, so an ad-hoc key splits the breakdown")
 					}
 				}
 				return true

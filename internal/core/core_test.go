@@ -195,25 +195,43 @@ func TestWriteCSV(t *testing.T) {
 
 func TestRunWithTraceAndStats(t *testing.T) {
 	f, recs, _ := fixture(t, 0.04)
-	rec := trace.NewRecorder(2)
-	res, err := core.Run(f, recs, core.Options{Threads: 2, BatchSize: 4, Trace: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares := rec.Shares()
-	regions := map[string]bool{}
-	for _, s := range shares {
-		regions[s.Region] = true
-	}
-	if !regions[trace.RegionCluster] || !regions[trace.RegionThresholdC] {
-		t.Errorf("missing kernel regions in trace: %v", shares)
-	}
-	var processed int64
-	for _, p := range res.Sched.Processed {
-		processed += p
-	}
-	if processed != int64(len(recs)) {
-		t.Errorf("sched processed %d of %d", processed, len(recs))
+	for _, tc := range []struct {
+		name                     string
+		recorder, threads, batch int
+		kind                     sched.Kind
+	}{
+		{"sized", 2, 2, 4, sched.Dynamic},
+		// Run grows an undersized recorder to its thread count; under the
+		// static split every worker is certain to record into its own buffer.
+		{"undersized", 1, 4, 8, sched.Static},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := trace.NewRecorder(tc.recorder)
+			res, err := core.Run(f, recs, core.Options{
+				Threads: tc.threads, BatchSize: tc.batch, Scheduler: tc.kind, Trace: rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Workers() < tc.threads {
+				t.Errorf("recorder has %d buffers for %d threads", rec.Workers(), tc.threads)
+			}
+			shares := rec.Shares()
+			regions := map[string]bool{}
+			for _, s := range shares {
+				regions[s.Region] = true
+			}
+			if !regions[trace.RegionCluster] || !regions[trace.RegionThresholdC] {
+				t.Errorf("missing kernel regions in trace: %v", shares)
+			}
+			var processed int64
+			for _, p := range res.Sched.Processed {
+				processed += p
+			}
+			if processed != int64(len(recs)) {
+				t.Errorf("sched processed %d of %d", processed, len(recs))
+			}
+		})
 	}
 }
 

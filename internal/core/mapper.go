@@ -418,6 +418,11 @@ func (m *Mapper) Run(records []seeds.ReadSeeds) (*Result, error) {
 	if threads != 1 {
 		run = m.WithoutProbe()
 	}
+	if opts.Trace != nil {
+		// Workers index the recorder's buffers; a caller may have sized it
+		// before the thread count was resolved.
+		opts.Trace.Grow(threads)
+	}
 	res := &Result{Extensions: make([][]extend.Extension, len(records))}
 	cacheStats := make([]gbwt.CacheStats, threads)
 

@@ -13,10 +13,9 @@ import (
 
 // This file compares two recorded runs — manifest plus optional archived
 // series — and renders a markdown perf report with a machine-readable
-// verdict. cmd/obsdiff wraps it as the CI perf-regression gate: bench-smoke
-// output is diffed against the checked-in baseline under results/baseline/
-// and the build fails when throughput drops or tail latency rises past the
-// noise thresholds.
+// verdict. cmd/obsdiff wraps it: two runs recorded on the same machine are
+// diffed, and the verdict trips when throughput drops or tail latency rises
+// past the noise thresholds.
 
 // RunData is one loaded run: the manifest (required) and the archived series
 // (optional — older runs and crashed runs may not have one).

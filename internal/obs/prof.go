@@ -16,17 +16,19 @@ import (
 // profile at every boundary) into a directory next to the run manifest, and
 // the pprof label taxonomy that makes those samples decomposable offline.
 // Where the metric series answers "when did this run degrade", the profile
-// segments answer "which function" — cmd/profdiff aligns two captures by
-// symbol and gates CI on flat/cum regressions, and `make pgo-capture`
-// distills the same capture into the committed default.pgo.
+// segments answer "which function" — `go tool pprof -diff_base` aligns two
+// captures by symbol, `-tagfocus=stage=map` splits them by the labels below,
+// and `make pgo-capture` merges the same capture into the committed
+// default.pgo with `go tool pprof -proto` (recipes in DESIGN §10).
 
 // pprof label taxonomy. Labels are applied at sub-batch granularity — a
 // worker sets its goroutine labels when it claims a batch, never per record —
 // so the hot map path stays allocation-free while every CPU sample still
 // carries its pipeline stage, worker index, and serving-vs-batch class.
 // Label keys must be these named constants (the metricname analyzer enforces
-// it), exactly as metric and span names must: profdiff groups by key, so a
-// runtime-assembled key would silently split the breakdown.
+// it), exactly as metric and span names must: pprof's -tagfocus/-tagroot
+// select by key, so a runtime-assembled key would silently split the
+// breakdown.
 const (
 	// LabelStage partitions samples by pipeline stage.
 	LabelStage = "stage"
@@ -167,8 +169,8 @@ type ProfileRecorder struct {
 
 // StartProfiles creates dir (if needed) and starts the capture loop.
 // interval ≤0 defaults to DefaultProfileInterval. Only one CPU profile can
-// be active per process: StartProfiles fails if another capture (e.g. a
-// -cpuprofile flag or the pprof debug endpoint) already holds it.
+// be active per process: StartProfiles fails if another capture (e.g. the
+// pprof debug endpoint) already holds it.
 func StartProfiles(dir string, interval time.Duration) (*ProfileRecorder, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("obs: profile capture needs a directory")
@@ -242,7 +244,7 @@ func (p *ProfileRecorder) closeSegmentLocked() error {
 	hf, herr := os.Create(p.heapPath(p.seg))
 	if herr == nil {
 		// WriteTo(_, 0) emits the gzipped protobuf form; debug>0 would emit
-		// the legacy text form, which profdiff and PGO cannot read.
+		// the legacy text form, which PGO cannot read.
 		if werr := pprof.Lookup("heap").WriteTo(hf, 0); werr != nil && herr == nil {
 			herr = werr
 		}
