@@ -13,7 +13,6 @@ package main
 
 import (
 	"flag"
-	"io"
 	"log"
 	"os"
 
@@ -25,19 +24,22 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("autotune: ")
+	cfg := obs.StackConfig{Tool: "autotune", Flags: flag.CommandLine}
 	scale := flag.Float64("scale", 1.0, "read-count scale factor")
-	threads := flag.Int("threads", 0, "local measurement threads (0 = all CPUs)")
+	flag.IntVar(&cfg.Threads, "threads", 0, "local measurement threads (0 = all CPUs)")
 	repeats := flag.Int("repeats", 1, "repeats per combo")
 	experiment := flag.String("experiment", "all", "figure6, figure7, figure8, or all")
 	heatmap := flag.String("heatmap", "", "write the Figure 8 heat map CSV here")
-	manifest := flag.String("manifest", "autotune-manifest.json", "run manifest JSON path (\"off\" disables)")
+	flag.StringVar(&cfg.Manifest, "manifest", "autotune-manifest.json", "run manifest JSON path (\"off\" disables)")
 	flag.Parse()
 
+	stack, err := obs.Start(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	s := experiments.NewSuite(experiments.Config{
-		Scale: *scale, Threads: *threads, Repeats: *repeats, Out: os.Stdout,
+		Scale: *scale, Threads: cfg.Threads, Repeats: *repeats, Out: os.Stdout,
 	})
-	man := obs.NewManifest("autotune")
-	man.AddFlagSet(flag.CommandLine)
 	space := autotune.DefaultSpace()
 	run := func(name string, f func() error) {
 		if *experiment != "all" && *experiment != name {
@@ -46,30 +48,30 @@ func main() {
 		if err := f(); err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		man.Notes["ran_"+name] = "true"
+		stack.Note("ran_"+name, "true")
 	}
 	run("figure6", func() error { _, err := s.Figure6(); return err })
 	run("figure7", func() error { _, err := s.Figure7AndTable8(space); return err })
 	run("figure8", func() error {
-		var w io.Writer
-		if *heatmap != "" {
-			file, err := os.Create(*heatmap)
-			if err != nil {
-				return err
-			}
-			defer file.Close()
-			w = file
+		if *heatmap == "" {
+			_, err := s.Figure8(space, nil)
+			return err
 		}
-		_, err := s.Figure8(space, w)
-		return err
+		file, err := os.Create(*heatmap)
+		if err != nil {
+			return err
+		}
+		if _, err := s.Figure8(space, file); err != nil {
+			file.Close()
+			return err
+		}
+		// A failed close is a truncated heat map: it fails the run.
+		return file.Close()
 	})
-	if *manifest != "off" && *manifest != "" {
-		if *heatmap != "" {
-			man.AddResult(*heatmap)
-		}
-		man.Finish(nil)
-		if err := man.Write(*manifest); err != nil {
-			log.Fatal(err)
-		}
+	if *heatmap != "" {
+		stack.AddResult(*heatmap)
+	}
+	if err := stack.Close(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"repro/internal/autotune"
@@ -27,49 +26,30 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchreport: ")
+	cfg := obs.StackConfig{Tool: "benchreport", Flags: flag.CommandLine}
 	scale := flag.Float64("scale", 1.0, "read-count scale factor")
-	threads := flag.Int("threads", 0, "local measurement threads (0 = all CPUs)")
+	flag.IntVar(&cfg.Threads, "threads", 0, "local measurement threads (0 = all CPUs)")
 	repeats := flag.Int("repeats", 1, "repeats per measured point")
 	outdir := flag.String("outdir", "results", "directory for CSV artefacts")
 	only := flag.String("only", "", "run a single experiment (table1, figure2, ... anova)")
-	manifest := flag.String("manifest", "", "run manifest JSON path (default <outdir>/run-manifest.json; \"off\" disables)")
-	seriesPath := flag.String("series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
-	seriesEvery := flag.Duration("series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
-	profileDir := flag.String("profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
+	flag.StringVar(&cfg.Manifest, "manifest", "", "run manifest JSON path (default <outdir>/run-manifest.json; \"off\" disables)")
+	flag.StringVar(&cfg.Series, "series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
+	flag.DurationVar(&cfg.SeriesInterval, "series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
+	flag.StringVar(&cfg.Profile, "profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
 	flag.Parse()
 
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	man := obs.NewManifest("benchreport")
-	man.AddFlagSet(flag.CommandLine)
-	manifestPath := *manifest
-	if manifestPath == "" {
-		manifestPath = filepath.Join(*outdir, "run-manifest.json")
+	if cfg.Manifest == "" {
+		cfg.Manifest = filepath.Join(*outdir, "run-manifest.json")
 	}
-	if manifestPath == "off" {
-		manifestPath = ""
-	}
-	var reg *obs.Registry
-	var series *obs.SeriesRecorder
-	if *seriesPath != "" {
-		reg = obs.NewRegistry(suiteShards(*threads))
-		var err error
-		series, err = obs.StartSeries(reg, nil, nil, *seriesPath, *seriesEvery, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	var profiles *obs.ProfileRecorder
-	if *profileDir != "" {
-		var err error
-		profiles, err = obs.StartProfiles(*profileDir, obs.DefaultProfileInterval)
-		if err != nil {
-			log.Fatal(err)
-		}
+	stack, err := obs.Start(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
 	s := experiments.NewSuite(experiments.Config{
-		Scale: *scale, Threads: *threads, Repeats: *repeats, Out: os.Stdout, Obs: reg,
+		Scale: *scale, Threads: cfg.Threads, Repeats: *repeats, Out: os.Stdout, Obs: stack.Reg,
 	})
 	space := autotune.DefaultSpace()
 
@@ -160,51 +140,21 @@ func main() {
 			log.Fatalf("%s: %v", st.name, err)
 		}
 		elapsed := time.Since(t0).Round(time.Millisecond)
-		man.Notes["step_"+st.name] = elapsed.String()
+		stack.Note("step_"+st.name, elapsed.String())
 		fmt.Printf("[%s done in %v]\n", st.name, elapsed)
 	}
-	if series != nil {
-		if err := series.Stop(); err != nil {
-			log.Fatal(err)
+	entries, err := os.ReadDir(*outdir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() && e.Name() != filepath.Base(cfg.Manifest) {
+			stack.AddResult(filepath.Join(*outdir, e.Name()))
 		}
 	}
-	if profiles != nil {
-		if err := profiles.Stop(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if manifestPath != "" {
-		entries, err := os.ReadDir(*outdir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, e := range entries {
-			if !e.IsDir() && e.Name() != filepath.Base(manifestPath) {
-				man.AddResult(filepath.Join(*outdir, e.Name()))
-			}
-		}
-		if *seriesPath != "" {
-			man.AddResult(*seriesPath)
-			man.Notes["series"] = filepath.Base(*seriesPath)
-		}
-		if *profileDir != "" {
-			man.Notes["profiles"] = filepath.Base(*profileDir)
-		}
-		man.Finish(reg)
-		if err := man.Write(manifestPath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("run manifest written to %s\n", manifestPath)
+	if err := stack.Close(); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("\nbenchreport complete in %v; CSV artefacts in %s/\n",
 		time.Since(start).Round(time.Millisecond), *outdir)
-}
-
-// suiteShards sizes the registry for the measurement worker count plus the
-// streaming comparison's ingest/emit stages.
-func suiteShards(threads int) int {
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	return threads + 2
 }

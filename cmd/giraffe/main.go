@@ -82,12 +82,9 @@ func main() {
 
 	w := os.Stdout
 	if *out != "" {
-		file, err := os.Create(*out)
-		if err != nil {
+		if w, err = os.Create(*out); err != nil {
 			log.Fatal(err)
 		}
-		defer file.Close()
-		w = file
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "read\tmapped\tnode\toffset\tstrand\tscore\tmapq")
@@ -107,6 +104,12 @@ func main() {
 	}
 	if err := bw.Flush(); err != nil {
 		log.Fatal(err)
+	}
+	if *out != "" {
+		// A failed close is a truncated TSV: it fails the run.
+		if err := w.Close(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "mapped %d/%d reads in %v (%d threads)\n",
 		mapped, len(reads), res.Makespan, *threads)
@@ -134,7 +137,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "GAF -> %s\n", *gafPath)
 	}
-	if rec != nil {
+	if *timeline != "" {
 		file, err := os.Create(*timeline)
 		if err != nil {
 			log.Fatal(err)

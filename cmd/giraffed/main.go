@@ -13,9 +13,8 @@
 // Endpoints: POST /map, GET /healthz, /stats, /metrics (Prometheus),
 // /slow (slowest-read exemplars), /traces (tail-sampled request traces:
 // every non-2xx request plus the top-K slowest 2xx, as admit / queue_wait /
-// map_subbatch / emit span trees). The usual observability flags (-series,
-// -slow, -manifest, -debug-addr) behave as in minigiraffe, so cmd/obsdiff
-// can diff serving runs against each other.
+// map_subbatch / emit span trees). The observability flags are the common
+// ones (README "Observability").
 //
 // Usage:
 //
@@ -28,14 +27,11 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -50,19 +46,15 @@ import (
 	"repro/internal/serve"
 )
 
-const (
-	// progressInterval is the debug endpoint's /progress sampling cadence.
-	progressInterval = time.Second
-	// traceErrCap is the per-shard retention cap for non-2xx request traces.
-	traceErrCap = 256
-)
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("giraffed: ")
+	// Serving always runs with the registry on: request metrics are the
+	// service's contract, not an optional extra.
+	cfg := obs.StackConfig{Tool: "giraffed", Flags: flag.CommandLine, Obs: true}
 	gbzPath := flag.String("gbz", "", "pangenome .gbz file (required)")
 	addr := flag.String("addr", "localhost:8765", "serve address")
-	threads := flag.Int("threads", 0, "map-worker threads (0 = all CPUs)")
+	flag.IntVar(&cfg.Threads, "threads", 0, "map-worker threads (0 = all CPUs)")
 	batch := flag.Int("batch", 512, "sub-batch size a request is split into (per-batch CachedGBWT lifetime)")
 	capacity := flag.Int("capacity", 256, "initial CachedGBWT capacity (-1 disables caching); with -epoch, sizes the per-worker overflow layer")
 	epoch := flag.Int("epoch", 0, "epoch-published shared cache capacity per GBWT direction (0 = per-batch rebuilds)")
@@ -74,14 +66,14 @@ func main() {
 	maxDeadline := flag.Duration("max-deadline", time.Minute, "upper clamp on client deadlines")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After advertised on 429/503")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
-	manifest := flag.String("manifest", "", "write the run manifest JSON here on shutdown")
-	seriesPath := flag.String("series", "", "archive a delta-encoded metric time-series here (flight recorder)")
-	seriesEvery := flag.Duration("series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
-	slowK := flag.Int("slow", 0, "retain the K slowest reads as exemplars (served at /slow, archived in the manifest)")
-	traceK := flag.Int("trace-k", 32, "tail-sample the K slowest 2xx requests per worker shard (0 disables request tracing)")
-	reqTracePath := flag.String("req-traces", "", "write sampled request traces as a Perfetto/Chrome trace file here on shutdown")
-	debugAddr := flag.String("debug-addr", "", "serve pprof/expvar/progress on this extra address")
-	profileDir := flag.String("profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
+	flag.StringVar(&cfg.Manifest, "manifest", "", "write the run manifest JSON here on shutdown")
+	flag.StringVar(&cfg.Series, "series", "", "archive a delta-encoded metric time-series here (flight recorder)")
+	flag.DurationVar(&cfg.SeriesInterval, "series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
+	flag.IntVar(&cfg.Slow, "slow", 0, "retain the K slowest reads as exemplars (served at /slow, archived in the manifest)")
+	flag.IntVar(&cfg.TraceK, "trace-k", 32, "tail-sample the K slowest 2xx requests per worker shard (0 disables request tracing)")
+	flag.StringVar(&cfg.ReqTraces, "req-traces", "", "write sampled request traces as a Perfetto/Chrome trace file here on shutdown")
+	flag.StringVar(&cfg.DebugAddr, "debug-addr", "", "serve pprof/expvar/progress on this extra address")
+	flag.StringVar(&cfg.Profile, "profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
 	flag.Parse()
 	if *gbzPath == "" {
 		flag.Usage()
@@ -91,25 +83,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	workers := *threads
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	stack, err := obs.Start(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	// Serving always runs with the registry on: request metrics are the
-	// service's contract, not an optional extra. +2 shards: the submit path
-	// records past the map workers, HTTP handlers round-robin.
-	reg := obs.NewRegistry(workers + 2)
-	var slow *obs.SlowReads
-	if *slowK > 0 {
-		slow = obs.NewSlowReads(workers, *slowK)
-	}
-	var tracer *obs.ReqTracer
-	if *traceK > 0 {
-		tracer = obs.NewReqTracer(workers, *traceK, traceErrCap, reg)
-	}
-	man := obs.NewManifest("giraffed")
-	man.AddFlagSet(flag.CommandLine)
+	workers, reg := stack.Workers, stack.Reg
 
 	log.Printf("loading substrate from %s", *gbzPath)
 	t0 := time.Now()
@@ -128,7 +106,7 @@ func main() {
 		EpochCapacity: *epoch,
 		Scheduler:     kind,
 		Obs:           reg,
-		Slow:          slow,
+		Slow:          stack.Slow,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -149,8 +127,8 @@ func main() {
 		Session:         sess,
 		Extract:         func(read *dna.Read) (seeds.ReadSeeds, error) { return giraffe.Preprocess(ix.MinIx, read) },
 		Reg:             reg,
-		Slow:            slow,
-		Traces:          tracer,
+		Slow:            stack.Slow,
+		Traces:          stack.Traces,
 		PerClient:       *perClient,
 		MaxReads:        *maxReads,
 		DefaultDeadline: *defaultDeadline,
@@ -159,30 +137,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	var series *obs.SeriesRecorder
-	if *seriesPath != "" {
-		series, err = obs.StartSeries(reg, slow, tracer, *seriesPath, *seriesEvery, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	var dbg *obs.DebugServer
-	if *debugAddr != "" {
-		dbg, err = obs.StartDebugServer(*debugAddr, reg, slow, progressInterval)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("debug endpoint on http://%s/", dbg.Addr())
-	}
-	var profiles *obs.ProfileRecorder
-	if *profileDir != "" {
-		profiles, err = obs.StartProfiles(*profileDir, obs.DefaultProfileInterval)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("profiling into %s (rotating every %v)", *profileDir, obs.DefaultProfileInterval)
 	}
 
 	// The handler goes in before the listener exists: once a client can
@@ -201,8 +155,8 @@ func main() {
 		ln.Addr(), workers, *batch, sess.Options().Depth, *perClient)
 
 	// Graceful drain: flip /healthz and /map to 503, let in-flight requests
-	// finish (bounded by -drain-timeout), drain the mapping pool, then write
-	// the manifest so the run is diffable post-hoc.
+	// finish (bounded by -drain-timeout), drain the mapping pool, then close
+	// the obs stack, which writes the manifest so the run is diffable post-hoc.
 	select {
 	case <-ctx.Done():
 		log.Printf("signal received, draining (timeout %v)", *drainTimeout)
@@ -219,59 +173,15 @@ func main() {
 	if serveErr := <-errCh; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
 		log.Printf("serve: %v", serveErr)
 	}
-	if dbg != nil {
-		dbg.Close()
-	}
-	if series != nil {
-		if err := series.Stop(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if profiles != nil {
-		if err := profiles.Stop(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *reqTracePath != "" && tracer != nil {
-		tf, err := os.Create(*reqTracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WritePerfettoRequests(tf, tracer.Snapshot()); err != nil {
-			tf.Close()
-			log.Fatal(err)
-		}
-		if err := tf.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("sampled request traces written to %s", *reqTracePath)
-	}
 	snap := reg.Snapshot()
 	log.Printf("drained: %d requests, %d ok, %d reads mapped, %d queue rejects, %d client rejects, %d deadline expiries",
 		snap.Counters[obs.MetricServeHTTPRequests], snap.Counters[obs.MetricServeHTTPOK],
 		snap.Counters[obs.MetricServeReads], snap.Counters[obs.MetricServeQueueRejects],
 		snap.Counters[obs.MetricServeClientRejects], snap.Counters[obs.MetricServeDeadline])
-	if *manifest != "" {
-		if err := man.AddWorkload("gbz", *gbzPath); err != nil {
-			log.Fatal(err)
-		}
-		if *seriesPath != "" {
-			// obsdiff resolves the archive by basename next to the manifest.
-			man.AddResult(*seriesPath)
-			man.Notes["series"] = filepath.Base(*seriesPath)
-		}
-		if *profileDir != "" {
-			man.Notes["profiles"] = filepath.Base(*profileDir)
-		}
-		man.AddSlowReads(slow)
-		man.AddReqTraces(tracer)
-		if *reqTracePath != "" && tracer != nil {
-			man.AddResult(*reqTracePath)
-		}
-		man.Finish(reg)
-		if err := man.Write(*manifest); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "run manifest written to %s\n", *manifest)
+	if err := stack.AddWorkload("gbz", *gbzPath); err != nil {
+		log.Fatal(err)
+	}
+	if err := stack.Close(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -11,10 +11,10 @@
 // per-client admission control sees a realistic heavy-hitter mix.
 //
 // Reads are drawn round-robin from a FASTQ file (genworkload's .fq output
-// works directly) in batches of -batch per request. The run is wired into
-// the obs stack: counters and client-side latency histograms in the
-// registry, an optional flight-recorder series, and a run manifest next to
-// the JSON report, so cmd/obsdiff can diff two loadgen runs.
+// works directly) in batches of -batch per request. Counters and client-side
+// latency histograms are recorded under loadgen_* with the common
+// observability flags (README "Observability"), so cmd/obsdiff can diff two
+// loadgen runs.
 //
 // The -assert-* flags turn the harness into a CI gate (make serve-smoke):
 // the exit status is non-zero when an assertion fails.
@@ -50,6 +50,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("loadgen: ")
+	// Client-side counters are the harness's output: the registry is always on.
+	cfg := obs.StackConfig{Tool: "loadgen", Flags: flag.CommandLine, Obs: true}
 	url := flag.String("url", "http://localhost:8765", "giraffed base URL")
 	fastqPath := flag.String("fastq", "", "FASTQ file the request batches are drawn from (required)")
 	rps := flag.Float64("rps", 10, "target request rate per second")
@@ -63,9 +65,9 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "client-side HTTP timeout (0 = deadline + 5s)")
 	waitReady := flag.Duration("wait-ready", 0, "poll /healthz for up to this long before generating")
 	report := flag.String("report", "", "write the JSON latency/error report here (default stdout)")
-	manifest := flag.String("manifest", "", "write a run manifest JSON here")
-	seriesPath := flag.String("series", "", "archive a client-side metric time-series here")
-	seriesEvery := flag.Duration("series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
+	flag.StringVar(&cfg.Manifest, "manifest", "", "write a run manifest JSON here")
+	flag.StringVar(&cfg.Series, "series", "", "archive a client-side metric time-series here")
+	flag.DurationVar(&cfg.SeriesInterval, "series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
 	assertMin2xx := flag.Int64("assert-min-2xx", -1, "fail unless at least this many 2xx responses")
 	assertMin429 := flag.Int64("assert-min-429", -1, "fail unless at least this many 429 rejections")
 	assertMinTimeout := flag.Int64("assert-min-timeout", -1, "fail unless at least this many deadline timeouts (504 or client-side)")
@@ -85,16 +87,11 @@ func main() {
 		log.Fatal("no reads in ", *fastqPath)
 	}
 
-	reg := obs.NewRegistry(1)
-	man := obs.NewManifest("loadgen")
-	man.AddFlagSet(flag.CommandLine)
-	var series *obs.SeriesRecorder
-	if *seriesPath != "" {
-		series, err = obs.StartSeries(reg, nil, nil, *seriesPath, *seriesEvery, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
+	stack, err := obs.Start(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
+	reg := stack.Reg
 
 	cto := *timeout
 	if cto <= 0 {
@@ -168,11 +165,6 @@ func main() {
 
 	rep := g.buildReport(*shape, *rps, elapsed)
 	rep.Server = serverDecomp(g.client, *url, ownIDs)
-	if series != nil {
-		if err := series.Stop(); err != nil {
-			log.Fatal(err)
-		}
-	}
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -188,21 +180,14 @@ func main() {
 	log.Printf("sent %d: %d ok, %d rejected (429), %d timeouts, %d errors; p50 %.1fms p99 %.1fms p999 %.1fms",
 		rep.Sent, rep.OK, rep.Rejected, rep.Timeouts, rep.Errors,
 		rep.P50Ms, rep.P99Ms, rep.P999Ms)
-	if *manifest != "" {
-		if err := man.AddWorkload("fastq", *fastqPath); err != nil {
-			log.Fatal(err)
-		}
-		if *report != "" {
-			man.AddResult(*report)
-		}
-		if *seriesPath != "" {
-			man.AddResult(*seriesPath)
-		}
-		man.Finish(reg)
-		if err := man.Write(*manifest); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("run manifest written to %s", *manifest)
+	if err := stack.AddWorkload("fastq", *fastqPath); err != nil {
+		log.Fatal(err)
+	}
+	if *report != "" {
+		stack.AddResult(*report)
+	}
+	if err := stack.Close(); err != nil {
+		log.Fatal(err)
 	}
 
 	failed := false

@@ -29,9 +29,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gbz"
@@ -43,16 +40,17 @@ import (
 	"repro/internal/trace"
 )
 
-// progressInterval is the debug endpoint's /progress sampling cadence.
-const progressInterval = time.Second
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("minigiraffe: ")
+	// Observability is default-off (DESIGN "Observability lifecycle"): a flag
+	// left unset leaves its sink nil, and nil sinks keep every instrumented
+	// path timing-free.
+	cfg := obs.StackConfig{Tool: "minigiraffe", Flags: flag.CommandLine}
 	gbzPath := flag.String("gbz", "", "pangenome .gbz file (required)")
 	seedsPath := flag.String("seeds", "", "captured sequence-seeds .bin file (this or -fastq required)")
 	fastqPath := flag.String("fastq", "", "stream directly from these FASTQ reads, extracting seeds on the fly (implies -stream)")
-	threads := flag.Int("threads", 0, "worker threads (0 = all CPUs)")
+	flag.IntVar(&cfg.Threads, "threads", 0, "worker threads (0 = all CPUs)")
 	batch := flag.Int("batch", 512, "batch size")
 	capacity := flag.Int("capacity", 256, "initial CachedGBWT capacity (-1 disables caching); with -epoch, sizes the per-worker overflow layer")
 	epoch := flag.Int("epoch", 0, "epoch-published shared cache capacity per GBWT direction (0 = per-batch rebuilds, the paper's discipline)")
@@ -63,13 +61,13 @@ func main() {
 	out := flag.String("out", "", "extension CSV output (default stdout)")
 	timeline := flag.String("timeline", "", "write the region timeline CSV here")
 	perfetto := flag.String("perfetto", "", "write a Perfetto/chrome://tracing trace-event JSON here")
-	manifest := flag.String("manifest", "", "run manifest JSON path (default <out>.manifest.json when -out is set; \"off\" disables)")
-	obsOn := flag.Bool("obs", false, "enable the metrics registry (kernel/stage histograms, scheduler counters) even without -debug-addr")
-	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar, /metrics, /progress and /slow on this address (e.g. localhost:6060); enables the metrics registry")
-	seriesPath := flag.String("series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
-	seriesEvery := flag.Duration("series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
-	slowK := flag.Int("slow", 0, "retain the K slowest reads as exemplars (served at /slow, archived in the manifest)")
-	profileDir := flag.String("profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
+	flag.StringVar(&cfg.Manifest, "manifest", "", "run manifest JSON path (default <out>.manifest.json when -out is set; \"off\" disables)")
+	flag.BoolVar(&cfg.Obs, "obs", false, "enable the metrics registry (kernel/stage histograms, scheduler counters) even without -debug-addr")
+	flag.StringVar(&cfg.DebugAddr, "debug-addr", "", "serve pprof, expvar, /metrics, /progress and /slow on this address (e.g. localhost:6060); enables the metrics registry")
+	flag.StringVar(&cfg.Series, "series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
+	flag.DurationVar(&cfg.SeriesInterval, "series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
+	flag.IntVar(&cfg.Slow, "slow", 0, "retain the K slowest reads as exemplars (served at /slow, archived in the manifest)")
+	flag.StringVar(&cfg.Profile, "profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
 	flag.Parse()
 	if *gbzPath == "" || (*seedsPath == "") == (*fastqPath == "") {
 		flag.Usage()
@@ -79,60 +77,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	var profiles *obs.ProfileRecorder
-	if *profileDir != "" {
-		var err error
-		profiles, err = obs.StartProfiles(*profileDir, obs.DefaultProfileInterval)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if cfg.Manifest == "" && *out != "" {
+		cfg.Manifest = *out + ".manifest.json"
 	}
-
-	// Observability is default-off: the registry exists only when asked for,
-	// and a nil registry keeps every instrumented path timing-free.
-	workers := *threads
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var reg *obs.Registry
-	if *obsOn || *debugAddr != "" || *seriesPath != "" {
-		// +2: the pipeline's ingest and emit stages record into their own
-		// shards past the map workers.
-		reg = obs.NewRegistry(workers + 2)
-	}
-	// The slow-read reservoir is independent of the registry: -slow alone
-	// captures exemplars into the manifest with zero registry overhead.
-	var slow *obs.SlowReads
-	if *slowK > 0 {
-		slow = obs.NewSlowReads(workers, *slowK)
-	}
-	var dbg *obs.DebugServer
-	if *debugAddr != "" {
-		var err error
-		dbg, err = obs.StartDebugServer(*debugAddr, reg, slow, progressInterval)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/\n", dbg.Addr())
-	}
-	var series *obs.SeriesRecorder
-	if *seriesPath != "" {
-		var err error
-		series, err = obs.StartSeries(reg, slow, nil, *seriesPath, *seriesEvery, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	man := obs.NewManifest("minigiraffe")
-	man.AddFlagSet(flag.CommandLine)
-	manifestPath := *manifest
-	if manifestPath == "" && *out != "" {
-		manifestPath = *out + ".manifest.json"
-	}
-	if manifestPath == "off" {
-		manifestPath = ""
+	stack, err := obs.Start(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	f, err := gbz.Load(*gbzPath)
@@ -141,28 +91,25 @@ func main() {
 	}
 	var rec *trace.Recorder
 	if *timeline != "" || *perfetto != "" {
-		rec = trace.NewRecorder(workers)
+		rec = trace.NewRecorder(stack.Workers)
 	}
 
 	w := os.Stdout
 	if *out != "" {
-		file, err := os.Create(*out)
-		if err != nil {
+		if w, err = os.Create(*out); err != nil {
 			log.Fatal(err)
 		}
-		defer file.Close()
-		w = file
 	}
 
 	opts := core.Options{
-		Threads:       *threads,
+		Threads:       cfg.Threads,
 		BatchSize:     *batch,
 		CacheCapacity: *capacity,
 		EpochCapacity: *epoch,
 		Scheduler:     kind,
 		Trace:         rec,
-		Obs:           reg,
-		Slow:          slow,
+		Obs:           stack.Reg,
+		Slow:          stack.Slow,
 	}
 	switch {
 	case *fastqPath != "":
@@ -172,23 +119,15 @@ func main() {
 	default:
 		runBatch(f, *seedsPath, w, opts)
 	}
-
-	if series != nil {
-		// Stop before the manifest so the archive's final sample reflects the
-		// whole run; a failed flight recorder fails the run loudly.
-		if err := series.Stop(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if profiles != nil {
-		// Same discipline as the series: a capture that failed mid-run fails
-		// the run, instead of committing a silently truncated profile.
-		if err := profiles.Stop(); err != nil {
+	if *out != "" {
+		// A failed close is a truncated CSV: it fails the run before the
+		// manifest can vouch for the file.
+		if err := w.Close(); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	if rec != nil && *timeline != "" {
+	if *timeline != "" {
 		file, err := os.Create(*timeline)
 		if err != nil {
 			log.Fatal(err)
@@ -212,37 +151,25 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if manifestPath != "" {
-		// Workload hashing happens after the run so it never competes with
-		// mapping for I/O bandwidth.
-		if err := man.AddWorkload("gbz", *gbzPath); err != nil {
-			log.Fatal(err)
+	// Workload hashing happens after the run so it never competes with
+	// mapping for I/O bandwidth.
+	if err := stack.AddWorkload("gbz", *gbzPath); err != nil {
+		log.Fatal(err)
+	}
+	input, label := *seedsPath, "seeds"
+	if *fastqPath != "" {
+		input, label = *fastqPath, "fastq"
+	}
+	if err := stack.AddWorkload(label, input); err != nil {
+		log.Fatal(err)
+	}
+	for _, p := range []string{*out, *timeline, *perfetto} {
+		if p != "" {
+			stack.AddResult(p)
 		}
-		input, label := *seedsPath, "seeds"
-		if *fastqPath != "" {
-			input, label = *fastqPath, "fastq"
-		}
-		if err := man.AddWorkload(label, input); err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range []string{*out, *timeline, *perfetto, *seriesPath} {
-			if p != "" {
-				man.AddResult(p)
-			}
-		}
-		if *seriesPath != "" {
-			// obsdiff resolves the archive by basename next to the manifest.
-			man.Notes["series"] = filepath.Base(*seriesPath)
-		}
-		if *profileDir != "" {
-			man.Notes["profiles"] = filepath.Base(*profileDir)
-		}
-		man.AddSlowReads(slow)
-		man.Finish(reg)
-		if err := man.Write(manifestPath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "run manifest written to %s\n", manifestPath)
+	}
+	if err := stack.Close(); err != nil {
+		log.Fatal(err)
 	}
 }
 

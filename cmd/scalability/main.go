@@ -13,8 +13,6 @@ import (
 	"flag"
 	"log"
 	"os"
-	"path/filepath"
-	"runtime"
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -23,34 +21,23 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("scalability: ")
+	cfg := obs.StackConfig{Tool: "scalability", Flags: flag.CommandLine}
 	scale := flag.Float64("scale", 1.0, "read-count scale factor")
-	threads := flag.Int("threads", 0, "local measurement threads (0 = all CPUs)")
+	flag.IntVar(&cfg.Threads, "threads", 0, "local measurement threads (0 = all CPUs)")
 	repeats := flag.Int("repeats", 1, "repeats per measured point")
 	experiment := flag.String("experiment", "all", "figure4, figure5, table7, or all")
-	manifest := flag.String("manifest", "scalability-manifest.json", "run manifest JSON path (\"off\" disables)")
-	seriesPath := flag.String("series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
-	seriesEvery := flag.Duration("series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
+	flag.StringVar(&cfg.Manifest, "manifest", "scalability-manifest.json", "run manifest JSON path (\"off\" disables)")
+	flag.StringVar(&cfg.Series, "series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
+	flag.DurationVar(&cfg.SeriesInterval, "series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
 	flag.Parse()
 
-	var reg *obs.Registry
-	var series *obs.SeriesRecorder
-	if *seriesPath != "" {
-		n := *threads
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		reg = obs.NewRegistry(n + 2)
-		var err error
-		series, err = obs.StartSeries(reg, nil, nil, *seriesPath, *seriesEvery, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
+	stack, err := obs.Start(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
 	s := experiments.NewSuite(experiments.Config{
-		Scale: *scale, Threads: *threads, Repeats: *repeats, Out: os.Stdout, Obs: reg,
+		Scale: *scale, Threads: cfg.Threads, Repeats: *repeats, Out: os.Stdout, Obs: stack.Reg,
 	})
-	man := obs.NewManifest("scalability")
-	man.AddFlagSet(flag.CommandLine)
 	run := func(name string, f func() error) {
 		if *experiment != "all" && *experiment != name {
 			return
@@ -58,24 +45,12 @@ func main() {
 		if err := f(); err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		man.Notes["ran_"+name] = "true"
+		stack.Note("ran_"+name, "true")
 	}
 	run("figure4", func() error { _, err := s.Figure4(nil); return err })
 	run("figure5", func() error { _, err := s.Figure5(); return err })
 	run("table7", func() error { _, err := s.Table7(); return err })
-	if series != nil {
-		if err := series.Stop(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *manifest != "off" && *manifest != "" {
-		if *seriesPath != "" {
-			man.AddResult(*seriesPath)
-			man.Notes["series"] = filepath.Base(*seriesPath)
-		}
-		man.Finish(reg)
-		if err := man.Write(*manifest); err != nil {
-			log.Fatal(err)
-		}
+	if err := stack.Close(); err != nil {
+		log.Fatal(err)
 	}
 }

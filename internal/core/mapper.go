@@ -239,6 +239,18 @@ func (m *Mapper) NewReader(worker int) gbwt.BiReader {
 	return m.bi.NewBiReader(m.opts.CacheCapacity)
 }
 
+// batchAttr is what a batch hands each of its records for attribution: the
+// per-batch CachedGBWT rebuild the record ran behind, an epoch publication
+// the worker performed at the preceding batch boundary, and — on the serving
+// path — the request's sub-batch slot, which the record's kernel nanos
+// accumulate into (plain adds: the sub-batch is this worker's until the batch
+// returns) and whose trace ID tags the exemplar. The zero value attributes
+// nothing; it lives on MapBatchUntil's stack and is passed by value.
+type batchAttr struct {
+	cacheNanos, sharedNanos int64
+	sb                      *obs.SubBatch
+}
+
 // MapRecord runs the two critical functions (cluster_seeds and
 // process_until_threshold_c) for one record. index is the record's global
 // position in the workload; worker tags trace spans. The reader carries the
@@ -249,24 +261,19 @@ func (m *Mapper) NewReader(worker int) gbwt.BiReader {
 //minigiraffe:hot
 func (m *Mapper) MapRecord(worker int, reader gbwt.BiReader, rec *seeds.ReadSeeds, index int) []extend.Extension {
 	st := m.acquire(reader)
-	exts := m.mapRecordSlow(worker, st, rec, index, 0, 0, nil)
+	exts := m.mapRecordSlow(worker, st, rec, index, batchAttr{})
 	m.release(st)
 	return exts
 }
 
 // mapRecordSlow is MapRecord on a state the caller acquired (once per batch,
 // so the extension environment is built once per batch too) plus the
-// slow-read exemplar capture: cacheNanos attributes the caller's per-batch CachedGBWT rebuild to each
-// read it covers, sharedNanos an epoch publication the worker performed at
-// the preceding batch boundary. The capture is allocation-free (Exemplar
-// is a value; the reservoir preallocates) and skipped entirely when no
-// reservoir is configured. sb, when non-nil, is the serving path's
-// per-sub-batch request attribution: the record's kernel nanos accumulate
-// into it (plain adds — the sub-batch is owned by this worker until the
-// batch returns) and its trace ID tags the exemplar.
+// slow-read exemplar capture. The capture is allocation-free (Exemplar is a
+// value; the reservoir preallocates) and skipped entirely when no reservoir
+// is configured.
 //
 //minigiraffe:hot
-func (m *Mapper) mapRecordSlow(worker int, st *mapState, rec *seeds.ReadSeeds, index int, cacheNanos, sharedNanos int64, sb *obs.SubBatch) []extend.Extension {
+func (m *Mapper) mapRecordSlow(worker int, st *mapState, rec *seeds.ReadSeeds, index int, at batchAttr) []extend.Extension {
 	var t0 time.Time
 	var dc, dt time.Duration
 	if m.instr {
@@ -275,22 +282,18 @@ func (m *Mapper) mapRecordSlow(worker int, st *mapState, rec *seeds.ReadSeeds, i
 	cls := st.cl.ClusterSeeds(m.dist, rec.Seeds, m.opts.Cluster, m.opts.Probe, index)
 	if m.instr {
 		dc = time.Since(t0)
-		if m.opts.Trace != nil {
-			m.opts.Trace.Record(worker, trace.RegionCluster, t0, dc)
-		}
+		m.opts.Trace.Record(worker, trace.RegionCluster, t0, dc)
 		m.met.cluster.Observe(worker, dc)
 		t0 = time.Now()
 	}
 	exts := extend.ProcessUntilThresholdC(&st.env, &rec.Read, rec.Seeds, cls, m.opts.Extend, index)
 	if m.instr {
 		dt = time.Since(t0)
-		if m.opts.Trace != nil {
-			m.opts.Trace.Record(worker, trace.RegionThresholdC, t0, dt)
-		}
+		m.opts.Trace.Record(worker, trace.RegionThresholdC, t0, dt)
 		m.met.threshold.Observe(worker, dt)
-		if sb != nil {
-			sb.ClusterNanos += int64(dc)
-			sb.ExtendNanos += int64(dt)
+		if at.sb != nil {
+			at.sb.ClusterNanos += int64(dc)
+			at.sb.ExtendNanos += int64(dt)
 		}
 		if m.slow != nil {
 			ex := obs.Exemplar{
@@ -301,11 +304,11 @@ func (m *Mapper) mapRecordSlow(worker int, st *mapState, rec *seeds.ReadSeeds, i
 				ClusterNanos:     int64(dc),
 				ExtendNanos:      int64(dt),
 				TotalNanos:       int64(dc + dt),
-				CacheBuildNanos:  cacheNanos,
-				SharedBuildNanos: sharedNanos,
+				CacheBuildNanos:  at.cacheNanos,
+				SharedBuildNanos: at.sharedNanos,
 			}
-			if sb != nil {
-				ex.Trace = sb.Trace
+			if at.sb != nil {
+				ex.Trace = at.sb.Trace
 			}
 			m.slow.Offer(worker, ex)
 		}
@@ -342,9 +345,9 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 		t0 = time.Now()
 	}
 	reader := m.NewReader(worker)
-	var cacheNanos, sharedNanos int64
+	at := batchAttr{sb: sb}
 	if m.shared != nil {
-		sharedNanos = m.pendingShared[m.sharedRow(worker)].Swap(0)
+		at.sharedNanos = m.pendingShared[m.sharedRow(worker)].Swap(0)
 	}
 	if m.instr {
 		// The per-batch CachedGBWT rebuild is Giraffe's cache lifetime —
@@ -352,11 +355,9 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 		// Under the epoch discipline this times only the private overflow
 		// construction; the shared build is attributed by TryPublishEpoch.
 		d := time.Since(t0)
-		if m.opts.Trace != nil {
-			m.opts.Trace.Record(worker, trace.RegionCacheBuild, t0, d)
-		}
+		m.opts.Trace.Record(worker, trace.RegionCacheBuild, t0, d)
 		m.met.cacheBuild.Observe(worker, d)
-		cacheNanos = int64(d)
+		at.cacheNanos = int64(d)
 		if sb != nil {
 			sb.CacheBuildNanos += int64(d)
 		}
@@ -366,7 +367,7 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 		if stop != nil && stop.Load() {
 			break
 		}
-		out[j] = m.mapRecordSlow(worker, st, &recs[j], base+j, cacheNanos, sharedNanos, sb)
+		out[j] = m.mapRecordSlow(worker, st, &recs[j], base+j, at)
 		mapped++
 	}
 	m.release(st)
@@ -418,11 +419,9 @@ func (m *Mapper) Run(records []seeds.ReadSeeds) (*Result, error) {
 	if threads != 1 {
 		run = m.WithoutProbe()
 	}
-	if opts.Trace != nil {
-		// Workers index the recorder's buffers; a caller may have sized it
-		// before the thread count was resolved.
-		opts.Trace.Grow(threads)
-	}
+	// Workers index the recorder's buffers; a caller may have sized it
+	// before the thread count was resolved.
+	opts.Trace.Grow(threads)
 	res := &Result{Extensions: make([][]extend.Extension, len(records))}
 	cacheStats := make([]gbwt.CacheStats, threads)
 

@@ -181,14 +181,9 @@ func Map(ix *Indexes, reads []dna.Read, opts Options) (*Result, error) {
 		// Preprocess: minimizers + seeds — the same Preprocess the streaming
 		// ExtractSource and capture paths run, so every route into the
 		// kernels sees identical records.
-		var endMin func()
-		if opts.Trace != nil {
-			endMin = opts.Trace.Begin(worker, trace.RegionMinimizer)
-		}
+		endMin := opts.Trace.Begin(worker, trace.RegionMinimizer)
 		rec, err := Preprocess(ix.MinIx, read)
-		if endMin != nil {
-			endMin()
-		}
+		endMin()
 		if err != nil {
 			errOnce.Do(func() { firstErr = err })
 			return
@@ -201,23 +196,13 @@ func Map(ix *Indexes, reads []dna.Read, opts Options) (*Result, error) {
 		exts := mapper.MapRecord(worker, reader, &rec, i)
 		res.Extensions[i] = exts
 		// Post-processing (the phase the proxy omits).
-		var endPost func()
-		if opts.Trace != nil {
-			endPost = opts.Trace.Begin(worker, trace.RegionPostproc)
-		}
+		endPost := opts.Trace.Begin(worker, trace.RegionPostproc)
 		res.Alignments[i] = postprocess(read, exts)
-		if endPost != nil {
-			endPost()
-		}
+		endPost()
 		// Alignment phase: gapped tail refinement of partial extensions.
-		var endAl func()
-		if opts.Trace != nil {
-			endAl = opts.Trace.Begin(worker, trace.RegionAlign)
-		}
+		endAl := opts.Trace.Begin(worker, trace.RegionAlign)
 		res.Alignments[i] = refineAlignment(ix, reader, read, res.Alignments[i])
-		if endAl != nil {
-			endAl()
-		}
+		endAl()
 	}
 
 	start := time.Now()

@@ -184,9 +184,7 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 		m = m.WithoutProbe()
 	}
 	rec := m.Options().Trace
-	if rec != nil {
-		rec.Grow(opts.Workers + 2)
-	}
+	rec.Grow(opts.Workers + 2)
 	// Observability handles. A nil registry yields nil handles whose methods
 	// are no-ops, so the stage code below records unconditionally. The stage
 	// timing itself is free: the pipeline already measures per-batch
@@ -240,9 +238,7 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 			t0 := time.Now()
 			recs, err := readBatch(src, opts.BatchSize)
 			d := time.Since(t0)
-			if rec != nil {
-				rec.Record(ingestShard, trace.RegionIngest, t0, d)
-			}
+			rec.Record(ingestShard, trace.RegionIngest, t0, d)
 			hIngest.Observe(ingestShard, d)
 			if err != nil && err != io.EOF {
 				fail(fmt.Errorf("pipeline: ingest: %w", err))
@@ -284,9 +280,7 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 		t0 := time.Now()
 		err := emitBatch(emit, j)
 		d := time.Since(t0)
-		if rec != nil {
-			rec.Record(emitShard, trace.RegionEmit, t0, d)
-		}
+		rec.Record(emitShard, trace.RegionEmit, t0, d)
 		hEmit.Observe(emitShard, d)
 		if err != nil {
 			fail(fmt.Errorf("pipeline: emit: %w", err))

@@ -309,9 +309,7 @@ func (s *Session) worker(w int) {
 			s.pipeReads.Add(w, int64(n))
 			s.pipeBatches.Inc(w)
 			j.mapDur = time.Since(t0)
-			if s.rec != nil {
-				s.rec.Record(w, trace.RegionMapBatch, t0, j.mapDur)
-			}
+			s.rec.Record(w, trace.RegionMapBatch, t0, j.mapDur)
 			s.hMap.Observe(w, j.mapDur)
 			partial := n < len(j.recs)
 			j.tr.AddMapSpan(w, t0, j.mapDur, jobSubBatch(j), partial)

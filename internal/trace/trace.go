@@ -41,7 +41,9 @@ type Span struct {
 }
 
 // Recorder collects spans with per-worker buffers (no locking on the record
-// path). The zero worker count is invalid; use NewRecorder.
+// path). The zero worker count is invalid; use NewRecorder. A nil *Recorder
+// is the disabled recorder: Grow, Begin and Record on it do nothing, so the
+// kernels record unconditionally.
 type Recorder struct {
 	epoch   time.Time
 	buffers [][]Span
@@ -76,6 +78,9 @@ func (r *Recorder) Workers() int { return len(r.buffers) }
 // goroutines) can record alongside the map workers. Not safe to call while
 // spans are being recorded; call it before the run starts.
 func (r *Recorder) Grow(workers int) {
+	if r == nil {
+		return
+	}
 	for len(r.buffers) < workers {
 		r.buffers = append(r.buffers, nil)
 	}
@@ -84,6 +89,9 @@ func (r *Recorder) Grow(workers int) {
 // Begin starts timing a region on a worker; call the returned func to end
 // it. Each worker must only be driven by one goroutine at a time.
 func (r *Recorder) Begin(worker int, region string) func() {
+	if r == nil {
+		return noop
+	}
 	start := time.Now()
 	return func() {
 		r.buffers[worker] = append(r.buffers[worker], Span{
@@ -94,8 +102,13 @@ func (r *Recorder) Begin(worker int, region string) func() {
 	}
 }
 
+func noop() {}
+
 // Record adds a completed span directly.
 func (r *Recorder) Record(worker int, region string, start time.Time, dur time.Duration) {
+	if r == nil {
+		return
+	}
 	r.buffers[worker] = append(r.buffers[worker], Span{
 		Region: region,
 		Start:  start.Sub(r.epoch),

@@ -148,6 +148,20 @@ func TestGrow(t *testing.T) {
 	}
 }
 
+// TestNilRecorderIsFree: the disabled recorder is a nil pointer the kernels
+// call into unconditionally, so it must neither crash nor allocate.
+func TestNilRecorderIsFree(t *testing.T) {
+	var r *Recorder
+	now := time.Now()
+	if n := testing.AllocsPerRun(100, func() {
+		r.Grow(4)
+		r.Record(3, RegionCluster, now, time.Millisecond)
+		r.Begin(3, RegionExtend)()
+	}); n != 0 {
+		t.Errorf("nil recorder allocates %.0f times per Grow+Record+Begin, want 0", n)
+	}
+}
+
 // TestConcurrentRecordMerge locks in the recorder's concurrency contract
 // under the race detector: the record path takes no locks, so concurrent
 // workers recording on distinct worker indices must be race-free, and

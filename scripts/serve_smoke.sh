@@ -6,7 +6,8 @@
 # different admission outcome, then a graceful-drain check:
 #
 #   1. steady:   small batches at constant RPS inside capacity — asserts
-#                2xx responses and a sane p99 service latency.
+#                2xx responses and a sane p99 service latency. The client
+#                archives its own series next to the server's.
 #   2. overload: 512-read requests split into 8 sub-batches against a
 #                4-deep mapping queue — all-or-nothing admission can never
 #                seat them, so every request 429s. Asserts >= 1 rejection.
@@ -20,7 +21,9 @@
 # have written its Perfetto request-track dump.
 #
 # Finally SIGTERM: the server must drain, write its run manifest, and exit
-# 0. All artifacts (loadgen reports, giraffed manifest + series + traces)
+# 0; then obsdiff reads the steady loadgen run against itself, which must
+# resolve the client's series and not the server's lying next to it. All
+# artifacts (loadgen reports + series, giraffed manifest + series + traces)
 # land in $SMOKE_DIR for CI upload.
 set -eu
 
@@ -54,6 +57,7 @@ echo "== phase 1: steady traffic (expect 2xx, bounded p99)"
     -clients 4 -deadline 10s \
     -report "$SMOKE_DIR/loadgen-steady.json" \
     -manifest "$SMOKE_DIR/loadgen-steady-manifest.json" \
+    -series "$SMOKE_DIR/loadgen-steady.series" \
     -assert-min-2xx 1 -assert-max-p99 "$P99_BOUND" \
     -assert-max-queue-p99 "$QUEUE_P99_BOUND"
 
@@ -107,6 +111,19 @@ if [ ! -s "$SMOKE_DIR/giraffed-reqtrace.json" ]; then
 fi
 if ! grep -q ' 504"' "$SMOKE_DIR/giraffed-reqtrace.json"; then
     echo "FAIL: Perfetto dump has no 504 request track"
+    exit 1
+fi
+
+echo "== obsdiff of the steady loadgen run against itself"
+"$GO" run ./cmd/obsdiff \
+    -baseline "$SMOKE_DIR/loadgen-steady-manifest.json" \
+    -candidate "$SMOKE_DIR/loadgen-steady-manifest.json" \
+    -report "$SMOKE_DIR/loadgen-steady-obsdiff.md"
+# pipeline_reads_total is a server-only counter: a steady-state row for it
+# means the manifest resolved giraffed.series instead of its own archive.
+if grep -q 'pipeline_reads_total (steady-state, from series)' "$SMOKE_DIR/loadgen-steady-obsdiff.md"; then
+    echo "FAIL: loadgen manifest loaded the server's series"
+    cat "$SMOKE_DIR/loadgen-steady-obsdiff.md"
     exit 1
 fi
 
