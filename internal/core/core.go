@@ -17,7 +17,8 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -140,24 +141,56 @@ func WriteCSVHeader(w io.Writer) error {
 	return err
 }
 
-// WriteCSVRecord writes one record's extension rows.
+// WriteCSVRecord writes one record's extension rows, in one Write. The rows
+// are rendered into a pooled buffer: a slice handed to an io.Writer escapes,
+// so a buffer on the stack would be an allocation per call. A caller that
+// writes many records and owns a buffer uses AppendCSVRecord directly, as
+// pipeline.CSVEmitter does.
 func WriteCSVRecord(w io.Writer, rec *seeds.ReadSeeds, exts []extend.Extension) error {
-	for _, e := range exts {
-		strand := "+"
-		if e.Rev {
-			strand = "-"
-		}
-		mism := make([]string, len(e.Mismatches))
-		for j, m := range e.Mismatches {
-			mism[j] = fmt.Sprint(m)
-		}
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%s,%d,%d,%d,%s\n",
-			rec.Read.Name, e.StartPos.Node, e.StartPos.Off, strand,
-			e.ReadStart, e.ReadEnd, e.Score, strings.Join(mism, ";")); err != nil {
-			return err
-		}
+	if len(exts) == 0 {
+		return nil
 	}
-	return nil
+	bp := csvRows.Get().(*[]byte)
+	*bp = AppendCSVRecord((*bp)[:0], rec, exts)
+	_, err := w.Write(*bp)
+	csvRows.Put(bp)
+	return err
+}
+
+var csvRows = sync.Pool{New: func() any { return new([]byte) }}
+
+// AppendCSVRecord appends one record's extension rows to buf and returns it:
+// "%s,%d,%d,%s,%d,%d,%d,%s\n" of the read name, start node and offset,
+// strand, read interval, score and the ';'-joined mismatch offsets, byte for
+// byte, without fmt.
+func AppendCSVRecord(buf []byte, rec *seeds.ReadSeeds, exts []extend.Extension) []byte {
+	for i := range exts {
+		e := &exts[i]
+		buf = append(buf, rec.Read.Name...)
+		buf = append(buf, ',')
+		buf = strconv.AppendUint(buf, uint64(e.StartPos.Node), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(e.StartPos.Off), 10)
+		if e.Rev {
+			buf = append(buf, ",-,"...)
+		} else {
+			buf = append(buf, ",+,"...)
+		}
+		buf = strconv.AppendInt(buf, int64(e.ReadStart), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(e.ReadEnd), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(e.Score), 10)
+		buf = append(buf, ',')
+		for j, m := range e.Mismatches {
+			if j > 0 {
+				buf = append(buf, ';')
+			}
+			buf = strconv.AppendInt(buf, int64(m), 10)
+		}
+		buf = append(buf, '\n')
+	}
+	return buf
 }
 
 // ValidationReport summarises the §VI-a functional validation: property (1)

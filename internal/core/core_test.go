@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -190,6 +192,53 @@ func TestWriteCSV(t *testing.T) {
 	// Mismatched lengths rejected.
 	if err := core.WriteCSV(&buf, recs[:1], res); err == nil {
 		t.Error("mismatched record count accepted")
+	}
+}
+
+// TestCSVRowsMatchFmt holds the strconv row renderer to the fmt format it
+// replaced, byte for byte, on a run's extensions plus the shapes a run here
+// does not produce (reverse strand with no mismatches, a negative score), and
+// checks that the io.Writer form costs no allocation per record.
+func TestCSVRowsMatchFmt(t *testing.T) {
+	f, recs, _ := fixture(t, 0.03)
+	res, err := core.Run(f, recs, core.Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := seeds.ReadSeeds{}
+	odd.Read.Name = "odd/1"
+	recs = append(recs, odd)
+	res.Extensions = append(res.Extensions, []extend.Extension{
+		{StartPos: vgraph.Position{Node: 4294967295, Off: 0}, Rev: true, ReadEnd: 150, Score: -7},
+		{StartPos: vgraph.Position{Node: 1, Off: 31}, ReadStart: 3, ReadEnd: 9, Score: 2, Mismatches: []int32{4, 5, 8}},
+	})
+	var got, want bytes.Buffer
+	for i := range recs {
+		if err := core.WriteCSVRecord(&got, &recs[i], res.Extensions[i]); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.Extensions[i] {
+			strand := "+"
+			if e.Rev {
+				strand = "-"
+			}
+			mism := make([]string, len(e.Mismatches))
+			for j, m := range e.Mismatches {
+				mism[j] = fmt.Sprint(m)
+			}
+			fmt.Fprintf(&want, "%s,%d,%d,%s,%d,%d,%d,%s\n", recs[i].Read.Name, e.StartPos.Node, e.StartPos.Off,
+				strand, e.ReadStart, e.ReadEnd, e.Score, strings.Join(mism, ";"))
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("rows differ from the fmt rendering:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
+	}
+	if raceEnabled {
+		return // sync.Pool drops Puts at random under the race detector
+	}
+	last := len(recs) - 1
+	if n := testing.AllocsPerRun(100, func() { _ = core.WriteCSVRecord(io.Discard, &recs[last], res.Extensions[last]) }); n != 0 {
+		t.Errorf("%.1f allocations per WriteCSVRecord, want 0", n)
 	}
 }
 

@@ -92,17 +92,46 @@ type Mapper struct {
 // of a read live in cl until the next read, and env carries the extension
 // kernel's buffers. Extensions are copied out to the caller (see extend.Env),
 // so nothing a call returns points into a pooled state.
+//
+// own is the reader pair MapBatchUntil maps through: built by the state's
+// first batch, rewound by every later one, so its tables and record slab are
+// allocated once per state and not once per batch. A *DecodedRecord it hands
+// out is therefore valid only until the state's next batch; the kernels hold
+// one no longer than a read.
 type mapState struct {
 	cl  cluster.Scratch
 	env extend.Env
+	own gbwt.BiReader
 }
 
 // acquire takes a state from the pool and points its environment at the
-// call's reader; release drops the reader (a pooled state must not keep a
-// finished batch's record cache alive) and puts the state back.
+// call's reader; release drops that reader (a pooled state must not keep a
+// caller's record cache alive; its own it keeps) and puts the state back.
 func (m *Mapper) acquire(reader gbwt.BiReader) *mapState {
 	st := m.states.Get().(*mapState)
 	st.env.Graph, st.env.Bi, st.env.Probe = m.file.Graph, reader, m.opts.Probe
+	return st
+}
+
+// acquireOwn is acquire on the state's own reader pair, made what
+// NewReader(worker) would build: the same empty tables at the configured
+// capacity, the same pinned snapshots, so a batch's probes, rehashes and
+// CacheStats do not tell the two apart.
+//
+//minigiraffe:hot
+func (m *Mapper) acquireOwn(worker int) *mapState {
+	st := m.acquire(gbwt.BiReader{})
+	switch fwd := st.own.Fwd.(type) {
+	case nil:
+		st.own = m.NewReader(worker)
+	case *gbwt.CachedGBWT:
+		fwd.Reset()
+		st.own.Rev.(*gbwt.CachedGBWT).Reset()
+	case *gbwt.EpochReader:
+		fwd.Reset(worker)
+		st.own.Rev.(*gbwt.EpochReader).Reset(worker)
+	}
+	st.env.Bi = st.own
 	return st
 }
 
@@ -316,9 +345,11 @@ func (m *Mapper) mapRecordSlow(worker int, st *mapState, rec *seeds.ReadSeeds, i
 	return exts
 }
 
-// MapBatch maps recs (whose global indices start at base) through a fresh
-// per-batch CachedGBWT, storing record j's extensions in out[j], and returns
-// the batch's drained cache statistics. len(out) must be len(recs).
+// MapBatch maps recs (whose global indices start at base) through a per-batch
+// CachedGBWT — empty at the configured capacity, as Giraffe rebuilds it, on
+// memory the pooled state keeps — storing record j's extensions in out[j],
+// and returns the batch's drained cache statistics. len(out) must be
+// len(recs).
 //
 //minigiraffe:hot
 func (m *Mapper) MapBatch(worker int, recs []seeds.ReadSeeds, base int, out [][]extend.Extension) gbwt.CacheStats {
@@ -344,7 +375,7 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 	if m.instr {
 		t0 = time.Now()
 	}
-	reader := m.NewReader(worker)
+	st := m.acquireOwn(worker)
 	at := batchAttr{sb: sb}
 	if m.shared != nil {
 		at.sharedNanos = m.pendingShared[m.sharedRow(worker)].Swap(0)
@@ -354,6 +385,8 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 		// the cost the §VII-B capacity parameter trades against hit rate.
 		// Under the epoch discipline this times only the private overflow
 		// construction; the shared build is attributed by TryPublishEpoch.
+		// A worker's first batch builds the pair, every later one rewinds
+		// it: the region is the same, its cost is a reset's.
 		d := time.Since(t0)
 		m.opts.Trace.Record(worker, trace.RegionCacheBuild, t0, d)
 		m.met.cacheBuild.Observe(worker, d)
@@ -362,7 +395,6 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 			sb.CacheBuildNanos += int64(d)
 		}
 	}
-	st := m.acquire(reader)
 	for j := range recs {
 		if stop != nil && stop.Load() {
 			break
@@ -370,8 +402,8 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 		out[j] = m.mapRecordSlow(worker, st, &recs[j], base+j, at)
 		mapped++
 	}
+	cs = ReaderCacheStats(st.own)
 	m.release(st)
-	cs = ReaderCacheStats(reader)
 	if m.shared != nil {
 		m.met.epochShared.Add(worker, cs.SharedHits)
 		m.met.epochPrivate.Add(worker, cs.Hits)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/extend"
+	"repro/internal/gbwt"
 )
 
 // TestMapRecordAllocations locks the tentpole's acceptance number: on a warm
@@ -40,6 +41,51 @@ func TestMapRecordAllocations(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no record produced an extension")
+	}
+}
+
+// TestMapBatchAllocations locks the reader lifetime: a warm MapBatch — the
+// pooled state's reader pair rewound, not rebuilt — allocates only the
+// extensions it returns (a result slice per mapped read, a Path per
+// extension and a Mismatches where there are any), under the private per-batch discipline and under
+// the epoch one, at a capacity small enough that every batch rehashes.
+func TestMapBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	f, recs, _ := fixture(t, 0.05)
+	for _, opts := range []core.Options{
+		{Threads: 1, CacheCapacity: 16},
+		{Threads: 1, CacheCapacity: 16, EpochCapacity: 64},
+	} {
+		m, err := core.NewMapper(f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]extend.Extension, len(recs))
+		var cs gbwt.CacheStats
+		for warm := 0; warm < 4; warm++ { // tables, spare tables and slab chunks settle
+			cs = m.MapBatch(0, recs, 0, out)
+		}
+		if cs.Rehashes == 0 {
+			t.Fatalf("epoch %d: the batch never rehashed; the spare table is not exercised", opts.EpochCapacity)
+		}
+		budget := 2.0 // slack
+		for _, exts := range out {
+			if len(exts) > 0 {
+				budget++
+			}
+			for _, e := range exts {
+				budget++ // Path
+				if len(e.Mismatches) > 0 {
+					budget++
+				}
+			}
+		}
+		if got := testing.AllocsPerRun(10, func() { m.MapBatch(0, recs, 0, out) }); got > budget {
+			t.Errorf("epoch %d: %.1f allocations per warm MapBatch of %d reads, budget %.0f (what it returns)",
+				opts.EpochCapacity, got, len(recs), budget)
+		}
 	}
 }
 

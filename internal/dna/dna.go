@@ -70,6 +70,12 @@ var ErrInvalidBase = errors.New("dna: invalid base character")
 // Parse converts an ACGT string to a Sequence. It returns ErrInvalidBase
 // (wrapped with position info) on any other character.
 func Parse(s string) (Sequence, error) {
+	return ParseBytes([]byte(s)) // not a copy: ParseBytes only reads s
+}
+
+// ParseBytes is Parse over bytes the caller keeps (a scanner's line buffer):
+// the Sequence is the only thing it allocates.
+func ParseBytes(s []byte) (Sequence, error) {
 	seq := make(Sequence, len(s))
 	for i := 0; i < len(s); i++ {
 		b, ok := BaseFromChar(s[i])

@@ -1,6 +1,7 @@
 package dna
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -215,5 +216,20 @@ func TestStringBuilderParity(t *testing.T) {
 	}
 	if seq.String() != sb.String() {
 		t.Errorf("String() = %q, want %q", seq.String(), sb.String())
+	}
+}
+
+// TestParseAllocatesTheSequenceOnly: neither form of Parse copies its input.
+func TestParseAllocatesTheSequenceOnly(t *testing.T) {
+	s := strings.Repeat("ACGT", 40)
+	b := []byte(s)
+	if n := testing.AllocsPerRun(100, func() { _, _ = Parse(s) }); n != 1 {
+		t.Errorf("Parse: %.0f allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParseBytes(b) }); n != 1 {
+		t.Errorf("ParseBytes: %.0f allocations, want 1", n)
+	}
+	if _, err := ParseBytes([]byte("ACNT")); !errors.Is(err, ErrInvalidBase) || err.Error() != `dna: invalid base character: 'N' at offset 2` {
+		t.Errorf("ParseBytes error = %v", err)
 	}
 }

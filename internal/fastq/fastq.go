@@ -6,6 +6,7 @@ package fastq
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -88,11 +89,13 @@ func (s *Scanner) next() (dna.Read, error) {
 			return dna.Read{}, fmt.Errorf("fastq: record %q truncated before sequence", header)
 		}
 		s.line++
-		seq, err := dna.Parse(s.sc.Text())
+		// The header is the one line kept (the name is a substring of it);
+		// the other three are read in the scanner's buffer and not copied.
+		seq, err := dna.ParseBytes(s.sc.Bytes())
 		if err != nil {
 			return dna.Read{}, fmt.Errorf("fastq: record %q: %w", header, err)
 		}
-		if !s.sc.Scan() || !strings.HasPrefix(s.sc.Text(), "+") {
+		if !s.sc.Scan() || !bytes.HasPrefix(s.sc.Bytes(), []byte("+")) {
 			return dna.Read{}, fmt.Errorf("fastq: record %q missing separator line", header)
 		}
 		s.line++
@@ -100,8 +103,8 @@ func (s *Scanner) next() (dna.Read, error) {
 			return dna.Read{}, fmt.Errorf("fastq: record %q truncated before quality", header)
 		}
 		s.line++
-		if len(s.sc.Text()) != len(seq) {
-			return dna.Read{}, fmt.Errorf("fastq: record %q quality length %d != sequence %d", header, len(s.sc.Text()), len(seq))
+		if n := len(s.sc.Bytes()); n != len(seq) {
+			return dna.Read{}, fmt.Errorf("fastq: record %q quality length %d != sequence %d", header, n, len(seq))
 		}
 		name := strings.TrimPrefix(header, "@")
 		read := dna.Read{Name: name, Seq: seq, Fragment: -1}

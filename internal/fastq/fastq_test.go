@@ -2,6 +2,8 @@ package fastq
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -162,5 +164,29 @@ func TestFastaFileRoundTrip(t *testing.T) {
 	}
 	if len(got) != 1 || !got[0].Seq.Equal(recs[0].Seq) {
 		t.Error("file round trip failed")
+	}
+}
+
+// TestScannerAllocatesNameAndSequenceOnly: of a record's four lines the
+// scanner copies one (the header, whose tail is the name) and parses one
+// into the Sequence; the separator and quality lines are read in place.
+func TestScannerAllocatesNameAndSequenceOnly(t *testing.T) {
+	const n = 200
+	var in bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&in, "@read%d/1\n%s\n+\n%s\n", i, strings.Repeat("ACGT", 25), strings.Repeat("I", 100))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		sc := NewScanner(bytes.NewReader(in.Bytes()))
+		for {
+			if _, err := sc.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if budget := float64(2*n + 8); allocs > budget { // 8: the scanner, its buffer, the reader
+		t.Errorf("%.0f allocations for %d records, want at most %.0f", allocs, n, budget)
 	}
 }

@@ -16,11 +16,17 @@ type CachedGBWT struct {
 	keys []NodeID
 	vals []*DecodedRecord
 	used int
-	// capacity 0 disables caching entirely.
-	disabled bool
+	// initial is the capacity NewCached was asked for, rounded up: the size
+	// Reset rewinds the table to. 0 disables caching entirely.
+	initial int
+	// spareKeys/spareVals are the table rehash left behind, the backing of the
+	// next rehash that fits it. Their contents are stale; a table is cleared
+	// when it goes into service, never when it leaves.
+	spareKeys []NodeID
+	spareVals []*DecodedRecord
 	// slab holds every record the table points at: a miss decodes into it
 	// instead of allocating, and it lives exactly as long as the entries do
-	// (Reset drops both).
+	// (Reset rewinds both).
 	slab recordSlab
 
 	stats CacheStats
@@ -71,15 +77,11 @@ const (
 func NewCached(g *GBWT, capacity int) *CachedGBWT {
 	c := &CachedGBWT{g: g}
 	if capacity <= 0 {
-		c.disabled = true
 		return c
 	}
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	c.keys = make([]NodeID, n)
-	c.vals = make([]*DecodedRecord, n)
+	c.initial = pow2ceil(capacity)
+	c.keys = make([]NodeID, c.initial)
+	c.vals = make([]*DecodedRecord, c.initial)
 	return c
 }
 
@@ -107,7 +109,7 @@ func (c *CachedGBWT) hash(v NodeID) int {
 //minigiraffe:hot
 func (c *CachedGBWT) Record(v NodeID) *DecodedRecord {
 	c.stats.Accesses++
-	if c.disabled {
+	if c.initial == 0 {
 		c.stats.Misses++
 		return c.g.Record(v)
 	}
@@ -146,12 +148,23 @@ func (c *CachedGBWT) insert(key NodeID, rec *DecodedRecord, slot int) {
 }
 
 // rehash doubles the table and reinserts every entry — the expensive growth
-// operation the initial-capacity parameter exists to avoid.
+// operation the initial-capacity parameter exists to avoid. The doubled table
+// is the spare one when that is large enough (it is, from a reset cache's
+// second batch of the same shape on), and the table left behind becomes the
+// spare.
 func (c *CachedGBWT) rehash() {
 	c.stats.Rehashes++
 	oldKeys, oldVals := c.keys, c.vals
-	c.keys = make([]NodeID, len(oldKeys)*2)
-	c.vals = make([]*DecodedRecord, len(oldVals)*2)
+	n := 2 * len(oldKeys)
+	if cap(c.spareKeys) >= n {
+		c.keys, c.vals = c.spareKeys[:n], c.spareVals[:n]
+		clear(c.keys)
+		clear(c.vals)
+	} else {
+		c.keys = make([]NodeID, n)
+		c.vals = make([]*DecodedRecord, n)
+	}
+	c.spareKeys, c.spareVals = oldKeys[:cap(oldKeys)], oldVals[:cap(oldVals)]
 	for i, k := range oldKeys {
 		if k == 0 {
 			continue
@@ -173,14 +186,20 @@ func (c *CachedGBWT) Extend(s SearchState, to NodeID) SearchState {
 // Find searches for a node path through the cache.
 func (c *CachedGBWT) Find(path []NodeID) SearchState { return FindWith(c, path) }
 
-// Reset drops all cached records and the slab they were decoded into,
-// keeping the current table capacity. Records handed out earlier stay valid:
-// they keep their chunks alive and no chunk is written again.
+// Reset rewinds the cache to what NewCached returned — empty, at the initial
+// capacity, counters at zero — so that the probes, inserts and rehashes of
+// the accesses that follow, and therefore their CacheStats, are those of a
+// fresh cache. What it keeps is memory only: the table's backing, the spare
+// table rehash grows into, and the largest slab chunk of each kind. Records
+// handed out before Reset are overwritten by the misses after it: a
+// *DecodedRecord is valid until the Reset that follows it, no longer.
+//
+//minigiraffe:hot
 func (c *CachedGBWT) Reset() {
-	for i := range c.keys {
-		c.keys[i] = 0
-		c.vals[i] = nil
-	}
+	c.stats = CacheStats{}
+	c.keys, c.vals = c.keys[:c.initial], c.vals[:c.initial]
+	clear(c.keys)
+	clear(c.vals)
 	c.used = 0
-	c.slab = recordSlab{}
+	c.slab.rewind()
 }

@@ -63,8 +63,10 @@ const maxVisits = math.MaxInt32
 // chunks that double in size, so a miss costs no allocation of its own and a
 // cache that stays small (one per 8-read request on the serving path) never
 // pays for a large chunk. A full chunk is not copied — the records handed
-// out keep it alive — so windows never move. A nil *recordSlab allocates
-// each part separately, which is the uncached GBWT.Record path.
+// out keep it alive — so windows never move until rewind, which starts the
+// current (largest) chunk of each kind over and so overwrites them. A nil
+// *recordSlab allocates each part separately, which is the uncached
+// GBWT.Record path.
 type recordSlab struct {
 	recs  []DecodedRecord
 	edges []Edge
@@ -78,9 +80,12 @@ const (
 	slabFirstRanks = 64
 )
 
-// slabTake returns a zeroed, capacity-clipped window of n elements from
-// *chunk, starting a chunk of twice the capacity (at least first, at least n)
-// when the current one cannot hold it.
+// slabTake returns a capacity-clipped window of n elements from *chunk,
+// starting a chunk of twice the capacity (at least first, at least n) when
+// the current one cannot hold it. The window is zeroed only in a new chunk:
+// after a rewind it holds what the last batch left, and a decode into a slab
+// (which always keeps the ranks) writes both fields of the record and every
+// element of the two lists it takes.
 func slabTake[T any](chunk *[]T, n, first int) []T {
 	c := *chunk
 	if cap(c)-len(c) < n {
@@ -90,6 +95,11 @@ func slabTake[T any](chunk *[]T, n, first int) []T {
 	c = c[:lo+n]
 	*chunk = c
 	return c[lo : lo+n : lo+n]
+}
+
+// rewind hands the current chunks out again from their start.
+func (s *recordSlab) rewind() {
+	s.recs, s.edges, s.ranks = s.recs[:0], s.edges[:0], s.ranks[:0]
 }
 
 func (s *recordSlab) record() *DecodedRecord {

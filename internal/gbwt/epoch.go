@@ -18,7 +18,8 @@ package gbwt
 //     bump lock-free frequency slots; snapshot *hits* bump per-worker
 //     per-slot counters on the snapshot itself. At batch boundaries a single
 //     builder (CAS-elected) ranks residents + candidates by observed
-//     frequency, decodes the winners, and publishes the next epoch.
+//     frequency, carries the winners already resident over, decodes the
+//     newly admitted ones, and publishes the next epoch.
 //
 // Immutability invariant: once published, a Snapshot's keys/vals are never
 // written again — readers that pinned an old epoch keep a consistent view
@@ -28,9 +29,16 @@ package gbwt
 // cache-independent by construction: every layer returns decoded records of
 // the same underlying GBWT, so mapping output is byte-identical whichever
 // layer answers (the differential harness in internal/giraffe locks this).
+//
+// Ownership: a snapshot's records are immutable, individually heap-allocated
+// and owned by the garbage collector — none is slab-backed. A resident that
+// stays ranked is decoded once and carried from snapshot to snapshot by
+// pointer; one that ages out is unreachable as soon as the last snapshot
+// holding it is, so the live snapshot never pins more than Capacity records.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -142,6 +150,15 @@ type SharedCache struct {
 
 	building  atomic.Bool
 	publishes atomic.Int64
+	// cands is Publish's candidate list, kept between publications. The
+	// building flag makes whoever holds it the only user.
+	cands []epochCand
+}
+
+// epochCand is one node competing for residence in the next epoch.
+type epochCand struct {
+	node  NodeID
+	count int64
 }
 
 // NewShared builds a shared epoch cache over g. The initial snapshot is
@@ -160,6 +177,8 @@ func NewShared(g *GBWT, cfg EpochConfig) *SharedCache {
 		cfg:       cfg,
 		slotNode:  make([]atomic.Uint64, slots),
 		slotCount: make([]atomic.Int64, slots),
+		// Every sketch slot plus every resident: Publish never grows it.
+		cands: make([]epochCand, 0, slots+cfg.Capacity),
 	}
 	c.cur.Store(&Snapshot{rows: cfg.Workers})
 	return c
@@ -202,7 +221,8 @@ func (c *SharedCache) note(v NodeID) {
 }
 
 // Publish builds and publishes the next epoch from the drained frequency
-// sketch plus the current residents ranked by their observed hits. At most
+// sketch plus the current residents ranked by their observed hits; its cost
+// follows the nodes admitted, not Capacity. At most
 // one publisher runs at a time; a concurrent call returns false without
 // blocking. Publish is the builder's entry point — it is deliberately off
 // the mapping hot path (batch boundaries only).
@@ -213,11 +233,7 @@ func (c *SharedCache) Publish() bool {
 	defer c.building.Store(false)
 	old := c.cur.Load()
 
-	type cand struct {
-		node  NodeID
-		count int64
-	}
-	cands := make([]cand, 0, len(c.slotNode)+old.used)
+	cands := c.cands[:0]
 	// Drain the sketch: candidates that missed the current snapshot.
 	for i := range c.slotNode {
 		n := c.slotNode[i].Swap(0)
@@ -225,7 +241,7 @@ func (c *SharedCache) Publish() bool {
 		if n == 0 || cnt <= 0 {
 			continue
 		}
-		cands = append(cands, cand{node: NodeID(n - 1), count: cnt})
+		cands = append(cands, epochCand{node: NodeID(n - 1), count: cnt})
 	}
 	// Current residents, ranked by this epoch's hit counters: entries that
 	// kept hitting stay; entries nobody touched age out against fresh
@@ -234,15 +250,13 @@ func (c *SharedCache) Publish() bool {
 		if k == 0 {
 			continue
 		}
-		cands = append(cands, cand{node: k - 1, count: old.slotHits(i)})
+		cands = append(cands, epochCand{node: k - 1, count: old.slotHits(i)})
 	}
+	c.cands = cands
 	// A node can appear as both resident and sketch candidate (a reader
 	// pinned to an older epoch missed it); merge counts deterministically.
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].node != cands[b].node {
-			return cands[a].node < cands[b].node
-		}
-		return cands[a].count > cands[b].count
+	slices.SortFunc(cands, func(a, b epochCand) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(b.count, a.count))
 	})
 	merged := cands[:0]
 	for _, cd := range cands {
@@ -254,11 +268,8 @@ func (c *SharedCache) Publish() bool {
 	}
 	// Rank by frequency, ties by node id so equal-frequency publishes are
 	// deterministic within a run.
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].count != merged[b].count {
-			return merged[a].count > merged[b].count
-		}
-		return merged[a].node < merged[b].node
+	slices.SortFunc(merged, func(a, b epochCand) int {
+		return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.node, b.node))
 	})
 	if len(merged) > c.cfg.Capacity {
 		merged = merged[:c.cfg.Capacity]
@@ -272,7 +283,12 @@ func (c *SharedCache) Publish() bool {
 		snap.hits = make([]atomic.Int64, c.cfg.Workers*size)
 		mask := uint32(size - 1)
 		for _, cd := range merged {
-			rec := c.g.Record(cd.node)
+			// Carry-over: a resident that stays ranked keeps the record the
+			// replaced snapshot holds; only a newly admitted node is decoded.
+			rec, _ := old.lookup(cd.node)
+			if rec == nil {
+				rec = c.g.Record(cd.node)
+			}
 			if rec == nil {
 				continue // unvisited node noted by a stale sketch entry
 			}
@@ -293,7 +309,7 @@ func (c *SharedCache) Publish() bool {
 // EpochReader reads snapshot-first with a private CachedGBWT overflow — the
 // per-worker, per-batch reader of the epoch discipline. Not safe for
 // concurrent use (the overflow layer is private); each worker builds its own
-// per batch, which pins one snapshot for the whole batch.
+// and Resets it per batch, which pins one snapshot for the whole batch.
 type EpochReader struct {
 	c    *SharedCache
 	snap *Snapshot
@@ -307,19 +323,30 @@ type EpochReader struct {
 // overflow cache of the given capacity (the §VII-B knob; 0 disables the
 // overflow layer so every snapshot miss decompresses).
 func (c *SharedCache) NewReader(worker, overflowCapacity int) *EpochReader {
-	row := worker
-	if row < 0 {
-		row = 0
-	}
-	if row >= c.cfg.Workers {
-		row = c.cfg.Workers - 1
-	}
 	return &EpochReader{
 		c:    c,
 		snap: c.cur.Load(),
 		over: NewCached(c.g, overflowCapacity),
-		row:  row,
+		row:  c.row(worker),
 	}
+}
+
+// row clamps a worker index onto the hit-counter rows.
+func (c *SharedCache) row(worker int) int {
+	return min(max(worker, 0), c.cfg.Workers-1)
+}
+
+// Reset makes r what NewReader(worker, …) would return now — the current
+// snapshot pinned, the overflow rewound (CachedGBWT.Reset), counters at
+// zero — without building anything. Records r handed out before are invalid
+// after it unless they came from a snapshot.
+//
+//minigiraffe:hot
+func (r *EpochReader) Reset(worker int) {
+	r.snap = r.c.cur.Load()
+	r.over.Reset()
+	r.row = r.c.row(worker)
+	r.sharedHits = 0
 }
 
 // Base implements Reader.

@@ -3,9 +3,11 @@ package gbwt
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // epochPaths is a larger path set than the diamond fixture so the frequency
@@ -269,10 +271,13 @@ func TestSharedBiCacheInterval(t *testing.T) {
 }
 
 // TestEpochRace is the publish/read stress test: readers hammer snapshot
-// lookups (pinning fresh snapshots every "batch") while a builder
+// lookups (re-pinning the live snapshot every "batch") while a builder
 // republishes concurrently and every goroutine feeds the frequency sketch.
-// Run under -race this exercises the immutability invariant — published
-// tables are never written, the atomic.Pointer swap is the only handoff.
+// Two more readers pin epoch 1 once and read through it until epoch 201 is
+// out: the residents they hit are carried over, by pointer, into snapshots
+// the builder is assembling at that moment. Run under -race this exercises
+// the immutability invariant — published tables and the records they share
+// are never written, the atomic.Pointer swap is the only handoff.
 func TestEpochRace(t *testing.T) {
 	g := mustGBWT(t, epochPaths())
 	c := NewShared(g, EpochConfig{Capacity: 4, Workers: 4})
@@ -280,24 +285,63 @@ func TestEpochRace(t *testing.T) {
 	for _, v := range allNodes() {
 		want[v] = g.Record(v)
 	}
+	// Epoch 1 has residents before anyone pins it.
+	for _, v := range allNodes() {
+		c.note(v)
+	}
+	c.Publish()
 	var stopFlag atomic.Bool
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
+	fail := func(msg string) { // first few failures are kept, nobody blocks
+		select {
+		case errs <- msg:
+		default:
+		}
+	}
+	var pinned sync.WaitGroup // the builder starts once both are reading
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		pinned.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			r := c.NewReader(worker, 2) // pinned to epoch 1 for good
+			nodes := allNodes()
+			ready := false
+			defer func() {
+				if !ready {
+					pinned.Done()
+				}
+			}()
+			for i := 0; !stopFlag.Load(); i++ {
+				if i == len(nodes) {
+					ready = true
+					pinned.Done()
+				}
+				v := nodes[i%len(nodes)]
+				if got := r.Record(v); !reflect.DeepEqual(got, want[v]) {
+					fail("record mismatch through a reader pinned to an old epoch")
+					return
+				}
+			}
+			if e := r.Snapshot().Epoch(); e != 1 || r.Stats().SharedHits == 0 {
+				fail("pinned reader left epoch 1 or never hit its snapshot")
+			}
+		}(w)
+	}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(worker)))
 			nodes := allNodes()
+			r := c.NewReader(worker, 2)
 			for !stopFlag.Load() {
-				r := c.NewReader(worker, 2) // fresh batch: pin the live snapshot
+				r.Reset(worker) // next batch: pin the live snapshot
 				for j := 0; j < 64; j++ {
 					v := nodes[rng.Intn(len(nodes))]
 					if got := r.Record(v); !reflect.DeepEqual(got, want[v]) {
-						select {
-						case errs <- "record mismatch under concurrent publish":
-						default:
-						}
+						fail("record mismatch under concurrent publish")
 						return
 					}
 				}
@@ -307,6 +351,7 @@ func TestEpochRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		pinned.Wait()
 		for i := 0; i < 200; i++ {
 			c.Publish()
 		}
@@ -318,8 +363,8 @@ func TestEpochRace(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if c.Publishes() != 200 {
-		t.Fatalf("publishes = %d, want 200", c.Publishes())
+	if c.Publishes() != 201 {
+		t.Fatalf("publishes = %d, want 201", c.Publishes())
 	}
 }
 
@@ -350,5 +395,209 @@ func TestPublishExclusion(t *testing.T) {
 	}
 	if got := c.Publishes(); got != published.Load() {
 		t.Fatalf("publish count %d != winners %d", got, published.Load())
+	}
+}
+
+// hitResidents gives every resident of the live snapshot n hits through r
+// (re-pinned first), so all of them rank at n in the next publication.
+func hitResidents(r *EpochReader, n int) {
+	r.Reset(0)
+	for _, k := range r.snap.keys {
+		for i := 0; k != 0 && i < n; i++ {
+			r.Record(k - 1)
+		}
+	}
+}
+
+// noteTimes feeds v into the frequency sketch n times.
+func noteTimes(c *SharedCache, v NodeID, n int) {
+	for i := 0; i < n; i++ {
+		c.note(v)
+	}
+}
+
+// TestPublishCarriesResidentsOver locks the lifetime of a snapshot's records:
+// decoded once when admitted, shared by pointer for as long as they stay
+// ranked, collectable once they age out.
+func TestPublishCarriesResidentsOver(t *testing.T) {
+	g, _ := buildRandomHaplotypes(t, 59, 12)
+	nodes := visitedNodes(g)[1:] // without the endmarker
+
+	t.Run("pointer identity", func(t *testing.T) {
+		c := NewShared(g, EpochConfig{Capacity: 8})
+		hot := nodes[0]
+		noteTimes(c, hot, 100)
+		c.Publish()
+		first, _ := c.Current().lookup(hot)
+		if first == nil {
+			t.Fatal("hot node not admitted")
+		}
+		r := c.NewReader(0, 0)
+		for epoch := 2; epoch <= 6; epoch++ {
+			r.Reset(0)
+			for i := 0; i < 100; i++ {
+				r.Record(hot)
+			}
+			// The rest of the snapshot turns over under it.
+			for _, v := range nodes[epoch*8 : epoch*8+8] {
+				noteTimes(c, v, 10)
+			}
+			c.Publish()
+			if got, _ := c.Current().lookup(hot); got != first {
+				t.Fatalf("epoch %d: the resident was decoded again (%p, first %p)", epoch, got, first)
+			}
+		}
+	})
+
+	t.Run("publish cost follows admissions", func(t *testing.T) {
+		// One snapshot and its three tables, then three objects per decoded
+		// record: the bound has no Capacity in it.
+		const admitted = 2
+		const bound = 4 + 3*admitted
+		for _, capacity := range []int{8, 64} {
+			c := NewShared(g, EpochConfig{Capacity: capacity})
+			for _, v := range nodes[:capacity] {
+				noteTimes(c, v, 10)
+			}
+			c.Publish()
+			if c.Resident() < capacity*3/4 {
+				t.Fatalf("capacity %d: only %d residents after warm-up", capacity, c.Resident())
+			}
+			r := c.NewReader(0, 0)
+			next := capacity
+			allocs := testing.AllocsPerRun(20, func() {
+				hitResidents(r, 10)
+				for i := 0; i < admitted; i++ {
+					noteTimes(c, nodes[next%len(nodes)], 1000)
+					next++
+				}
+				c.Publish()
+			})
+			if allocs > bound {
+				t.Errorf("capacity %d: %.1f allocations per steady-state Publish admitting %d nodes, want at most %d",
+					capacity, allocs, admitted, bound)
+			}
+			if rec, _ := c.Current().lookup(nodes[(next-1)%len(nodes)]); rec == nil {
+				t.Errorf("capacity %d: the last node noted was not admitted", capacity)
+			}
+		}
+	})
+
+	t.Run("aged-out records are collectable", func(t *testing.T) {
+		const capacity, epochs = 16, 1000
+		c := NewShared(g, EpochConfig{Capacity: capacity})
+		// The first resident has the largest node id: it loses every tie and
+		// is among the first to age out.
+		last := len(nodes) - 1
+		noteTimes(c, nodes[last], 10)
+		c.Publish()
+		collected := make(chan struct{})
+		rec, _ := c.Current().lookup(nodes[last])
+		runtime.SetFinalizer(rec, func(*DecodedRecord) { close(collected) })
+		rec = nil
+
+		heapObjects := func() uint64 {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return ms.HeapObjects
+		}
+		r := c.NewReader(0, 0)
+		var before uint64
+		for e := 0; e < epochs; e++ {
+			if e == 10 { // the snapshot is full and turning over by now
+				before = heapObjects()
+			}
+			// A hot set that shifts by four nodes an epoch: the four newest
+			// outrank the residents, the four oldest residents age out.
+			hitResidents(r, 1+e%3)
+			for i := 0; i < 4; i++ {
+				noteTimes(c, nodes[(4*e+i)%last], 100)
+			}
+			c.Publish()
+			if n := c.Resident(); n > capacity {
+				t.Fatalf("epoch %d: %d residents, capacity %d", e, n, capacity)
+			}
+		}
+		// 4 000 records were admitted after the first reading; had each
+		// stayed reachable the heap would hold 12 000 objects more.
+		after := heapObjects()
+		runtime.KeepAlive(c) // measured with the live snapshot reachable
+		if after > before+3*capacity+64 {
+			t.Errorf("heap grew from %d to %d objects over %d epochs: aged-out records are retained",
+				before, after, epochs-10)
+		}
+		select {
+		case <-collected:
+		case <-time.After(5 * time.Second):
+			runtime.GC()
+			select {
+			case <-collected:
+			case <-time.After(5 * time.Second):
+				t.Error("the first epoch's record was never collected after it aged out")
+			}
+		}
+	})
+}
+
+// TestRewoundReaderMatchesFresh: over random multi-batch access sequences, a
+// reader that is Reset between batches cannot be told from one built fresh
+// for each — same records, and the same CacheStats field by field, rehashes
+// included — at every capacity, with caching off, and under the epoch
+// discipline with publications between the batches.
+func TestRewoundReaderMatchesFresh(t *testing.T) {
+	g, _ := buildRandomHaplotypes(t, 61, 12)
+	nodes := visitedNodes(g)
+	same := func(t *testing.T, batch int, got, want Reader, v NodeID) {
+		t.Helper()
+		if a, b := got.Record(v), want.Record(v); !reflect.DeepEqual(a, b) {
+			t.Fatalf("batch %d node %d: rewound reader returned %+v, fresh %+v", batch, v, a, b)
+		}
+	}
+	// access draws a batch's node sequence: a random length (so batches
+	// rehash a different number of times) over a random window of the nodes.
+	access := func(rng *rand.Rand) []NodeID {
+		span := 1 + rng.Intn(len(nodes))
+		lo := rng.Intn(len(nodes) - span + 1)
+		seq := make([]NodeID, 1+rng.Intn(1500))
+		for i := range seq {
+			seq[i] = nodes[lo+rng.Intn(span)]
+		}
+		return seq
+	}
+	for _, capacity := range []int{0, 1, 64, 256} {
+		rng := rand.New(rand.NewSource(int64(capacity) + 7))
+		rewound := NewCached(g, capacity)
+		shared := NewShared(g, EpochConfig{Capacity: 32, Workers: 2})
+		epochRewound := shared.NewReader(0, capacity)
+		for batch := 0; batch < 30; batch++ {
+			seq := access(rng)
+
+			rewound.Reset()
+			fresh := NewCached(g, capacity)
+			for _, v := range seq {
+				same(t, batch, rewound, fresh, v)
+			}
+			if rewound.Stats() != fresh.Stats() || rewound.Capacity() != fresh.Capacity() || rewound.Len() != fresh.Len() {
+				t.Fatalf("capacity %d batch %d: rewound %+v cap %d len %d, fresh %+v cap %d len %d", capacity, batch,
+					rewound.Stats(), rewound.Capacity(), rewound.Len(), fresh.Stats(), fresh.Capacity(), fresh.Len())
+			}
+
+			worker := batch % 3 // 2 is out of range: both must clamp alike
+			epochRewound.Reset(worker)
+			epochFresh := shared.NewReader(worker, capacity)
+			if epochRewound.Snapshot() != epochFresh.Snapshot() || epochRewound.row != epochFresh.row {
+				t.Fatalf("capacity %d batch %d: re-pinned reader is on another snapshot or row", capacity, batch)
+			}
+			for _, v := range seq {
+				same(t, batch, epochRewound, epochFresh, v)
+			}
+			if a, b := epochRewound.Stats(), epochFresh.Stats(); a != b {
+				t.Fatalf("capacity %d batch %d: epoch reader rewound %+v, fresh %+v", capacity, batch, a, b)
+			}
+			if batch%2 == 1 {
+				shared.Publish()
+			}
+		}
 	}
 }

@@ -94,22 +94,48 @@ func TestSlabGrowsFromSmallChunks(t *testing.T) {
 	}
 }
 
-// TestResetDropsSlab: Reset lets go of the slab with the entries, and a
-// record handed out before it stays valid and unchanged afterwards.
-func TestResetDropsSlab(t *testing.T) {
+// TestResetKeepsMemory is Reset's contract: the cache comes back empty at
+// its initial capacity, and a batch replayed on it — rehashes and slab chunk
+// turnovers included — allocates nothing, because the table backing, the
+// spare table and the largest chunk of each kind are what Reset keeps. The
+// records of the batch before are overwritten, not preserved.
+func TestResetKeepsMemory(t *testing.T) {
 	g, _ := buildRandomHaplotypes(t, 53, 6)
 	nodes := visitedNodes(g)
-	c := NewCached(g, 64)
-	before := c.Record(nodes[1])
-	want := g.Record(nodes[1])
+	c := NewCached(g, 16)
+	batch := func() {
+		for _, v := range nodes {
+			if c.Record(v) == nil {
+				t.Fatal("nil record")
+			}
+		}
+	}
+	batch()
+	grown, first := c.Capacity(), c.Stats()
+	if first.Rehashes == 0 {
+		t.Fatalf("fixture too small: %d nodes never outgrew 16 slots", len(nodes))
+	}
 	c.Reset()
-	if c.slab.recs != nil || c.slab.edges != nil || c.slab.ranks != nil {
-		t.Error("Reset kept the slab")
+	if c.Capacity() != 16 || c.Len() != 0 || c.Stats() != (CacheStats{}) {
+		t.Fatalf("after Reset: capacity %d, %d records, stats %+v; want 16, 0, zero",
+			c.Capacity(), c.Len(), c.Stats())
+	}
+	// Two replays settle the chunks (the second batch still doubles the one
+	// the first ended on); from then on a batch costs no allocation.
+	batch()
+	c.Reset()
+	batch()
+	if allocs := testing.AllocsPerRun(10, func() { c.Reset(); batch() }); allocs != 0 {
+		t.Errorf("%.1f allocations per replayed batch on a reset cache, want 0", allocs)
+	}
+	if c.Capacity() != grown || c.Stats() != first {
+		t.Errorf("replayed batch: capacity %d, stats %+v; the first one had %d, %+v",
+			c.Capacity(), c.Stats(), grown, first)
 	}
 	for _, v := range nodes {
-		c.Record(v)
-	}
-	if !slices.Equal(before.Edges, want.Edges) || !bytes.Equal(before.Ranks, want.Ranks) {
-		t.Errorf("record handed out before Reset changed: %+v, want %+v", before, want)
+		got, want := c.Record(v), g.Record(v)
+		if !slices.Equal(got.Edges, want.Edges) || !bytes.Equal(got.Ranks, want.Ranks) {
+			t.Fatalf("node %d: record on rewound memory %+v != heap record %+v", v, got, want)
+		}
 	}
 }

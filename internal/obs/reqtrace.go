@@ -38,7 +38,9 @@ const (
 	// SpanEmit covers response construction and serialisation.
 	SpanEmit = "emit"
 	// SpanCancel marks a sub-batch skipped outright because the request's
-	// deadline fired while it was still queued.
+	// deadline fired while it was still queued, or (worker -1) a request whose
+	// deadline fired before it was queued at all: during seed extraction, or
+	// by the time the session saw it.
 	SpanCancel = "cancel"
 )
 

@@ -105,6 +105,8 @@ type Emitter interface {
 // core.WriteCSV over the same workload.
 type CSVEmitter struct {
 	bw *bufio.Writer
+	// row is the one buffer every record's rows are rendered into.
+	row []byte
 }
 
 // NewCSVEmitter writes the header and returns the emitter. Call Flush when
@@ -119,7 +121,9 @@ func NewCSVEmitter(w io.Writer) (*CSVEmitter, error) {
 
 // Emit implements Emitter.
 func (e *CSVEmitter) Emit(rec *seeds.ReadSeeds, exts []extend.Extension) error {
-	return core.WriteCSVRecord(e.bw, rec, exts)
+	e.row = core.AppendCSVRecord(e.row[:0], rec, exts)
+	_, err := e.bw.Write(e.row)
+	return err
 }
 
 // Flush drains the buffered output.

@@ -195,7 +195,8 @@ func (s *Session) Submit(ctx context.Context, recs []seeds.ReadSeeds) ([][]exten
 
 // SubmitTraced is Submit with request-trace attribution: every sub-batch the
 // request spawns records queue_wait and map_subbatch spans (cancel markers
-// for skipped ones) into rt, worker-attributed and carrying the kernel nanos
+// for skipped ones, and one for a request whose context is done on arrival)
+// into rt, worker-attributed and carrying the kernel nanos
 // MapBatchUntil accumulates, and the request's trace ID rides into the
 // slow-read exemplars. A nil rt is exactly Submit.
 func (s *Session) SubmitTraced(ctx context.Context, recs []seeds.ReadSeeds, rt *obs.ReqTrace) ([][]extend.Extension, error) {
@@ -203,6 +204,9 @@ func (s *Session) SubmitTraced(ctx context.Context, recs []seeds.ReadSeeds, rt *
 		return nil, ErrSessionClosed
 	}
 	if err := ctx.Err(); err != nil {
+		// Expired before it was queued: no worker will see it, so the
+		// cancellation is marked here.
+		rt.AddSpan(obs.SpanCancel, -1, time.Now(), 0)
 		return nil, err
 	}
 	out := make([][]extend.Extension, len(recs))

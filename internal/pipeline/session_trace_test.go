@@ -121,3 +121,31 @@ func TestSessionOverloadQueueWaitAgreement(t *testing.T) {
 			spanSeconds, h.SumSeconds, diff)
 	}
 }
+
+// TestSubmitTracedMarksExpiredOnArrival: a request whose context is already
+// done is never queued, so no worker can mark it; the session leaves the one
+// cancel span itself, on the handler's row (worker -1).
+func TestSubmitTracedMarksExpiredOnArrival(t *testing.T) {
+	tracer := obs.NewReqTracer(1, 1, 4, nil)
+	sess, err := pipeline.NewSession(&fakeMapper{}, pipeline.Options{Workers: 1, BatchSize: 4, Depth: 8}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rt := tracer.Start(trace.ID{Hi: 2, Lo: 71}, "c")
+	if _, err := sess.SubmitTraced(ctx, mkRecs(10), rt); err != context.Canceled {
+		t.Fatalf("SubmitTraced on a done context: %v, want context.Canceled", err)
+	}
+	tracer.Finish(rt, 504)
+	snap := tracer.Snapshot()
+	if len(snap.Traces) != 1 {
+		t.Fatalf("sampled %d traces, want 1", len(snap.Traces))
+	}
+	spans := snap.Traces[0].Spans
+	if len(spans) != 1 || spans[0].Name != obs.SpanCancel || spans[0].Worker != -1 {
+		t.Fatalf("spans = %+v, want one cancel span on worker -1", spans)
+	}
+}

@@ -16,11 +16,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -263,10 +263,16 @@ func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, sh int, id tra
 		return s.reject(w, http.StatusServiceUnavailable, "draining")
 	}
 	var req MapRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err == nil {
-		err = json.Unmarshal(body, &req)
+	body := getBuf()
+	if n := r.ContentLength; n > 0 {
+		// MinRead more, or ReadFrom grows the buffer to see the EOF.
+		body.Grow(int(min(n, maxPooledBuf)) + bytes.MinRead)
 	}
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	if err == nil {
+		err = json.Unmarshal(body.Bytes(), &req)
+	}
+	putBuf(body) // Unmarshal copied every string it kept
 	if err != nil {
 		s.badRequests.Inc(sh)
 		return s.fail(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
@@ -327,6 +333,12 @@ func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, sh int, id tra
 	defer s.labels.Clear()
 	recs := make([]seeds.ReadSeeds, len(req.Reads))
 	for i, wr := range req.Reads {
+		// The deadline covers extraction too: a request that expires here
+		// stops at this read, not after preprocessing all of them.
+		if err := ctx.Err(); err != nil {
+			rt.AddSpan(obs.SpanCancel, -1, time.Now(), 0)
+			return s.failCanceled(w, sh, err, deadline)
+		}
 		seq, err := dna.Parse(wr.Seq)
 		if err != nil {
 			s.badRequests.Inc(sh)
@@ -353,13 +365,8 @@ func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, sh int, id tra
 	case errors.Is(err, pipeline.ErrSessionClosed):
 		s.drainRejects.Inc(sh)
 		return s.reject(w, http.StatusServiceUnavailable, "draining")
-	case errors.Is(err, context.DeadlineExceeded):
-		s.deadlineHits.Inc(sh)
-		return s.fail(w, http.StatusGatewayTimeout, fmt.Errorf("deadline %v exceeded", deadline))
 	default:
-		// context.Canceled: the client went away; the response is best
-		// effort.
-		return s.fail(w, http.StatusServiceUnavailable, err)
+		return s.failCanceled(w, sh, err, deadline)
 	}
 
 	emitStart := time.Now()
@@ -473,16 +480,52 @@ func (s *Server) reject(w http.ResponseWriter, status int, msg string) int {
 	return status
 }
 
+// failCanceled answers a request whose context ended before its results
+// were complete: 504 when the deadline fired, 503 (best effort — the client
+// went away) for any other cancellation.
+func (s *Server) failCanceled(w http.ResponseWriter, sh int, err error, deadline time.Duration) int {
+	if errors.Is(err, context.DeadlineExceeded) {
+		s.deadlineHits.Inc(sh)
+		return s.fail(w, http.StatusGatewayTimeout, fmt.Errorf("deadline %v exceeded", deadline))
+	}
+	return s.fail(w, http.StatusServiceUnavailable, err)
+}
+
 func (s *Server) fail(w http.ResponseWriter, status int, err error) int {
 	s.writeJSON(w, status, errorBody{Error: err.Error()})
 	return status
 }
 
+// writeJSON encodes v into a pooled buffer and writes it once.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the response is already committed; nothing to do
+	buf := getBuf()
+	// The response is already committed: on an encoding or write error
+	// there is nothing left to do (a failed Encode leaves the body empty).
+	_ = json.NewEncoder(buf).Encode(v)
+	_, _ = w.Write(buf.Bytes())
+	putBuf(buf)
+}
+
+// maxBody bounds a /map request body.
+const maxBody = 64 << 20
+
+// maxPooledBuf is the largest buffer kept between requests, and the most a
+// Content-Length header is trusted to pre-size one: a rare huge body must
+// not pin its buffer in the pool, and a header alone must not cost more.
+const maxPooledBuf = 1 << 20
+
+// bufs holds the request-body and response buffers of the JSON handlers.
+var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuf() *bytes.Buffer { return bufs.Get().(*bytes.Buffer) }
+
+func putBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuf {
+		b.Reset()
+		bufs.Put(b)
+	}
 }
 
 // retryAfterSeconds renders d for the Retry-After header (integer seconds,

@@ -3,11 +3,14 @@ package serve_test
 import (
 	"encoding/json"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dna"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/seeds"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -159,6 +162,51 @@ func TestTrace504KeptWithCancellation(t *testing.T) {
 	}
 	if names[obs.SpanEmit] != 0 {
 		t.Fatal("504 trace has an emit span; the response was an error body")
+	}
+}
+
+// TestDeadlineStopsExtraction: the deadline is honoured before the queue. A
+// 256-read request whose deadline fires during preprocessing stops
+// extracting at that read, answers 504, and its trace carries a cancel
+// marker from the handler (worker -1) — it was never queued, so no worker
+// could have left one.
+func TestDeadlineStopsExtraction(t *testing.T) {
+	tracer := obs.NewReqTracer(1, 1, 8, nil)
+	var extracted atomic.Int64
+	ts, reg := harness(t, &fakeMapper{}, pipeline.Options{Workers: 1, BatchSize: 8, Depth: 64},
+		serve.Config{Traces: tracer, Extract: func(read *dna.Read) (seeds.ReadSeeds, error) {
+			extracted.Add(1)
+			time.Sleep(time.Millisecond)
+			return seeds.ReadSeeds{Read: *read}, nil
+		}})
+
+	id := trace.ID{Hi: 6, Lo: 1}
+	resp := postMap(t, ts.URL, mapBody(t, 256), map[string]string{
+		trace.TraceparentHeader: trace.Traceparent(id),
+		"X-Deadline-Ms":         "10",
+	})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+	if n := extracted.Load(); n == 0 || n > 64 {
+		t.Fatalf("%d of 256 reads preprocessed under a 10 ms deadline at 1 ms each", n)
+	}
+	if got := reg.Snapshot().Counters[obs.MetricServeDeadline]; got != 1 {
+		t.Fatalf("serve_deadline counter = %d, want 1", got)
+	}
+	tr := findTrace(getTraces(t, ts.URL), id)
+	if tr == nil {
+		t.Fatal("504 trace not retained")
+	}
+	names := spanNames(tr)
+	if names[obs.SpanCancel] != 1 || names[obs.SpanAdmit] != 1 || names[obs.SpanQueueWait] != 0 {
+		t.Fatalf("span census = %v, want one cancel, one admit, nothing queued", names)
+	}
+	for _, sp := range tr.Spans {
+		if sp.Name == obs.SpanCancel && sp.Worker != -1 {
+			t.Fatalf("cancel span on worker %d, want the handler's -1", sp.Worker)
+		}
 	}
 }
 
