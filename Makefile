@@ -72,9 +72,9 @@ fuzz-smoke:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# lint runs the project-specific analyzers (atomicmix, cachepow2, ctxflow,
-# escapebudget, hotalloc, hotpath, metricname, nakedgoroutine, probeexclusive,
-# tracepair) over the whole tree. Zero findings required. LINT_REPORT_DIR
+# lint runs the seven project-specific analyzers (atomicmix, ctxflow,
+# escapebudget, hotalloc, hotpath, metricname, nakedgoroutine) over the whole
+# tree. Zero findings required. LINT_REPORT_DIR
 # archives vetgiraffe.txt and escapes_diff.txt for CI artifact upload.
 LINT_REPORT_DIR ?= lint-report
 lint:

@@ -33,7 +33,7 @@ func main() {
 	outdir := flag.String("outdir", "results", "directory for CSV artefacts")
 	only := flag.String("only", "", "run a single experiment (table1, figure2, ... anova)")
 	flag.StringVar(&cfg.Manifest, "manifest", "", "run manifest JSON path (default <outdir>/run-manifest.json; \"off\" disables)")
-	flag.StringVar(&cfg.Series, "series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
+	flag.StringVar(&cfg.Series, "series", "", "archive a JSON-lines metric time-series here (flight recorder; enables the metrics registry)")
 	flag.DurationVar(&cfg.SeriesInterval, "series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
 	flag.StringVar(&cfg.Profile, "profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
 	flag.Parse()

@@ -67,7 +67,7 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After advertised on 429/503")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	flag.StringVar(&cfg.Manifest, "manifest", "", "write the run manifest JSON here on shutdown")
-	flag.StringVar(&cfg.Series, "series", "", "archive a delta-encoded metric time-series here (flight recorder)")
+	flag.StringVar(&cfg.Series, "series", "", "archive a JSON-lines metric time-series here (flight recorder)")
 	flag.DurationVar(&cfg.SeriesInterval, "series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
 	flag.IntVar(&cfg.Slow, "slow", 0, "retain the K slowest reads as exemplars (served at /slow, archived in the manifest)")
 	flag.IntVar(&cfg.TraceK, "trace-k", 32, "tail-sample the K slowest 2xx requests per worker shard (0 disables request tracing)")

@@ -13,8 +13,8 @@
 // Reads are drawn round-robin from a FASTQ file (genworkload's .fq output
 // works directly) in batches of -batch per request. Counters and client-side
 // latency histograms are recorded under loadgen_* with the common
-// observability flags (README "Observability"), so cmd/obsdiff can diff two
-// loadgen runs.
+// observability flags (README "Observability"), so a loadgen run leaves the
+// same manifest and series a mapping run does.
 //
 // The -assert-* flags turn the harness into a CI gate (make serve-smoke):
 // the exit status is non-zero when an assertion fails.

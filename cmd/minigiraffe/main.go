@@ -64,7 +64,7 @@ func main() {
 	flag.StringVar(&cfg.Manifest, "manifest", "", "run manifest JSON path (default <out>.manifest.json when -out is set; \"off\" disables)")
 	flag.BoolVar(&cfg.Obs, "obs", false, "enable the metrics registry (kernel/stage histograms, scheduler counters) even without -debug-addr")
 	flag.StringVar(&cfg.DebugAddr, "debug-addr", "", "serve pprof, expvar, /metrics, /progress and /slow on this address (e.g. localhost:6060); enables the metrics registry")
-	flag.StringVar(&cfg.Series, "series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
+	flag.StringVar(&cfg.Series, "series", "", "archive a JSON-lines metric time-series here (flight recorder; enables the metrics registry)")
 	flag.DurationVar(&cfg.SeriesInterval, "series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
 	flag.IntVar(&cfg.Slow, "slow", 0, "retain the K slowest reads as exemplars (served at /slow, archived in the manifest)")
 	flag.StringVar(&cfg.Profile, "profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")

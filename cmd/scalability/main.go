@@ -27,7 +27,7 @@ func main() {
 	repeats := flag.Int("repeats", 1, "repeats per measured point")
 	experiment := flag.String("experiment", "all", "figure4, figure5, table7, or all")
 	flag.StringVar(&cfg.Manifest, "manifest", "scalability-manifest.json", "run manifest JSON path (\"off\" disables)")
-	flag.StringVar(&cfg.Series, "series", "", "archive a delta-encoded metric time-series here (flight recorder; enables the metrics registry)")
+	flag.StringVar(&cfg.Series, "series", "", "archive a JSON-lines metric time-series here (flight recorder; enables the metrics registry)")
 	flag.DurationVar(&cfg.SeriesInterval, "series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
 	flag.Parse()
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	vetgiraffe [-only atomicmix,tracepair] [-list] [-workers N]
+//	vetgiraffe [-only atomicmix,hotpath] [-list] [-workers N]
 //	           [-reportdir DIR] [-update-escapes] [packages...]
 //
 // Packages load and analyze across a worker pool; analyzers exchanging
@@ -33,28 +33,22 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicmix"
-	"repro/internal/analysis/cachepow2"
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/escapebudget"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/metricname"
 	"repro/internal/analysis/nakedgoroutine"
-	"repro/internal/analysis/probeexclusive"
-	"repro/internal/analysis/tracepair"
 )
 
 var all = []*analysis.Analyzer{
 	atomicmix.Analyzer,
-	cachepow2.Analyzer,
 	ctxflow.Analyzer,
 	escapebudget.Analyzer,
 	hotalloc.Analyzer,
 	hotpath.Analyzer,
 	metricname.Analyzer,
 	nakedgoroutine.Analyzer,
-	probeexclusive.Analyzer,
-	tracepair.Analyzer,
 }
 
 func main() {

@@ -1,7 +1,7 @@
 // Package metricname checks that every metric and trace-region name is a
 // compile-time constant: the name argument of (*obs.Registry).Counter,
-// Gauge, and Histogram, and the region argument of (*trace.Recorder).Begin
-// and Record. Scrapes, manifests, and the Perfetto exporter all aggregate by
+// Gauge, and Histogram, and the region argument of (*trace.Recorder).Record.
+// Scrapes, manifests, and the Perfetto exporter all aggregate by
 // name, so a name assembled at runtime (fmt.Sprintf, concatenation with a
 // variable, a loop index) silently explodes the metric cardinality — every
 // distinct string becomes its own time series — and defeats the grep-ability
@@ -32,7 +32,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "metricname",
 	Doc: "report metric or trace-region names that are not compile-time " +
-		"constants (obs Registry lookups and trace Begin/Record regions)",
+		"constants (obs Registry lookups and trace Record regions)",
 	Run: run,
 }
 
@@ -153,8 +153,7 @@ func nameArg(pass *analysis.Pass, call *ast.CallExpr) (int, string) {
 			return 0, "metric"
 		}
 	case obj.Name() == "Recorder" && strings.HasSuffix(obj.Pkg().Path(), "internal/trace"):
-		switch fn.Name() {
-		case "Begin", "Record":
+		if fn.Name() == "Record" {
 			return 1, "trace region"
 		}
 	case obj.Name() == "ReqTrace" && strings.HasSuffix(obj.Pkg().Path(), "internal/obs"):

@@ -37,12 +37,10 @@ func dynamicHistogram(reg *obs.Registry, stage string) {
 }
 
 func traceRegions(r *trace.Recorder, worker int, stage string) {
-	end := r.Begin(worker, trace.RegionCluster)
-	end()
+	r.Record(worker, trace.RegionCluster, time.Now(), time.Millisecond)
 	r.Record(worker, "fixed_region", time.Now(), time.Millisecond)
-	r.Record(worker, stage, time.Now(), time.Millisecond) // want `trace region name must be a string literal or named constant`
-	end2 := r.Begin(worker, "region_"+stage)              // want `trace region name must be a string literal or named constant`
-	end2()
+	r.Record(worker, stage, time.Now(), time.Millisecond)           // want `trace region name must be a string literal or named constant`
+	r.Record(worker, "region_"+stage, time.Now(), time.Millisecond) // want `trace region name must be a string literal or named constant`
 }
 
 func requestSpans(rt *obs.ReqTrace, worker int, stage string) {

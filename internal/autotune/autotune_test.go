@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gbwt"
 	"repro/internal/gbz"
 	"repro/internal/machine"
 	"repro/internal/sched"
@@ -59,6 +60,18 @@ func TestCombosIncludeDefault(t *testing.T) {
 	}
 	if count != 1 {
 		t.Errorf("default combo appears %d times", count)
+	}
+}
+
+// TestSweptCapacitiesAreInEffect: CachedGBWT rounds a requested capacity up
+// to a power of two, so a swept value that is not one would label its §VII-B
+// point with a capacity that never ran. Every capacity the default space (and
+// so every Combo, the default included) asks for must be the one it gets.
+func TestSweptCapacitiesAreInEffect(t *testing.T) {
+	for _, c := range DefaultSpace().Combos() {
+		if got := gbwt.NewCached(nil, c.Capacity).Capacity(); got != c.Capacity {
+			t.Errorf("%s: requested capacity %d, table holds %d", c, c.Capacity, got)
+		}
 	}
 }
 

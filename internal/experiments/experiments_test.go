@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/autotune"
+	"repro/internal/gbwt"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -248,6 +249,13 @@ func TestFigure6(t *testing.T) {
 	}
 	if len(points) != 16 {
 		t.Fatalf("%d points, want 16", len(points))
+	}
+	// A point is labelled with the capacity it asked for; CachedGBWT rounds up
+	// to a power of two, so the two must agree (0 is the no-cache baseline).
+	for _, p := range points {
+		if got := gbwt.NewCached(nil, p.Capacity).Capacity(); got != p.Capacity {
+			t.Errorf("%s: point labelled capacity %d ran with %d", p.Scheduler, p.Capacity, got)
+		}
 	}
 	// Caching must beat no caching for moderate capacities; the largest
 	// capacities should not be the best (degradation, as in the paper).

@@ -181,9 +181,9 @@ func Map(ix *Indexes, reads []dna.Read, opts Options) (*Result, error) {
 		// Preprocess: minimizers + seeds — the same Preprocess the streaming
 		// ExtractSource and capture paths run, so every route into the
 		// kernels sees identical records.
-		endMin := opts.Trace.Begin(worker, trace.RegionMinimizer)
+		t0 := time.Now()
 		rec, err := Preprocess(ix.MinIx, read)
-		endMin()
+		opts.Trace.Record(worker, trace.RegionMinimizer, t0, time.Since(t0))
 		if err != nil {
 			errOnce.Do(func() { firstErr = err })
 			return
@@ -196,13 +196,13 @@ func Map(ix *Indexes, reads []dna.Read, opts Options) (*Result, error) {
 		exts := mapper.MapRecord(worker, reader, &rec, i)
 		res.Extensions[i] = exts
 		// Post-processing (the phase the proxy omits).
-		endPost := opts.Trace.Begin(worker, trace.RegionPostproc)
+		t0 = time.Now()
 		res.Alignments[i] = postprocess(read, exts)
-		endPost()
+		opts.Trace.Record(worker, trace.RegionPostproc, t0, time.Since(t0))
 		// Alignment phase: gapped tail refinement of partial extensions.
-		endAl := opts.Trace.Begin(worker, trace.RegionAlign)
+		t0 = time.Now()
 		res.Alignments[i] = refineAlignment(ix, reader, read, res.Alignments[i])
-		endAl()
+		opts.Trace.Record(worker, trace.RegionAlign, t0, time.Since(t0))
 	}
 
 	start := time.Now()

@@ -19,7 +19,8 @@ func TestDebugServerEndpoints(t *testing.T) {
 	slow := NewSlowReads(2, 4)
 	slow.Offer(0, Exemplar{Read: "r1", Index: 7, Seeds: 3, TotalNanos: 900})
 
-	d, err := StartDebugServer("127.0.0.1:0", reg, slow, time.Hour)
+	sm, _ := startTestSampler(t, reg, nil, false)
+	d, err := startDebugServer("127.0.0.1:0", reg, slow, sm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(progress), &p); err != nil {
 		t.Fatalf("/progress is not valid JSON: %v\n%s", err, progress)
 	}
-	// The reporter sampled once at startup, after the counters above.
+	// The sampler took its baseline at startup, after the counters above.
 	if p.Reads != 1200 || p.Batches != 3 || p.InFlightBatches != 2 {
 		t.Errorf("/progress = %+v, want reads 1200, batches 3, in-flight 2", p)
 	}
@@ -122,41 +123,5 @@ func TestDebugServerEndpoints(t *testing.T) {
 	// After Close the listener must be gone.
 	if _, err := http.Get(base + "/metrics"); err == nil {
 		t.Error("server still reachable after Close")
-	}
-}
-
-func TestReporterWindowedRate(t *testing.T) {
-	reg := NewRegistry(1)
-	r := StartReporter(reg, 10*time.Millisecond)
-	defer r.Stop()
-	reg.Counter(MetricPipelineReads).Add(0, 500)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		p := r.Progress()
-		if p.Reads == 500 && p.ReadsPerSec > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reporter never observed the counter delta: %+v", p)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestReporterNilRegistry(t *testing.T) {
-	r := StartReporter(nil, time.Millisecond)
-	defer r.Stop()
-	p := r.Progress()
-	if p.Reads != 0 || p.ReadsPerSec != 0 {
-		t.Fatalf("nil-registry reporter published non-zero progress: %+v", p)
-	}
-	var nilR *Reporter
-	nilR.Stop() // must not panic
-	if nilR.Progress().Reads != 0 {
-		t.Fatal("nil reporter progress")
-	}
-	var nilD *DebugServer
-	if err := nilD.Close(); err != nil {
-		t.Fatalf("nil DebugServer Close: %v", err)
 	}
 }

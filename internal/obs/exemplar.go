@@ -83,6 +83,10 @@ func (s *SlowReads) K() int {
 // single atomic load. Never allocates: the heap's backing array is
 // preallocated at capacity K.
 //
+// Pass the calling worker's own index as shard. Any value is safe — shards
+// clamp and lock — but a constant or a stale captured index funnels every
+// goroutine onto one shard's lock and misattributes which worker was slow.
+//
 //minigiraffe:hot
 func (s *SlowReads) Offer(shard int, ex Exemplar) {
 	if s == nil {
@@ -95,8 +99,8 @@ func (s *SlowReads) Offer(shard int, ex Exemplar) {
 }
 
 // Rotate closes the current window: every shard's reservoir is drained into
-// the run-level top K and reset. The series self-scraper rotates once per
-// scrape tick, so a window is one scrape interval.
+// the run-level top K and reset. The stack's sampler rotates once per tick,
+// so a window is one sampler interval.
 func (s *SlowReads) Rotate() {
 	if s == nil {
 		return

@@ -35,8 +35,8 @@ type Manifest struct {
 	Notes          map[string]string `json:"notes,omitempty"`
 	Metrics        *Snapshot         `json:"metrics,omitempty"`
 	// SlowReads archives the run-level slowest-read exemplars (slowest
-	// first), so a tail-latency regression flagged by obsdiff comes with the
-	// reads that caused it.
+	// first), so a tail-latency regression comes with the reads that caused
+	// it.
 	SlowReads []Exemplar `json:"slow_reads,omitempty"`
 	// ReqTraces summarises the request-trace tail sampler's run: retained
 	// counts, status mix, and the slowest sampled request's trace ID — the

@@ -31,8 +31,8 @@ const (
 	// plus the per-batch CachedGBWT rebuild (§VII-B). Under the epoch
 	// discipline MetricCacheBuild covers only the (small) private overflow
 	// construction; the shared-epoch build cost lands in
-	// MetricCacheBuildShared so the attribution split is visible in
-	// obsdiff.
+	// MetricCacheBuildShared so the attribution split is visible in every
+	// scrape.
 	MetricClusterLatency   = "mapper_cluster_seeds_seconds"
 	MetricThresholdLatency = "mapper_process_until_threshold_c_seconds"
 	MetricCacheBuild       = "mapper_cache_build_seconds"
@@ -90,8 +90,8 @@ const (
 	MetricServeExtract       = "serve_extract_seconds"
 
 	// Runtime telemetry (internal/obs/runtime.go): the Go runtime's own
-	// behavior, sampled from runtime/metrics on every flight-recorder tick
-	// so GC and scheduler health archive and diff like any pipeline metric.
+	// behavior, sampled from runtime/metrics on every sampler tick so GC and
+	// scheduler health are scraped and archived like any pipeline metric.
 	// Counters advance by deltas of the runtime's cumulative totals; the
 	// p99 gauges are run-level quantiles of the runtime's own histograms,
 	// in integer microseconds. runtime_* series names must be named
@@ -109,7 +109,7 @@ const (
 
 	// Load generator (cmd/loadgen): the client-side view of the same
 	// traffic, so a serving run and the loadgen run that drove it can be
-	// diffed pairwise with cmd/obsdiff.
+	// read side by side.
 	MetricLoadgenSent     = "loadgen_requests_total"
 	MetricLoadgenOK       = "loadgen_ok_total"
 	MetricLoadgenRejected = "loadgen_rejected_total"

@@ -311,8 +311,8 @@ func (h *Histogram) Observe(shard int, d time.Duration) {
 // HistogramStats is one histogram's merged scrape: totals, quantile
 // estimates in seconds, the exact recorded min/max alongside the
 // log2-approximate quantiles, and the occupied buckets themselves so
-// external consumers (the Prometheus _bucket series, obsdiff, the archived
-// series loader) can recompute quantiles. All float fields are finite by
+// external consumers (the Prometheus _bucket series, a reader of the
+// archived series) can recompute quantiles. All float fields are finite by
 // construction, so the struct always marshals to valid JSON.
 type HistogramStats struct {
 	Count      int64   `json:"count"`
@@ -321,9 +321,7 @@ type HistogramStats struct {
 	P50        float64 `json:"p50_seconds"`
 	P90        float64 `json:"p90_seconds"`
 	P99        float64 `json:"p99_seconds"`
-	// Min and Max are exact recorded bounds on a live scrape. A histogram
-	// reconstructed from an archived series carries bucket bounds instead
-	// (the series stores bucket deltas, not extremes).
+	// Min and Max are the exact recorded bounds.
 	Min float64 `json:"min_seconds"`
 	Max float64 `json:"max_seconds"`
 	// Buckets lists the occupied log2 buckets with per-bucket (not
@@ -365,19 +363,6 @@ func (h *Histogram) Stats() HistogramStats {
 			merged[b] += atomic.LoadInt64(&s.buckets[b])
 		}
 	}
-	st := statsFromMerged(count, sum, &merged)
-	if count > 0 {
-		st.Min = SanitizeFloat(time.Duration(minNs).Seconds())
-		st.Max = SanitizeFloat(time.Duration(maxNs).Seconds())
-	}
-	return st
-}
-
-// statsFromMerged derives the bucket-based fields (totals, quantiles, the
-// occupied-bucket list, and bucket-bound Min/Max) from an already-merged
-// bucket array. Histogram.Stats overwrites Min/Max with the exact recorded
-// extremes; the series loader, which has only buckets, keeps the bounds.
-func statsFromMerged(count, sum int64, merged *[histBuckets]int64) HistogramStats {
 	st := HistogramStats{
 		Count:      count,
 		SumSeconds: SanitizeFloat(time.Duration(sum).Seconds()),
@@ -389,13 +374,11 @@ func statsFromMerged(count, sum int64, merged *[histBuckets]int64) HistogramStat
 	}
 	if count > 0 {
 		st.Mean = SanitizeFloat(st.SumSeconds / float64(count))
-		st.P50 = quantile(merged, count, 0.50)
-		st.P90 = quantile(merged, count, 0.90)
-		st.P99 = quantile(merged, count, 0.99)
-		if n := len(st.Buckets); n > 0 {
-			st.Min = bucketLowerSeconds(st.Buckets[0].Bit)
-			st.Max = bucketUpperSeconds(st.Buckets[n-1].Bit)
-		}
+		st.P50 = quantile(&merged, count, 0.50)
+		st.P90 = quantile(&merged, count, 0.90)
+		st.P99 = quantile(&merged, count, 0.99)
+		st.Min = SanitizeFloat(time.Duration(minNs).Seconds())
+		st.Max = SanitizeFloat(time.Duration(maxNs).Seconds())
 	}
 	return st
 }
@@ -428,16 +411,9 @@ func bucketUpperSeconds(b int) float64 {
 	return time.Duration(int64(1)<<b - 1).Seconds()
 }
 
-// bucketLowerSeconds is bucket b's inclusive lower bound in seconds.
-func bucketLowerSeconds(b int) float64 {
-	if b <= 0 {
-		return 0
-	}
-	return time.Duration(int64(1) << (b - 1)).Seconds()
-}
-
-// Snapshot is one merged scrape of every registered metric — the /progress
-// payload and the manifest's final-state record.
+// Snapshot is one merged scrape of every registered metric — what /progress
+// is derived from, a line of the archived series, and the manifest's
+// final-state record.
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]int64          `json:"gauges,omitempty"`

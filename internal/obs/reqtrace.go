@@ -357,7 +357,7 @@ func (t *ReqTracer) recycle(sh *reqShard, rt *ReqTrace) {
 // Rotate closes the sampling window: every shard's 2xx reservoir is folded
 // into the run-level top-K, its error list into the run-level error archive
 // (bounded at errCap x shards, overflow counted as dropped), and the shard
-// floors reset so the next window re-learns its tail. The series self-scraper
+// floors reset so the next window re-learns its tail. The stack's sampler
 // rotates once per tick, mirroring SlowReads.
 func (t *ReqTracer) Rotate() {
 	if t == nil {

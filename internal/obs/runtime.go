@@ -5,11 +5,10 @@ import (
 	"runtime/metrics"
 )
 
-// Runtime telemetry: the flight recorder samples the Go runtime's own
-// metrics (runtime/metrics) into the registry as runtime_* series on every
-// series tick, so GC pressure, scheduler latency, and heap growth archive
-// next to the pipeline's metrics and cmd/obsdiff regresses them cross-run
-// like any other series. All names are the Metric* constants in metrics.go;
+// Runtime telemetry: the stack's sampler reads the Go runtime's own metrics
+// (runtime/metrics) into the registry as runtime_* series on every tick, so
+// GC pressure, scheduler latency, and heap growth are scraped and archived
+// next to the pipeline's metrics. All names are the Metric* constants in metrics.go;
 // the metricname analyzer requires runtime_* series names to be named
 // constants, so the runtime catalogue cannot fragment silently.
 
@@ -28,9 +27,9 @@ const (
 )
 
 // runtimeSampler owns the metrics.Sample buffer and the registry handles the
-// runtime series feed. One instance per SeriesRecorder; sample runs on the
-// recorder's scrape goroutine (shard 0), so no synchronization is needed
-// beyond the registry cells' own atomics.
+// runtime series feed. One instance per sampler; sample runs under the
+// sampler's tick lock (shard 0), so no synchronization is needed beyond the
+// registry cells' own atomics.
 type runtimeSampler struct {
 	samples []metrics.Sample
 
@@ -75,7 +74,7 @@ func newRuntimeSampler(reg *Registry) *runtimeSampler {
 
 // sample reads the runtime metrics and feeds the registry. Gauges carry the
 // current absolute level; counters advance by the delta since the previous
-// sample, so the archived series deltas reconstruct the runtime totals.
+// sample, so the registry counter tracks the runtime total.
 func (rs *runtimeSampler) sample() {
 	if rs == nil {
 		return
@@ -149,8 +148,7 @@ func advance(c *Counter, prev, cur int64) int64 {
 
 // histP99Micros extracts the p99 upper bound of a runtime histogram in
 // integer microseconds (gauges are integers). Runtime histograms carry
-// cumulative counts since process start, so this is the run-level p99 —
-// exactly the granularity obsdiff compares.
+// cumulative counts since process start, so this is the run-level p99.
 func histP99Micros(h *metrics.Float64Histogram) int64 {
 	var total uint64
 	for _, c := range h.Counts {

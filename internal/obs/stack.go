@@ -11,7 +11,8 @@ import (
 )
 
 const (
-	// progressInterval is the debug endpoint's /progress sampling cadence.
+	// progressInterval is the sampler's cadence when nothing is archived:
+	// /progress, the /slow window and the runtime_* series move once a second.
 	progressInterval = time.Second
 	// traceErrCap is the per-shard retention cap for non-2xx request traces.
 	traceErrCap = 256
@@ -47,8 +48,8 @@ type Stack struct {
 
 	cfg      StackConfig
 	profiles *ProfileRecorder
+	sampler  *sampler
 	debug    *DebugServer
-	series   *SeriesRecorder
 	man      *Manifest // nil: manifest disabled
 
 	closeOnce sync.Once
@@ -56,8 +57,12 @@ type Stack struct {
 }
 
 // Start turns the flags into sinks, in one order: registry, slow-read
-// reservoir, request tracer, profile recorder, debug server, series recorder,
+// reservoir, request tracer, profile recorder, sampler, debug server,
 // manifest. A sink that fails to start stops the ones started before it.
+//
+// The sampler is the stack's one scrape loop (sampler.go). It runs whenever
+// -debug-addr or -series is set, at -series-interval when it archives and at
+// progressInterval when it only feeds the debug endpoint.
 func Start(cfg StackConfig) (*Stack, error) {
 	s := &Stack{cfg: cfg, Workers: cfg.Threads}
 	if s.Workers <= 0 {
@@ -80,18 +85,25 @@ func Start(cfg StackConfig) (*Stack, error) {
 			return nil, err
 		}
 	}
+	if cfg.DebugAddr != "" || cfg.Series != "" {
+		interval := progressInterval
+		if cfg.Series != "" {
+			interval = cfg.SeriesInterval
+			if interval <= 0 {
+				interval = DefaultSeriesInterval
+			}
+		}
+		if s.sampler, err = startSampler(s.Reg, s.Slow, s.Traces, cfg.Series, interval); err != nil {
+			s.stopSinks()
+			return nil, err
+		}
+	}
 	if cfg.DebugAddr != "" {
-		if s.debug, err = StartDebugServer(cfg.DebugAddr, s.Reg, s.Slow, progressInterval); err != nil {
+		if s.debug, err = startDebugServer(cfg.DebugAddr, s.Reg, s.Slow, s.sampler); err != nil {
 			s.stopSinks()
 			return nil, err
 		}
 		log.Printf("debug endpoint on http://%s/", s.debug.Addr())
-	}
-	if cfg.Series != "" {
-		if s.series, err = StartSeries(s.Reg, s.Slow, s.Traces, cfg.Series, cfg.SeriesInterval, 0); err != nil {
-			s.stopSinks()
-			return nil, err
-		}
 	}
 	if cfg.Manifest != "" && cfg.Manifest != "off" {
 		s.man = NewManifest(cfg.Tool)
@@ -103,10 +115,10 @@ func Start(cfg StackConfig) (*Stack, error) {
 }
 
 // stopSinks stops the background sinks in teardown order — debug server,
-// series, profiles — and returns the first error. Each stop is nil-safe and
-// idempotent.
+// sampler (its final sample), profiles — and returns the first error. Each
+// stop is nil-safe and idempotent.
 func (s *Stack) stopSinks() error {
-	return firstErr(s.debug.Close(), s.series.Stop(), s.profiles.Stop())
+	return firstErr(s.debug.Close(), s.sampler.stop(), s.profiles.Stop())
 }
 
 func firstErr(errs ...error) error {
@@ -143,13 +155,13 @@ func (s *Stack) Note(key, value string) {
 	}
 }
 
-// Close tears the stack down: debug server, final series sample, last profile
-// segment, the request-trace Perfetto dump, then the manifest — with the
-// "series" and "profiles" notes obsdiff resolves the archives by, the slow
-// reads, the request-trace summary and the final snapshot — so everything
-// the manifest points at is complete when it is written. Every step runs
-// whatever the earlier ones returned; Close reports the first error, and a
-// second Close does nothing and reports it again.
+// Close tears the stack down: debug server, the sampler's final sample, last
+// profile segment, the request-trace Perfetto dump, then the manifest — with
+// the "series" and "profiles" notes that name the run's own archives, the
+// slow reads, the request-trace summary and the final snapshot — so
+// everything the manifest points at is complete when it is written. Every
+// step runs whatever the earlier ones returned; Close reports the first
+// error, and a second Close does nothing and reports it again.
 func (s *Stack) Close() error {
 	s.closeOnce.Do(func() { s.closeErr = s.close() })
 	return s.closeErr

@@ -125,8 +125,7 @@ type srequest struct {
 // NewSession starts the persistent worker pool. reg may be nil (no
 // metrics); when set, the session records the request-scoped serving
 // metrics plus the same pipeline/scheduler counters a streaming run does, so
-// /progress, the flight recorder, and cmd/obsdiff work unchanged on serving
-// runs.
+// /progress and the flight recorder work unchanged on serving runs.
 func NewSession(m BatchMapper, opts Options, reg *obs.Registry) (*Session, error) {
 	if m == nil {
 		return nil, errors.New("pipeline: nil mapper")

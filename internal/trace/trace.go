@@ -42,8 +42,8 @@ type Span struct {
 
 // Recorder collects spans with per-worker buffers (no locking on the record
 // path). The zero worker count is invalid; use NewRecorder. A nil *Recorder
-// is the disabled recorder: Grow, Begin and Record on it do nothing, so the
-// kernels record unconditionally.
+// is the disabled recorder: Grow and Record on it do nothing, so the kernels
+// record unconditionally.
 type Recorder struct {
 	epoch   time.Time
 	buffers [][]Span
@@ -86,25 +86,9 @@ func (r *Recorder) Grow(workers int) {
 	}
 }
 
-// Begin starts timing a region on a worker; call the returned func to end
-// it. Each worker must only be driven by one goroutine at a time.
-func (r *Recorder) Begin(worker int, region string) func() {
-	if r == nil {
-		return noop
-	}
-	start := time.Now()
-	return func() {
-		r.buffers[worker] = append(r.buffers[worker], Span{
-			Region: region,
-			Start:  start.Sub(r.epoch),
-			Dur:    time.Since(start),
-		})
-	}
-}
-
-func noop() {}
-
-// Record adds a completed span directly.
+// Record adds a completed span: time the region with t0 := time.Now() and
+// pass time.Since(t0). Each worker must only be driven by one goroutine at a
+// time.
 func (r *Recorder) Record(worker int, region string, start time.Time, dur time.Duration) {
 	if r == nil {
 		return

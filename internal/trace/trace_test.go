@@ -10,9 +10,9 @@ import (
 
 func TestBeginEnd(t *testing.T) {
 	r := NewRecorder(2)
-	end := r.Begin(0, RegionCluster)
+	t0 := time.Now()
 	time.Sleep(2 * time.Millisecond)
-	end()
+	r.Record(0, RegionCluster, t0, time.Since(t0))
 	spans := r.Spans(0)
 	if len(spans) != 1 {
 		t.Fatalf("%d spans, want 1", len(spans))
@@ -141,8 +141,7 @@ func TestGrow(t *testing.T) {
 	if r.Workers() != 5 {
 		t.Fatalf("workers after smaller Grow = %d, want 5", r.Workers())
 	}
-	end := r.Begin(4, RegionEmit)
-	end()
+	r.Record(4, RegionEmit, time.Now(), time.Microsecond)
 	if len(r.Spans(4)) != 1 {
 		t.Errorf("grown buffer did not record: %d spans", len(r.Spans(4)))
 	}
@@ -156,9 +155,8 @@ func TestNilRecorderIsFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		r.Grow(4)
 		r.Record(3, RegionCluster, now, time.Millisecond)
-		r.Begin(3, RegionExtend)()
 	}); n != 0 {
-		t.Errorf("nil recorder allocates %.0f times per Grow+Record+Begin, want 0", n)
+		t.Errorf("nil recorder allocates %.0f times per Grow+Record, want 0", n)
 	}
 }
 
@@ -187,8 +185,8 @@ func TestConcurrentRecordMerge(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < spansPerActor; i++ {
 				if i%2 == 0 {
-					end := shared.Begin(w, RegionExtend)
-					end()
+					t0 := time.Now()
+					shared.Record(w, RegionExtend, t0, time.Since(t0))
 				} else {
 					shared.Record(w, RegionCluster, time.Now(), time.Microsecond)
 				}

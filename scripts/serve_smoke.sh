@@ -21,10 +21,10 @@
 # have written its Perfetto request-track dump.
 #
 # Finally SIGTERM: the server must drain, write its run manifest, and exit
-# 0; then obsdiff reads the steady loadgen run against itself, which must
-# resolve the client's series and not the server's lying next to it. All
-# artifacts (loadgen reports + series, giraffed manifest + series + traces)
-# land in $SMOKE_DIR for CI upload.
+# 0; then the two archived series are checked: each carries its own run's
+# metrics, and the loadgen manifest names the client's series, not the
+# server's lying next to it. All artifacts (loadgen reports + series,
+# giraffed manifest + series + traces) land in $SMOKE_DIR for CI upload.
 set -eu
 
 GO="${GO:-go}"
@@ -114,16 +114,25 @@ if ! grep -q ' 504"' "$SMOKE_DIR/giraffed-reqtrace.json"; then
     exit 1
 fi
 
-echo "== obsdiff of the steady loadgen run against itself"
-"$GO" run ./cmd/obsdiff \
-    -baseline "$SMOKE_DIR/loadgen-steady-manifest.json" \
-    -candidate "$SMOKE_DIR/loadgen-steady-manifest.json" \
-    -report "$SMOKE_DIR/loadgen-steady-obsdiff.md"
-# pipeline_reads_total is a server-only counter: a steady-state row for it
-# means the manifest resolved giraffed.series instead of its own archive.
-if grep -q 'pipeline_reads_total (steady-state, from series)' "$SMOKE_DIR/loadgen-steady-obsdiff.md"; then
-    echo "FAIL: loadgen manifest loaded the server's series"
-    cat "$SMOKE_DIR/loadgen-steady-obsdiff.md"
+echo "== archived series (each run's own metrics, in its own file)"
+for metric in pipeline_reads_total runtime_goroutines; do
+    if ! grep -q "\"$metric\"" "$SMOKE_DIR/giraffed.series"; then
+        echo "FAIL: giraffed.series carries no $metric"
+        exit 1
+    fi
+done
+if ! grep -q '"loadgen_' "$SMOKE_DIR/loadgen-steady.series"; then
+    echo "FAIL: loadgen-steady.series carries no loadgen_ metric"
+    exit 1
+fi
+# pipeline_reads_total is a server-only counter: in the client's archive it
+# means the two runs' series were mixed up.
+if grep -q '"pipeline_reads_total"' "$SMOKE_DIR/loadgen-steady.series"; then
+    echo "FAIL: loadgen-steady.series carries the server's pipeline_reads_total"
+    exit 1
+fi
+if ! grep -q '"series": "loadgen-steady.series"' "$SMOKE_DIR/loadgen-steady-manifest.json"; then
+    echo "FAIL: the loadgen manifest's series note does not name its own archive"
     exit 1
 fi
 
