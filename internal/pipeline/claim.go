@@ -28,11 +28,33 @@ type claimQueue struct {
 	space *sync.Cond // a job was claimed
 
 	kind    sched.Kind
-	queues  [][]*sjob // one FIFO for Dynamic, one per worker otherwise
+	queues  []jobRing // one FIFO for Dynamic, one per worker otherwise
 	queued  int
 	depth   int
 	nextSeq int // admission order; picks the slot under the pinned policies
 	closed  bool
+}
+
+// jobRing is one slot's FIFO: a ring allocated once at the queue's depth, so
+// admitting a job allocates nothing, and a claimed job's cell is cleared, so
+// the queue never keeps a finished request's records and results reachable.
+type jobRing struct {
+	cells []*sjob
+	head  int // index of the oldest job
+	n     int // jobs held
+}
+
+func (r *jobRing) push(j *sjob) {
+	r.cells[(r.head+r.n)%len(r.cells)] = j
+	r.n++
+}
+
+func (r *jobRing) pop() *sjob {
+	j := r.cells[r.head]
+	r.cells[r.head] = nil
+	r.head = (r.head + 1) % len(r.cells)
+	r.n--
+	return j
 }
 
 func newClaimQueue(kind sched.Kind, workers, depth int) *claimQueue {
@@ -40,7 +62,12 @@ func newClaimQueue(kind sched.Kind, workers, depth int) *claimQueue {
 	if kind == sched.Dynamic {
 		n = 1
 	}
-	q := &claimQueue{kind: kind, queues: make([][]*sjob, n), depth: depth}
+	q := &claimQueue{kind: kind, queues: make([]jobRing, n), depth: depth}
+	for i := range q.queues {
+		// Under the pinned policies one slow worker's slot can hold the whole
+		// backlog, so every slot is sized to the shared bound.
+		q.queues[i].cells = make([]*sjob, depth)
+	}
 	q.avail = sync.NewCond(&q.mu)
 	q.space = sync.NewCond(&q.mu)
 	return q
@@ -61,26 +88,27 @@ func (q *claimQueue) push(j *sjob) {
 // or none, without blocking. It fails once the queue is closed (draining)
 // or when the items would not all fit under the depth bound — the caller
 // turns that into a queue-full rejection instead of queueing unboundedly.
-func (q *claimQueue) tryPushAll(js []*sjob) bool {
+func (q *claimQueue) tryPushAll(js []sjob) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || q.queued+len(js) > q.depth {
 		return false
 	}
-	for _, j := range js {
-		q.enqueue(j)
+	for i := range js {
+		q.enqueue(&js[i])
 	}
 	return true
 }
 
-// enqueue appends j to the next admission slot (caller holds q.mu).
+// enqueue appends j to the next admission slot (caller holds q.mu and has
+// checked q.queued < q.depth).
 func (q *claimQueue) enqueue(j *sjob) {
 	slot := 0
 	if q.kind != sched.Dynamic {
 		slot = q.nextSeq % len(q.queues)
 	}
 	q.nextSeq++
-	q.queues[slot] = append(q.queues[slot], j)
+	q.queues[slot].push(j)
 	q.queued++
 	q.avail.Broadcast()
 }
@@ -96,13 +124,13 @@ func (q *claimQueue) pop(w int) (j *sjob, stolen, ok bool) {
 		if q.kind != sched.Dynamic {
 			own = w
 		}
-		if len(q.queues[own]) > 0 {
+		if q.queues[own].n > 0 {
 			return q.take(own), false, true
 		}
 		if q.kind == sched.WorkStealing {
 			for off := 1; off < len(q.queues); off++ {
 				s := (w + off) % len(q.queues)
-				if len(q.queues[s]) > 0 {
+				if q.queues[s].n > 0 {
 					return q.take(s), true, true
 				}
 			}
@@ -116,8 +144,7 @@ func (q *claimQueue) pop(w int) (j *sjob, stolen, ok bool) {
 
 // take removes the oldest job from slot (caller holds q.mu).
 func (q *claimQueue) take(slot int) *sjob {
-	v := q.queues[slot][0]
-	q.queues[slot] = q.queues[slot][1:]
+	v := q.queues[slot].pop()
 	q.queued--
 	q.space.Broadcast()
 	if q.closed && q.queued == 0 {

@@ -118,8 +118,15 @@ type sjob struct {
 type srequest struct {
 	stop      atomic.Bool // request context done: skip / stop mapping
 	remaining atomic.Int64
-	mapped    atomic.Int64
 	done      chan struct{}
+}
+
+// submission is everything one Submit queues, in one allocation: the
+// completion state and, for the request that fits one sub-batch (every small
+// /map request), its only job.
+type submission struct {
+	srequest
+	one [1]sjob
 }
 
 // NewSession starts the persistent worker pool. reg may be nil (no
@@ -214,29 +221,27 @@ func (s *Session) SubmitTraced(ctx context.Context, recs []seeds.ReadSeeds, rt *
 	}
 	bs := s.opts.BatchSize
 	njobs := (len(recs) + bs - 1) / bs
-	req := &srequest{done: make(chan struct{})}
+	sub := &submission{}
+	req := &sub.srequest
+	req.done = make(chan struct{})
 	req.remaining.Store(int64(njobs))
+	jobs := sub.one[:]
+	if njobs > 1 {
+		jobs = make([]sjob, njobs)
+	}
 	base := int(s.nextIndex.Add(int64(len(recs)))) - len(recs)
 	now := time.Now()
-	jobs := make([]*sjob, 0, njobs)
-	for lo := 0; lo < len(recs); lo += bs {
-		hi := lo + bs
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		j := &sjob{
+	for i := range jobs {
+		lo := i * bs
+		hi := min(lo+bs, len(recs))
+		jobs[i] = sjob{
 			req: req, stop: &req.stop, recs: recs[lo:hi], out: out[lo:hi], base: base + lo, enq: now,
 		}
 		if rt != nil {
-			j.tr = rt
-			j.sb.Trace = rt.ID()
+			jobs[i].tr = rt
+			jobs[i].sb.Trace = rt.ID()
 		}
-		jobs = append(jobs, j)
 	}
-	// The stop flag, not ctx itself, is what workers poll: one atomic load
-	// per record instead of a mutex-guarded ctx.Err.
-	release := context.AfterFunc(ctx, func() { req.stop.Store(true) })
-	defer release()
 
 	if !s.cq.tryPushAll(jobs) {
 		if s.closed.Load() {
@@ -252,20 +257,17 @@ func (s *Session) SubmitTraced(ctx context.Context, recs []seeds.ReadSeeds, rt *
 
 	select {
 	case <-req.done:
+		// The stop flag is raised only below, after which nothing waits on
+		// done: a request that completes here was mapped in full.
 		s.hService.Observe(s.submitShard, time.Since(now))
-		if int(req.mapped.Load()) != len(recs) {
-			// The deadline fired mid-request; every record either mapped or
-			// was skipped, but the result set is incomplete.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.Canceled
-		}
 		s.reads.Add(s.submitShard, int64(len(recs)))
 		return out, nil
 	case <-ctx.Done():
-		// Workers finish or skip the remaining sub-batches on their own;
-		// the request state keeps the result slices alive until then.
+		// The stop flag, not ctx itself, is what workers poll: one atomic load
+		// per record instead of a mutex-guarded ctx.Err. Workers finish or skip
+		// the remaining sub-batches on their own; the jobs keep recs and the
+		// result slices alive until then.
+		req.stop.Store(true)
 		s.hService.Observe(s.submitShard, time.Since(now))
 		return nil, ctx.Err()
 	}
@@ -307,7 +309,6 @@ func (s *Session) worker(w int) {
 			if s.ep != nil {
 				s.ep.TryPublishEpoch(w)
 			}
-			j.req.mapped.Add(int64(n))
 			s.processed[w] += int64(n)
 			s.pipeReads.Add(w, int64(n))
 			s.pipeBatches.Inc(w)

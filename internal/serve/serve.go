@@ -40,7 +40,10 @@ type Config struct {
 	Session *pipeline.Session
 	// Extract runs Giraffe's per-read preprocessing (minimizer lookup and
 	// seed creation) — giraffe.Preprocess over the server's index in
-	// production, a stub in tests.
+	// production, a stub in tests. The server hands every call the same
+	// *dna.Read, rewritten per read: Extract copies it into the record it
+	// returns (as Preprocess does) and keeps no pointer to it. The bases it
+	// points at live until the request is done with its records.
 	Extract func(read *dna.Read) (seeds.ReadSeeds, error)
 	// Reg receives the HTTP-level metrics; may be nil.
 	Reg *obs.Registry
@@ -248,6 +251,12 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // The admit span covers everything up to session submission (parse, client
 // and queue admission, seed extraction) and is recorded exactly once on
 // every exit path; the emit span covers response construction.
+//
+// The request lives in one pooled reqScratch. It goes back to the pool from
+// the single deferred call below, on every exit but one: when SubmitTraced
+// returns a context error the session's workers may still be reading
+// sc.recs and the bases behind them (they finish or skip the request's
+// sub-batches on their own), so that scratch is left to the GC.
 func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, sh int, id trace.ID, rt *obs.ReqTrace) int {
 	admitStart := time.Now()
 	admitDone := false
@@ -262,50 +271,66 @@ func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, sh int, id tra
 		s.drainRejects.Inc(sh)
 		return s.reject(w, http.StatusServiceUnavailable, "draining")
 	}
-	var req MapRequest
-	body := getBuf()
+	// Per-client admission is the first bound a greedy client hits. A client
+	// named in the header is checked before its body is read, so a request
+	// over the cap costs a map lookup, not a read and a decode; one named in
+	// the body cannot be known that early.
+	client := r.Header.Get("X-Client")
+	inHeader := client != ""
+	if inHeader {
+		rt.SetClient(client)
+		if !s.admitClient(client) {
+			return s.rejectClient(w, sh, client)
+		}
+		defer s.releaseClient(client)
+	}
+
+	sc := getScratch()
+	workersMayHold := false
+	defer func() {
+		if !workersMayHold {
+			putScratch(sc)
+		}
+	}()
 	if n := r.ContentLength; n > 0 {
 		// MinRead more, or ReadFrom grows the buffer to see the EOF.
-		body.Grow(int(min(n, maxPooledBuf)) + bytes.MinRead)
+		sc.body.Grow(int(min(n, maxPooledBuf)) + bytes.MinRead)
 	}
-	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
-	if err == nil {
-		err = json.Unmarshal(body.Bytes(), &req)
-	}
-	putBuf(body) // Unmarshal copied every string it kept
-	if err != nil {
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
 		s.badRequests.Inc(sh)
-		return s.fail(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
+		return s.fail(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 	}
-	client := req.Client
-	if h := r.Header.Get("X-Client"); h != "" {
-		client = h
-	}
-	if client == "" {
-		client = "anon"
-	}
-	rt.SetClient(client)
-	rt.SetReads(len(req.Reads))
-	if len(req.Reads) == 0 {
+	if err := sc.decode(s.cfg.MaxReads); err != nil {
 		s.badRequests.Inc(sh)
-		return s.fail(w, http.StatusBadRequest, errors.New("no reads"))
+		switch err {
+		case errTooManyReads:
+			return s.fail(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("more than the %d reads one request may carry", s.cfg.MaxReads))
+		case errNoReads:
+		case errBadBase:
+			err = fmt.Errorf("read #%d: %w: %q at offset %d of the body", len(sc.reads), err, sc.src[sc.pos], sc.pos)
+		default:
+			err = fmt.Errorf("parsing request: %w at offset %d", err, sc.pos)
+		}
+		return s.fail(w, http.StatusBadRequest, err)
 	}
-	if len(req.Reads) > s.cfg.MaxReads {
-		s.badRequests.Inc(sh)
-		return s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%d reads exceeds the %d-read request cap", len(req.Reads), s.cfg.MaxReads))
+	// One string holds the client and every read name: what outlives the
+	// request (trace headers, slow-read exemplars) keeps that, not the arena.
+	text := string(sc.text)
+	if !inHeader {
+		if client = text[sc.clientLo:sc.clientHi]; client == "" {
+			client = "anon"
+		}
+		rt.SetClient(client)
+		if !s.admitClient(client) {
+			return s.rejectClient(w, sh, client)
+		}
+		defer s.releaseClient(client)
 	}
-
-	// Per-client admission: the first bound a greedy client hits.
-	if !s.admitClient(client) {
-		s.clientRejects.Inc(sh)
-		return s.reject(w, http.StatusTooManyRequests,
-			fmt.Sprintf("client %q has %d requests in flight", client, s.cfg.PerClient))
-	}
-	defer s.releaseClient(client)
+	rt.SetReads(len(sc.reads))
 
 	deadline := s.cfg.DefaultDeadline
-	dms := req.DeadlineMs
+	dms := sc.deadlineMs
 	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
 		v, err := strconv.ParseInt(h, 10, 64)
 		if err != nil {
@@ -331,25 +356,23 @@ func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, sh int, id tra
 	// Cleared explicitly right after the loop; the defer covers the
 	// bad-request early returns inside it (Clear is idempotent).
 	defer s.labels.Clear()
-	recs := make([]seeds.ReadSeeds, len(req.Reads))
-	for i, wr := range req.Reads {
+	for _, sp := range sc.reads {
 		// The deadline covers extraction too: a request that expires here
 		// stops at this read, not after preprocessing all of them.
 		if err := ctx.Err(); err != nil {
 			rt.AddSpan(obs.SpanCancel, -1, time.Now(), 0)
 			return s.failCanceled(w, sh, err, deadline)
 		}
-		seq, err := dna.Parse(wr.Seq)
+		// Extract copies the read into its record, so one Read serves them
+		// all; the bases stay in the arena, capped so that nothing appends
+		// into the next read's.
+		sc.read = dna.Read{Name: text[sp.nameLo:sp.nameHi], Seq: sc.bases[sp.seqLo:sp.seqHi:sp.seqHi], Fragment: -1}
+		rec, err := s.cfg.Extract(&sc.read)
 		if err != nil {
 			s.badRequests.Inc(sh)
-			return s.fail(w, http.StatusBadRequest, fmt.Errorf("read %q: %w", wr.Name, err))
+			return s.fail(w, http.StatusBadRequest, fmt.Errorf("read %q: %w", sc.read.Name, err))
 		}
-		rec, err := s.cfg.Extract(&dna.Read{Name: wr.Name, Seq: seq, Fragment: -1})
-		if err != nil {
-			s.badRequests.Inc(sh)
-			return s.fail(w, http.StatusBadRequest, fmt.Errorf("read %q: %w", wr.Name, err))
-		}
-		recs[i] = rec
+		sc.recs = append(sc.recs, rec)
 	}
 	s.hExtract.Observe(sh, time.Since(t0))
 	// The handler goroutine belongs to net/http's pool: clear the stage
@@ -357,7 +380,7 @@ func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, sh int, id tra
 	s.labels.Clear()
 
 	endAdmit()
-	exts, err := s.cfg.Session.SubmitTraced(ctx, recs, rt)
+	exts, err := s.cfg.Session.SubmitTraced(ctx, sc.recs, rt)
 	switch {
 	case err == nil:
 	case errors.Is(err, pipeline.ErrQueueFull):
@@ -366,41 +389,24 @@ func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, sh int, id tra
 		s.drainRejects.Inc(sh)
 		return s.reject(w, http.StatusServiceUnavailable, "draining")
 	default:
+		workersMayHold = true
 		return s.failCanceled(w, sh, err, deadline)
 	}
 
 	emitStart := time.Now()
-	resp := MapResponse{
-		TraceID:   id,
-		Client:    client,
-		Reads:     len(recs),
-		ServiceMs: float64(time.Since(t0)) / float64(time.Millisecond),
-		Results:   make([]WireResult, len(recs)),
-	}
-	for i := range recs {
-		wes := make([]WireExtension, len(exts[i]))
-		for j, e := range exts[i] {
-			strand := "+"
-			if e.Rev {
-				strand = "-"
-			}
-			wes[j] = WireExtension{
-				Node:       uint32(e.StartPos.Node),
-				Offset:     e.StartPos.Off,
-				Strand:     strand,
-				ReadStart:  e.ReadStart,
-				ReadEnd:    e.ReadEnd,
-				Score:      e.Score,
-				Mismatches: e.Mismatches,
-			}
-		}
-		resp.Results[i] = WireResult{Read: recs[i].Read.Name, Extensions: wes}
-		resp.Extensions += len(wes)
-	}
+	serviceMs := float64(time.Since(t0)) / float64(time.Millisecond)
+	sc.out = appendMapResponse(sc.out[:0], id, client, serviceMs, sc.recs, exts)
 	s.httpOK.Inc(sh)
-	s.writeJSON(w, http.StatusOK, resp)
+	sendJSON(w, http.StatusOK, sc.out)
 	rt.AddSpan(obs.SpanEmit, -1, emitStart, time.Since(emitStart))
 	return http.StatusOK
+}
+
+// rejectClient answers a request of a client at its in-flight cap.
+func (s *Server) rejectClient(w http.ResponseWriter, sh int, client string) int {
+	s.clientRejects.Inc(sh)
+	return s.reject(w, http.StatusTooManyRequests,
+		fmt.Sprintf("client %q has %d requests in flight", client, s.cfg.PerClient))
 }
 
 // admitClient reserves an in-flight slot for the client, false when the
@@ -496,16 +502,26 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) int {
 	return status
 }
 
-// writeJSON encodes v into a pooled buffer and writes it once.
+// writeJSON answers with v encoded by encoding/json — every JSON body but the
+// /map success one. The body is encoded before the status is committed, so a
+// value that cannot be encoded is a 500 saying so, not an empty 200.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	sc := getScratch()
+	defer putScratch(sc) // never submitted: no worker has seen it
+	buf := bytes.NewBuffer(sc.out[:0])
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	sc.out = buf.Bytes()
+	sendJSON(w, status, sc.out)
+}
+
+// sendJSON commits status and writes the encoded body.
+func sendJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	buf := getBuf()
-	// The response is already committed: on an encoding or write error
-	// there is nothing left to do (a failed Encode leaves the body empty).
-	_ = json.NewEncoder(buf).Encode(v)
-	_, _ = w.Write(buf.Bytes())
-	putBuf(buf)
+	_, _ = w.Write(body) // the client went away: nothing left to tell it
 }
 
 // maxBody bounds a /map request body.
@@ -513,19 +529,52 @@ const maxBody = 64 << 20
 
 // maxPooledBuf is the largest buffer kept between requests, and the most a
 // Content-Length header is trusted to pre-size one: a rare huge body must
-// not pin its buffer in the pool, and a header alone must not cost more.
+// not pin its buffers in the pool, and a header alone must not cost more.
 const maxPooledBuf = 1 << 20
 
-// bufs holds the request-body and response buffers of the JSON handlers.
-var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// reqScratch is the arena of one /map request: everything the request needs
+// for its own duration and nothing that may outlive it. The body is read into
+// body; decode leaves the unescaped client and read names in text, the bases
+// of every read in bases and one span per read in reads; the handler turns
+// each span into a record of recs through read, the one dna.Read it hands
+// Config.Extract; out takes the encoded response. recs[i].Read.Seq points
+// into bases, which is why a scratch must not be reused while a session
+// worker can still hold recs — see serveMap. The names are not in the arena:
+// they are substrings of one string made from text, because traces and
+// slow-read exemplars keep them.
+type reqScratch struct {
+	body  bytes.Buffer
+	text  []byte
+	bases []dna.Base
+	reads []readSpan
+	recs  []seeds.ReadSeeds
+	read  dna.Read
+	out   []byte
 
-func getBuf() *bytes.Buffer { return bufs.Get().(*bytes.Buffer) }
+	// The decoder's cursor over body, and what it found besides the reads.
+	src                []byte
+	pos                int
+	clientLo, clientHi int // in text
+	deadlineMs         int64
+}
 
-func putBuf(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledBuf {
-		b.Reset()
-		bufs.Put(b)
+// scratches holds the arenas of the JSON handlers between requests.
+var scratches = sync.Pool{New: func() any { return new(reqScratch) }}
+
+func getScratch() *reqScratch { return scratches.Get().(*reqScratch) }
+
+// putScratch returns sc to the pool, emptied and without the references to
+// GC-owned memory (names, seeds) the records held. The caller guarantees that
+// no other goroutine can reach sc any more.
+func putScratch(sc *reqScratch) {
+	if max(sc.body.Cap(), cap(sc.text), cap(sc.bases), cap(sc.out)) > maxPooledBuf {
+		return
 	}
+	sc.body.Reset()
+	clear(sc.recs)
+	sc.recs = sc.recs[:0]
+	sc.read = dna.Read{}
+	scratches.Put(sc)
 }
 
 // retryAfterSeconds renders d for the Retry-After header (integer seconds,

@@ -2,10 +2,13 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -153,10 +156,14 @@ func TestMapOrderedUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < perClient; r++ {
 				resp := postMap(t, ts.URL, mapBody(t, reads), map[string]string{"X-Client": fmt.Sprintf("c%d", c)})
-				var mr serve.MapResponse
-				err := json.NewDecoder(resp.Body).Decode(&mr)
+				raw, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if err != nil {
+					errCh <- err
+					return
+				}
+				var mr serve.MapResponse
+				if err := json.Unmarshal(raw, &mr); err != nil {
 					errCh <- err
 					return
 				}
@@ -174,6 +181,23 @@ func TestMapOrderedUnderConcurrency(t *testing.T) {
 						errCh <- fmt.Errorf("result %d: node %d, want %d (out of order)", i, res.Extensions[0].Node, first+uint32(i))
 						return
 					}
+				}
+				// The bytes on the wire are encoding/json's for the results
+				// this request must have, whatever else was in flight.
+				want := make([]serve.WireResult, reads)
+				for i := range want {
+					want[i] = serve.WireResult{Read: fmt.Sprintf("r%d", i), Extensions: []serve.WireExtension{
+						{Node: first + uint32(i), Strand: "+", Score: 7},
+					}}
+				}
+				tail, err := json.Marshal(want)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if tail = append(append([]byte(`"results":`), tail...), "}\n"...); !bytes.HasSuffix(raw, tail) {
+					errCh <- fmt.Errorf("response %s does not end in %s", raw, tail)
+					return
 				}
 			}
 		}(c)
@@ -211,8 +235,40 @@ func TestPerClientAdmission(t *testing.T) {
 	if got := reg.Counter(obs.MetricServeClientRejects).Value(); got != 1 {
 		t.Errorf("serve_client_rejects_total = %d, want 1", got)
 	}
+
+	// A client named in the header is refused before its body is touched: over
+	// the cap it costs a map lookup, not a read and a decode.
+	req := httptest.NewRequest(http.MethodPost, "/map", unreadable{t})
+	req.Header.Set("X-Client", "greedy")
+	rec := httptest.NewRecorder()
+	ts.Config.Handler.ServeHTTP(rec, req)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("over-cap request with an unread body: status %d, want 429", rec.Code)
+	}
+	// One named only in the body is still refused, after the decode that
+	// finds the name.
+	named, err := json.Marshal(serve.MapRequest{Client: "greedy", Reads: []serve.WireRead{{Name: "r", Seq: "ACGT"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp = postMap(t, ts.URL, named, nil)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-cap request named in the body: status %d, want 429", resp.StatusCode)
+	}
+	if got := reg.Counter(obs.MetricServeClientRejects).Value(); got != 3 {
+		t.Errorf("serve_client_rejects_total = %d, want 3", got)
+	}
 	close(fm.gate)
 	wg.Wait()
+}
+
+// unreadable is a request body that must not be read.
+type unreadable struct{ t *testing.T }
+
+func (u unreadable) Read([]byte) (int, error) {
+	u.t.Error("the body of a request refused on its header was read")
+	return 0, io.EOF
 }
 
 // TestQueueFullAdmission: with the worker parked and the session queue
@@ -334,6 +390,9 @@ func TestBadRequests(t *testing.T) {
 		{"not json", []byte("{"), http.StatusBadRequest},
 		{"no reads", []byte(`{"reads":[]}`), http.StatusBadRequest},
 		{"too many reads", mapBody(t, 9), http.StatusRequestEntityTooLarge},
+		// Refused at the ninth read: what follows it is never looked at.
+		{"too many reads, then garbage", append(bytes.TrimSuffix(mapBody(t, 9), []byte("]}")), ",{{{"...), http.StatusRequestEntityTooLarge},
+		{"garbage before the cap", append(bytes.TrimSuffix(mapBody(t, 8), []byte("]}")), "{{{"...), http.StatusBadRequest},
 		{"bad base", []byte(`{"reads":[{"name":"r","seq":"AXGT"}]}`), http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -344,8 +403,118 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
-	if got := reg.Counter(obs.MetricServeBadRequests).Value(); got != 4 {
-		t.Errorf("serve_bad_requests_total = %d, want 4", got)
+	if got := reg.Counter(obs.MetricServeBadRequests).Value(); got != 6 {
+		t.Errorf("serve_bad_requests_total = %d, want 6", got)
+	}
+}
+
+// lateMapper parks every batch at its gate and only then looks at the records
+// it was handed — a worker that is still on a request after the handler gave
+// up on it. Record g of the session (its global index) must still be the one
+// lateRead(g) sent.
+type lateMapper struct {
+	gate        chan struct{}
+	seen, wrong atomic.Int64
+}
+
+func (m *lateMapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out [][]extend.Extension, stop *atomic.Bool, sb *obs.SubBatch) (gbwt.CacheStats, int) {
+	<-m.gate
+	for j := range recs {
+		if want := lateRead(base + j); recs[j].Read.Name != want.Name || recs[j].Read.Seq.String() != want.Seq {
+			m.wrong.Add(1)
+		}
+		m.seen.Add(1)
+	}
+	return gbwt.CacheStats{}, 0
+}
+
+// lateRead is the g-th read the scratch test sends: no two alike, and of
+// different lengths, so an arena written again never looks the same.
+func lateRead(g int) serve.WireRead {
+	return serve.WireRead{Name: fmt.Sprintf("late-%d", g*g), Seq: strings.Repeat("ACGT"[g%4:]+"GATTACA", 1+g%5)}
+}
+
+func lateBody(t *testing.T, first, n int) []byte {
+	t.Helper()
+	req := serve.MapRequest{Reads: make([]serve.WireRead, n)}
+	for i := range req.Reads {
+		req.Reads[i] = lateRead(first + i)
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestScratchNotRecycledUnderWorkers pins the arena's one lifetime rule. Four
+// requests are claimed by workers that stall before reading them, and are then
+// abandoned by their handlers (context done: the exit a 504 takes too). Their
+// arenas must not go back to the pool: 64 further requests decode into whatever
+// the pool hands out, and when the workers finally look, every record must
+// still be the one its own request sent.
+func TestScratchNotRecycledUnderWorkers(t *testing.T) {
+	const held, reads, followers = 4, 8, 64
+	lm := &lateMapper{gate: make(chan struct{})}
+	reg := obs.NewRegistry(held)
+	sess, err := pipeline.NewSession(lm, pipeline.Options{Workers: held, BatchSize: reads, Depth: held + followers}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	srv, err := serve.New(serve.Config{
+		Session: sess, Reg: reg, PerClient: held + followers,
+		Extract: func(read *dna.Read) (seeds.ReadSeeds, error) { return seeds.ReadSeeds{Read: *read}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(ctx context.Context, body []byte, deadlineMs string) int {
+		req := httptest.NewRequest(http.MethodPost, "/map", bytes.NewReader(body)).WithContext(ctx)
+		req.Header.Set("X-Deadline-Ms", deadlineMs)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		return rec.Code
+	}
+
+	// One at a time, so that request k holds the session's reads k*8..k*8+7.
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for k := 0; k < held; k++ {
+		body := lateBody(t, k*reads, reads)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code := post(ctx, body, "60000"); code != http.StatusServiceUnavailable {
+				t.Errorf("abandoned request %d: status %d, want 503", k, code)
+			}
+		}()
+		waitFor(t, func() bool { return reg.Counter(obs.MetricSchedClaims).Value() == int64(k+1) })
+	}
+	cancel()
+	wg.Wait()
+
+	// The followers queue behind the stalled workers and time out; each has
+	// decoded into an arena by then, from several goroutines so that they
+	// draw from every P's share of the pool.
+	for f := 0; f < 4; f++ {
+		body := lateBody(t, 1000+f, reads)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < followers/4; i++ {
+				if code := post(context.Background(), body, "1"); code != http.StatusGatewayTimeout {
+					t.Errorf("follower: status %d, want 504", code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	close(lm.gate)
+	waitFor(t, func() bool { return lm.seen.Load() == held*reads })
+	if n := lm.wrong.Load(); n != 0 {
+		t.Fatalf("%d of %d records changed under a worker that still held them", n, held*reads)
 	}
 }
 

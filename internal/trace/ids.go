@@ -9,8 +9,10 @@ package trace
 // (obs.Exemplar, obs.SubBatch) allocates nothing.
 
 // TraceparentHeader is the propagation header the serving path reads and
-// writes: the W3C Trace Context header name.
-const TraceparentHeader = "traceparent"
+// writes: the W3C Trace Context header name, in the canonical form net/http
+// keys its header maps by and puts on the wire whatever case it is given —
+// spelled lower-case here, every Get and Set would allocate the conversion.
+const TraceparentHeader = "Traceparent"
 
 // ID is a 128-bit request trace identifier. The zero ID means "untraced";
 // generators must never produce it.
@@ -25,9 +27,13 @@ func (id ID) IsZero() bool { return id.Hi == 0 && id.Lo == 0 }
 // the same bytes that appear inside the traceparent header.
 func (id ID) String() string {
 	var b [32]byte
-	putHex(b[:16], id.Hi)
-	putHex(b[16:], id.Lo)
-	return string(b[:])
+	return string(id.AppendHex(b[:0]))
+}
+
+// AppendHex appends the 32 hex digits of String to dst: the form for callers
+// that render into a buffer they own (the /map response encoder).
+func (id ID) AppendHex(dst []byte) []byte {
+	return appendHex(appendHex(dst, id.Hi), id.Lo)
 }
 
 // MarshalJSON encodes the ID as its hex string; the zero ID encodes as ""
@@ -38,10 +44,7 @@ func (id ID) MarshalJSON() ([]byte, error) {
 	}
 	b := make([]byte, 0, 34)
 	b = append(b, '"')
-	var h [32]byte
-	putHex(h[:16], id.Hi)
-	putHex(h[16:], id.Lo)
-	b = append(b, h[:]...)
+	b = id.AppendHex(b)
 	return append(b, '"'), nil
 }
 
@@ -76,14 +79,9 @@ const errBadID = idError("trace: malformed trace ID")
 func Traceparent(id ID) string {
 	b := make([]byte, 0, 55)
 	b = append(b, "00-"...)
-	var h [32]byte
-	putHex(h[:16], id.Hi)
-	putHex(h[16:], id.Lo)
-	b = append(b, h[:]...)
+	b = id.AppendHex(b)
 	b = append(b, '-')
-	var span [16]byte
-	putHex(span[:], spanFrom(id))
-	b = append(b, span[:]...)
+	b = appendHex(b, spanFrom(id))
 	return string(append(b, "-01"...))
 }
 
@@ -120,12 +118,12 @@ func ParseTraceparent(h string) (ID, bool) {
 
 const hexDigits = "0123456789abcdef"
 
-// putHex writes v as 16 lowercase hex digits into dst.
-func putHex(dst []byte, v uint64) {
-	for i := 15; i >= 0; i-- {
-		dst[i] = hexDigits[v&0xf]
-		v >>= 4
+// appendHex appends v as 16 lowercase hex digits.
+func appendHex(dst []byte, v uint64) []byte {
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, hexDigits[v>>uint(shift)&0xf])
 	}
+	return dst
 }
 
 // parseHex reads exactly 16 lowercase-or-uppercase hex digits.
