@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke lint escapecheck staticcheck govulncheck perfdiff pgo-capture pgo-verify ci
+.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke lint escapecheck codeweight staticcheck govulncheck perfdiff pgo-capture pgo-verify ci
 
 build:
 	$(GO) build ./...
@@ -75,10 +75,10 @@ fuzz-smoke:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# lint runs the seven project-specific analyzers (atomicmix, ctxflow,
-# escapebudget, hotalloc, hotpath, metricname, nakedgoroutine) over the whole
-# tree. Zero findings required. LINT_REPORT_DIR
-# archives vetgiraffe.txt and escapes_diff.txt for CI artifact upload.
+# lint runs the six project-specific analyzers (atomicmix, ctxflow,
+# escapebudget, hotpath, metricname, nakedgoroutine) over the whole tree, one
+# package after another. Zero findings required. LINT_REPORT_DIR archives
+# vetgiraffe.txt and escapes_diff.txt for CI artifact upload.
 LINT_REPORT_DIR ?= lint-report
 lint:
 	$(GO) run ./cmd/vetgiraffe -reportdir $(LINT_REPORT_DIR) ./...
@@ -93,6 +93,12 @@ ifeq ($(UPDATE),1)
 else
 	$(GO) run ./cmd/vetgiraffe -only escapebudget ./...
 endif
+
+# codeweight prints non-test, non-testdata Go lines per tree (map path,
+# obs+trace, analysis+vetgiraffe, cmd/bench, the other mains): the numbers
+# behind ROADMAP's code-weight row. The CI lint job prints it.
+codeweight:
+	@sh scripts/codeweight.sh
 
 # staticcheck/govulncheck run when the pinned binaries are on PATH (the CI
 # lint job installs them); locally they skip with a hint rather than fail,

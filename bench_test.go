@@ -2,8 +2,8 @@ package repro
 
 // One benchmark per table and figure of the paper's evaluation (the mapping
 // lives in DESIGN.md §2). Each benchmark exercises the measured core of its
-// experiment at a reduced scale; the experiment binaries (cmd/benchreport,
-// cmd/scalability, cmd/autotune) regenerate the full printed artefacts.
+// experiment at a reduced scale; cmd/benchreport regenerates the full printed
+// artefacts (all of them, or the steps named by -only).
 
 import (
 	"io"

@@ -7,6 +7,8 @@
 // Usage:
 //
 //	benchreport -scale 1.0 -outdir results/
+//	benchreport -only figure4,figure5,table7   # the scaling experiments
+//	benchreport -only figure6,figure7,figure8  # the §VII-B autotuning study (Table VIII, ANOVA)
 package main
 
 import (
@@ -15,6 +17,8 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/autotune"
@@ -31,26 +35,14 @@ func main() {
 	flag.IntVar(&cfg.Threads, "threads", 0, "local measurement threads (0 = all CPUs)")
 	repeats := flag.Int("repeats", 1, "repeats per measured point")
 	outdir := flag.String("outdir", "results", "directory for CSV artefacts")
-	only := flag.String("only", "", "run a single experiment (table1, figure2, ... anova)")
+	only := flag.String("only", "", "comma-separated steps to run, e.g. figure5,table7 (default: all; an unknown name lists the valid ones)")
 	flag.StringVar(&cfg.Manifest, "manifest", "", "run manifest JSON path (default <outdir>/run-manifest.json; \"off\" disables)")
 	flag.StringVar(&cfg.Series, "series", "", "archive a JSON-lines metric time-series here (flight recorder; enables the metrics registry)")
 	flag.DurationVar(&cfg.SeriesInterval, "series-interval", obs.DefaultSeriesInterval, "series self-scrape interval")
 	flag.StringVar(&cfg.Profile, "profile", "", "continuous profiling: rotate labeled CPU/heap profile segments into this directory")
 	flag.Parse()
 
-	if err := os.MkdirAll(*outdir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	if cfg.Manifest == "" {
-		cfg.Manifest = filepath.Join(*outdir, "run-manifest.json")
-	}
-	stack, err := obs.Start(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s := experiments.NewSuite(experiments.Config{
-		Scale: *scale, Threads: cfg.Threads, Repeats: *repeats, Out: os.Stdout, Obs: stack.Reg,
-	})
+	var s *experiments.Suite // built once the obs stack is up; the steps close over it
 	space := autotune.DefaultSpace()
 
 	type step struct {
@@ -130,9 +122,32 @@ func main() {
 			return err
 		}},
 	}
+	names := make([]string, len(steps))
+	for i, st := range steps {
+		names[i] = st.name
+	}
+	selected, err := parseOnly(*only, names)
+	if err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
+
+	if err := os.MkdirAll(*outdir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	if cfg.Manifest == "" {
+		cfg.Manifest = filepath.Join(*outdir, "run-manifest.json")
+	}
+	stack, err := obs.Start(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	s = experiments.NewSuite(experiments.Config{
+		Scale: *scale, Threads: cfg.Threads, Repeats: *repeats, Out: os.Stdout, Obs: stack.Reg,
+	})
 	start := time.Now()
 	for _, st := range steps {
-		if *only != "" && *only != st.name {
+		if !selected[st.name] {
 			continue
 		}
 		t0 := time.Now()
@@ -157,4 +172,22 @@ func main() {
 	}
 	fmt.Printf("\nbenchreport complete in %v; CSV artefacts in %s/\n",
 		time.Since(start).Round(time.Millisecond), *outdir)
+}
+
+// parseOnly turns the -only list into the set of steps to run: all of valid
+// when it is empty, and an error naming them when it holds one that does not
+// exist — a typo must not read as a run with nothing to do.
+func parseOnly(only string, valid []string) (map[string]bool, error) {
+	selected := make(map[string]bool)
+	if only == "" {
+		only = strings.Join(valid, ",")
+	}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(valid, name) {
+			return nil, fmt.Errorf("unknown step %q (valid: %s)", name, strings.Join(valid, ", "))
+		}
+		selected[name] = true
+	}
+	return selected, nil
 }

@@ -5,14 +5,13 @@
 //
 // Usage:
 //
-//	vetgiraffe [-only atomicmix,hotpath] [-list] [-workers N]
-//	           [-reportdir DIR] [-update-escapes] [packages...]
+//	vetgiraffe [-only atomicmix,hotpath] [-list] [-reportdir DIR]
+//	           [-update-escapes] [packages...]
 //
-// Packages load and analyze across a worker pool; analyzers exchanging
-// facts (hotpath) see their dependencies analyzed first, and diagnostic
-// output is deterministically sorted either way. When the full analyzer set
-// runs, ignore directives that suppress nothing are themselves reported as
-// stale.
+// Packages load and analyze one after another, imports first, so an analyzer
+// exchanging facts (hotpath) sees a package's dependencies analyzed before
+// it; diagnostic output is sorted. When the full analyzer set runs, ignore
+// directives that suppress nothing are themselves reported as stale.
 //
 // -reportdir archives the diagnostic report (vetgiraffe.txt) and the
 // escapebudget comparison (escapes_diff.txt) for CI artifacts.
@@ -35,7 +34,6 @@ import (
 	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/escapebudget"
-	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/metricname"
 	"repro/internal/analysis/nakedgoroutine"
@@ -45,7 +43,6 @@ var all = []*analysis.Analyzer{
 	atomicmix.Analyzer,
 	ctxflow.Analyzer,
 	escapebudget.Analyzer,
-	hotalloc.Analyzer,
 	hotpath.Analyzer,
 	metricname.Analyzer,
 	nakedgoroutine.Analyzer,
@@ -60,7 +57,6 @@ func run(stdout, stderr *os.File, args []string) int {
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	workers := fs.Int("workers", 0, "analysis worker pool size (default: GOMAXPROCS)")
 	reportDir := fs.String("reportdir", "", "directory to archive vetgiraffe.txt and escapes_diff.txt reports")
 	updateEscapes := fs.Bool("update-escapes", false,
 		"rewrite "+escapebudget.BaselinePath+" from current compiler verdicts and exit")
@@ -143,7 +139,6 @@ func run(stdout, stderr *os.File, args []string) int {
 	}
 
 	diags, err := analysis.RunWith(analysis.RunOptions{
-		Workers:      *workers,
 		StaleIgnores: fullSet,
 		ExtraDiags:   extra,
 	}, pkgs, selected)

@@ -38,9 +38,14 @@ func TestListExitsZeroAndNamesEveryAnalyzer(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, a := range all {
-		if !strings.Contains(out, a.Name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", a.Name, out)
+	want := []string{"atomicmix", "ctxflow", "escapebudget", "hotpath", "metricname", "nakedgoroutine"}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(lines), len(want), out)
+	}
+	for i, name := range want {
+		if !strings.HasPrefix(lines[i], name+" ") {
+			t.Errorf("-list line %d = %q, want analyzer %q", i, lines[i], name)
 		}
 	}
 	if !strings.Contains(out, "(module analyzer)") {
@@ -62,22 +67,25 @@ func TestUnknownOnlyAnalyzerExitsTwo(t *testing.T) {
 }
 
 func TestUnknownAmongKnownStillExitsTwo(t *testing.T) {
-	code, _, errOut := runCLI(t, "-only", "hotalloc,bogus", "./testdata/src/lintme")
+	code, _, errOut := runCLI(t, "-only", "hotpath,bogus", "./testdata/src/lintme")
 	if code != 2 {
-		t.Fatalf("-only hotalloc,bogus exit = %d, want 2", code)
+		t.Fatalf("-only hotpath,bogus exit = %d, want 2", code)
 	}
 	if !strings.Contains(errOut, `unknown analyzer "bogus"`) {
 		t.Errorf("stderr does not name the unknown analyzer:\n%s", errOut)
 	}
 }
 
+// TestFindingsExitOne: a hot body that calls fmt.Sprintf itself is exactly
+// one hotpath finding.
 func TestFindingsExitOne(t *testing.T) {
-	code, out, errOut := runCLI(t, "-only", "hotalloc", "./testdata/src/lintme")
+	code, out, errOut := runCLI(t, "-only", "hotpath", "./testdata/src/lintme")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (stdout:\n%s\nstderr:\n%s)", code, out, errOut)
 	}
-	if !strings.Contains(out, "hotalloc") || !strings.Contains(out, "lintme.go") {
-		t.Errorf("stdout does not report the fixture finding:\n%s", out)
+	if n := strings.Count(out, "\n"); n != 1 || !strings.Contains(out, "lintme.go") ||
+		!strings.Contains(out, "hotpath: call to fmt.Sprintf in hot function Hot") {
+		t.Errorf("stdout = %d lines, want the one fixture finding:\n%s", n, out)
 	}
 	if !strings.Contains(errOut, "finding(s)") {
 		t.Errorf("stderr does not summarize the finding count:\n%s", errOut)
@@ -96,7 +104,7 @@ func TestCleanRunExitsZero(t *testing.T) {
 
 func TestReportDirArchivesFindings(t *testing.T) {
 	dir := t.TempDir()
-	code, _, _ := runCLI(t, "-only", "hotalloc", "-reportdir", dir, "./testdata/src/lintme")
+	code, _, _ := runCLI(t, "-only", "hotpath", "-reportdir", dir, "./testdata/src/lintme")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
@@ -104,7 +112,15 @@ func TestReportDirArchivesFindings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report not written: %v", err)
 	}
-	if !strings.Contains(string(b), "hotalloc") {
+	if !strings.Contains(string(b), "hotpath") {
 		t.Errorf("archived report missing the finding:\n%s", b)
+	}
+}
+
+// TestWorkersFlagIsGone: the driver is serial, so the knob is not accepted.
+func TestWorkersFlagIsGone(t *testing.T) {
+	code, _, errOut := runCLI(t, "-workers", "2", "./testdata/src/lintme")
+	if code != 2 || !strings.Contains(errOut, "flag provided but not defined: -workers") {
+		t.Errorf("-workers exit = %d, want 2 and an unknown-flag error:\n%s", code, errOut)
 	}
 }

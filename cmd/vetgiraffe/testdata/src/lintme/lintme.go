@@ -1,11 +1,11 @@
 // Package lintme is a CLI-test fixture for cmd/vetgiraffe: Hot carries a
-// deliberate hotalloc finding, Clean none. Under testdata/ the package is
+// deliberate hotpath finding, Clean none. Under testdata/ the package is
 // invisible to ./... patterns, so `make lint` never sees it.
 package lintme
 
 import "fmt"
 
-// Hot formats in a hot function: a guaranteed hotalloc finding.
+// Hot formats in a hot function: a guaranteed hotpath finding.
 //
 //minigiraffe:hot
 func Hot(x int) string {

@@ -9,7 +9,7 @@
 //
 // The project-specific analyzers living in the subpackages encode the
 // invariants the miniGiraffe reproduction depends on — atomic-counter
-// discipline, paired trace regions, allocation-free and non-blocking hot
+// discipline, constant metric names, allocation-free and non-blocking hot
 // kernels, context threading on the serving path, and leak-free goroutine
 // construction — and cmd/vetgiraffe runs them as a CI gate (`make lint`).
 package analysis
@@ -19,14 +19,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Analyzer is one static check. Per-package analyzers (Run) execute
-// independently over each package, in dependency order when they use Facts.
+// Analyzer is one static check. Per-package analyzers (Run) execute over
+// one package at a time, a package's imports before the package itself.
 // Module analyzers (ModuleRun) execute once over the whole loaded set —
 // escapebudget, which shells out to the compiler, is the only one.
 type Analyzer struct {
@@ -38,9 +36,6 @@ type Analyzer struct {
 	// Run inspects pass and reports findings via pass.Reportf. Nil for
 	// module analyzers.
 	Run func(pass *Pass) error
-	// FactTypes declares the fact types Run exports/imports; a non-empty
-	// list is what forces dependency-ordered scheduling.
-	FactTypes []Fact
 	// ModuleRun, when non-nil, runs once over the full loaded set (dir is
 	// the module root the packages were loaded from). The returned string is
 	// an optional human-readable report that cmd/vetgiraffe archives next to
@@ -70,8 +65,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	diags   []Diagnostic
-	facts   *[]factEntry
-	store   *factStore
+	facts   factStore
 	ignores *ignoreIndex
 }
 
@@ -103,9 +97,6 @@ func (p *Pass) Posn(pos token.Pos) string {
 // ignore next to the offending operation stops the effect at its origin
 // instead of at every hot caller.
 func (p *Pass) Suppressed(pos token.Pos) bool {
-	if p.ignores == nil {
-		return false
-	}
 	return p.ignores.suppressed(p.Fset.Position(pos), p.Analyzer.Name)
 }
 
@@ -116,10 +107,6 @@ const IgnoreDirective = "//vetgiraffe:ignore"
 
 // RunOptions tunes RunWith.
 type RunOptions struct {
-	// Workers bounds the analysis worker pool; <=0 means GOMAXPROCS.
-	// Packages still start only after the packages they import (within the
-	// analyzed set) have been analyzed and their facts sealed.
-	Workers int
 	// StaleIgnores adds a diagnostic for every ignore directive that names
 	// one of the analyzers being run yet suppressed nothing, and for
 	// directives naming no known analyzer. Only meaningful when the full
@@ -132,117 +119,46 @@ type RunOptions struct {
 	ExtraDiags []Diagnostic
 }
 
-// Run applies each analyzer to each package serially with stale-ignore
-// checking off — the compatibility entry point.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunWith(RunOptions{Workers: 1}, pkgs, analyzers)
-}
-
-// RunWith applies each per-package analyzer to each package over a worker
-// pool, drops findings suppressed by ignore directives, and returns the
-// remaining diagnostics sorted by position. Packages are scheduled in
-// import-dependency order so analyzers reading Facts always find their
-// dependencies' facts sealed; packages with no dependency relation analyze
-// concurrently. Module analyzers (ModuleRun) are not run here — they are
-// cmd/vetgiraffe's job.
+// RunWith applies each per-package analyzer to each package, one package
+// after another in the order given, drops findings suppressed by ignore
+// directives, and returns the remaining diagnostics sorted by position. pkgs
+// must list every package after the packages of the set it imports — the
+// order Load returns — so an analyzer reading Facts always finds its
+// dependencies' facts exported; a list that does not is an error, not a run
+// with facts missing. Module analyzers (ModuleRun) are not run here — they
+// are cmd/vetgiraffe's job.
 func RunWith(opts RunOptions, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	facts := make(factStore)
+	indexes := make([]*ignoreIndex, 0, len(pkgs))
+	fileOwner := make(map[string]*ignoreIndex) // by file name
+	pending := make(map[string]bool, len(pkgs))
+	for _, pkg := range pkgs {
+		pending[pkg.PkgPath] = true
 	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	store := newFactStore()
-
-	// Ignore-directive indexes, one per package, shared between the analysis
-	// workers, the ExtraDiags filter, and stale accounting.
-	indexes := make([]*ignoreIndex, len(pkgs))
-	fileOwner := make(map[string]int)
-	for i, pkg := range pkgs {
-		indexes[i] = buildIgnoreIndex(pkg)
-		for _, f := range pkg.Syntax {
-			fileOwner[pkg.Fset.Position(f.Pos()).Filename] = i
-		}
-	}
-
-	// Dependency edges within the analyzed set.
-	byPath := make(map[string]int, len(pkgs))
-	for i, pkg := range pkgs {
-		byPath[pkg.PkgPath] = i
-	}
-	indegree := make([]int, len(pkgs))
-	dependents := make([][]int, len(pkgs))
-	for i, pkg := range pkgs {
+	var out []Diagnostic
+	for _, pkg := range pkgs {
 		for _, imp := range pkg.Imports {
-			if j, ok := byPath[imp]; ok && j != i {
-				indegree[i]++
-				dependents[j] = append(dependents[j], i)
+			if pending[imp] {
+				return nil, fmt.Errorf("analysis: %s is listed before %s, which it imports", pkg.PkgPath, imp)
 			}
 		}
-	}
-
-	var (
-		mu       sync.Mutex
-		out      []Diagnostic
-		firstErr error
-	)
-	ready := make(chan int, len(pkgs))
-	done := make(chan int, len(pkgs))
-	for i := range pkgs {
-		if indegree[i] == 0 {
-			ready <- i
+		ix := buildIgnoreIndex(pkg)
+		indexes = append(indexes, ix)
+		for _, f := range pkg.Syntax {
+			fileOwner[pkg.Fset.Position(f.Pos()).Filename] = ix
 		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ready {
-				diags, err := analyzePackage(pkgs[i], analyzers, store, indexes[i])
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				out = append(out, diags...)
-				mu.Unlock()
-				done <- i
-			}
-		}()
-	}
-
-	// Dispatcher: release dependents as their dependencies complete. Cycles
-	// cannot occur (the go tool rejects import cycles), so every package is
-	// eventually released.
-	scheduled := 0
-	for range pkgs {
-		i := <-done
-		scheduled++
-		for _, dep := range dependents[i] {
-			indegree[dep]--
-			if indegree[dep] == 0 {
-				ready <- dep
-			}
+		diags, err := analyzePackage(pkg, analyzers, facts, ix)
+		if err != nil {
+			return nil, err
 		}
-	}
-	close(ready)
-	wg.Wait()
-	_ = scheduled
-
-	if firstErr != nil {
-		return nil, firstErr
+		out = append(out, diags...)
+		delete(pending, pkg.PkgPath)
 	}
 
 	// Module-analyzer diagnostics: suppressible by a directive in the file
 	// they point at; unattributable files pass through unfiltered.
 	for _, d := range opts.ExtraDiags {
-		if i, ok := fileOwner[d.Pos.Filename]; ok && indexes[i].suppressed(d.Pos, d.Analyzer) {
+		if ix, ok := fileOwner[d.Pos.Filename]; ok && ix.suppressed(d.Pos, d.Analyzer) {
 			continue
 		}
 		out = append(out, d)
@@ -273,10 +189,9 @@ func RunWith(opts RunOptions, pkgs []*Package, analyzers []*Analyzer) ([]Diagnos
 	return out, nil
 }
 
-// analyzePackage runs every per-package analyzer over pkg, filters
-// suppressed findings, and seals the package's facts.
-func analyzePackage(pkg *Package, analyzers []*Analyzer, store *factStore, ignores *ignoreIndex) ([]Diagnostic, error) {
-	var pkgFacts []factEntry
+// analyzePackage runs every per-package analyzer over pkg and filters
+// suppressed findings.
+func analyzePackage(pkg *Package, analyzers []*Analyzer, facts factStore, ignores *ignoreIndex) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, a := range analyzers {
 		if a.Run == nil {
@@ -288,22 +203,17 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, store *factStore, ignor
 			Files:     pkg.Syntax,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
-			facts:     &pkgFacts,
-			store:     store,
+			facts:     facts,
 			ignores:   ignores,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
 		}
 		for _, d := range pass.diags {
-			if ignores.suppressed(d.Pos, a.Name) {
-				continue
+			if !ignores.suppressed(d.Pos, a.Name) {
+				out = append(out, d)
 			}
-			out = append(out, d)
 		}
-	}
-	if err := store.seal(pkg.PkgPath, pkgFacts); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -316,13 +226,8 @@ type ignoreDirective struct {
 }
 
 // ignoreIndex holds a package's directives, keyed for O(1) lookup by
-// (file, line, analyzer). Lookups are mutex-guarded: within one package the
-// analyzers run serially, but the hotpath collector can consult the index of
-// its own package while another goroutine... it cannot — packages are
-// analyzed by a single worker each — the mutex simply keeps the index safe
-// if that ever changes.
+// (file, line, analyzer).
 type ignoreIndex struct {
-	mu    sync.Mutex
 	byKey map[suppressKey]*ignoreDirective
 	all   []*ignoreDirective
 }
@@ -336,8 +241,6 @@ type suppressKey struct {
 // suppressed reports whether a directive for analyzer covers (file, line) —
 // trailing (same line) or preceding-line placement — marking it used.
 func (ix *ignoreIndex) suppressed(pos token.Position, analyzer string) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	for _, line := range [2]int{pos.Line, pos.Line - 1} {
 		if d, ok := ix.byKey[suppressKey{pos.Filename, line, analyzer}]; ok {
 			d.used = true
@@ -351,8 +254,6 @@ func (ix *ignoreIndex) suppressed(pos token.Position, analyzer string) bool {
 // directive naming only analyzers from the known set that never matched, and
 // every directive naming an analyzer that does not exist.
 func (ix *ignoreIndex) staleDiagnostics(known map[string]bool) []Diagnostic {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	var out []Diagnostic
 	for _, d := range ix.all {
 		if d.used {
@@ -392,7 +293,7 @@ func (ix *ignoreIndex) staleDiagnostics(known map[string]bool) []Diagnostic {
 // (`a //vetgiraffe:ignore ...` in documentation) is not a directive. A
 // comment may carry several directives, and one directive may name several
 // analyzers (comma-separated):
-// `x() //vetgiraffe:ignore hotalloc,hotpath startup only`.
+// `x() //vetgiraffe:ignore hotpath,ctxflow startup only`.
 func buildIgnoreIndex(pkg *Package) *ignoreIndex {
 	ix := &ignoreIndex{byKey: make(map[suppressKey]*ignoreDirective)}
 	for _, f := range pkg.Syntax {

@@ -37,7 +37,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
+	diags, err := analysis.RunWith(analysis.RunOptions{}, []*analysis.Package{pkg}, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
@@ -45,7 +45,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 }
 
 // RunPkgs loads the packages matching patterns (anchored at dir) with the
-// full module loader — facts flow between them in dependency order — and
+// full module loader — imports first, so facts flow between them — and
 // checks the combined diagnostics against want expectations in every loaded
 // package. This is the harness for cross-package fact fixtures living under
 // testdata/src/ as real module packages.

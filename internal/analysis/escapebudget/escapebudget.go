@@ -1,6 +1,6 @@
 // Package escapebudget gates the hot kernels on the compiler's own
-// escape-analysis and inlining verdicts. AST-level checks (hotalloc,
-// hotpath) approximate what allocates; `go build -gcflags=-m=2` is the
+// escape-analysis and inlining verdicts. The AST-level check (hotpath)
+// approximates what allocates; `go build -gcflags=-m=2` is the
 // ground truth. The analyzer shells out to the compiler, attributes every
 // "escapes to heap" / "moved to heap" diagnostic and every inlinability
 // verdict to the enclosing `//minigiraffe:hot` function, and compares the
@@ -33,7 +33,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/hotalloc"
+	"repro/internal/analysis/hotpath"
 )
 
 // BaselinePath is the committed baseline, relative to the module root.
@@ -286,7 +286,7 @@ func isHot(fn *ast.FuncDecl) bool {
 		return false
 	}
 	for _, c := range fn.Doc.List {
-		if strings.HasPrefix(c.Text, hotalloc.HotDirective) {
+		if strings.HasPrefix(c.Text, hotpath.HotDirective) {
 			return true
 		}
 	}

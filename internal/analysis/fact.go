@@ -2,26 +2,20 @@
 // golang.org/x/tools go/analysis design: while analyzing package P an
 // analyzer may attach a Fact to one of P's package-level objects; when a
 // package that imports P is analyzed later, the same analyzer can look the
-// fact up through the object it resolves from P's export data. Facts are
-// gob-serialized into one blob per (package, analyzer) the moment P's
-// analysis completes — the serialized form is the only thing dependents
-// read, so a fact round-trips exactly as it would through an on-disk
-// cache, and the format is stable enough to persist (see DESIGN.md).
+// fact up through the object it resolves from P's export data. A run keeps
+// its facts in memory, each as a copy of the value it was exported with (see
+// DESIGN.md §5a); nothing outlives the process.
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"sync"
 )
 
 // Fact is an analyzer-defined datum attached to a package-level object and
 // visible to later analysis of importing packages. Implementations must be
-// gob-encodable pointer types; AFact is a marker method.
+// pointer types; AFact is a marker method.
 type Fact interface{ AFact() }
 
 // objectKey names a package-level object within its package: "F" for a
@@ -64,101 +58,30 @@ func objectKey(obj types.Object) (string, bool) {
 	return fmt.Sprintf("(%s%s).%s", ptr, named.Obj().Name(), fn.Name()), true
 }
 
-// factEntry is one serialized fact: the owning analyzer, the object key, the
-// concrete fact type's name (a decode-time sanity check), and the gob bytes.
-type factEntry struct {
-	Analyzer string
-	Object   string
-	Type     string
-	Data     []byte
+// CanCarryFact reports whether obj is what ExportObjectFact accepts: a
+// package-level object or a method of a package-level named type.
+func CanCarryFact(obj types.Object) bool {
+	_, ok := objectKey(obj)
+	return ok
 }
 
-// factStore holds every sealed package's serialized facts, keyed by package
-// path. Packages are sealed in dependency order by RunWith, so by the time a
-// dependent's pass asks for an imported fact the blob is present; the store
-// itself is still mutex-guarded because sibling packages run concurrently.
-type factStore struct {
-	mu     sync.Mutex
-	sealed map[string][]byte      // pkgPath → gob([]factEntry)
-	cache  map[string][]factEntry // decoded on first access
+// factKey names one fact: the object it is attached to (package path and
+// objectKey), the analyzer that owns it, and its concrete (pointer) type.
+type factKey struct {
+	pkg, object, analyzer string
+	typ                   reflect.Type
 }
 
-func newFactStore() *factStore {
-	return &factStore{
-		sealed: make(map[string][]byte),
-		cache:  make(map[string][]factEntry),
-	}
-}
+// factStore holds every fact of one RunWith, each as a copy of the value its
+// exporter pointed at. Packages are analyzed imports-first, so a dependent's
+// pass finds its dependencies' facts here.
+type factStore map[factKey]any
 
-// seal serializes a package's accumulated facts. Entries are sorted so the
-// blob is deterministic regardless of analyzer-internal iteration order.
-func (s *factStore) seal(pkgPath string, entries []factEntry) error {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return a.Type < b.Type
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
-		return fmt.Errorf("analysis: sealing facts for %s: %w", pkgPath, err)
-	}
-	s.mu.Lock()
-	s.sealed[pkgPath] = buf.Bytes()
-	s.mu.Unlock()
-	return nil
-}
-
-// entries decodes (and caches) a sealed package's fact list; nil when the
-// package was never sealed (not part of the analyzed set).
-func (s *factStore) entries(pkgPath string) []factEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if dec, ok := s.cache[pkgPath]; ok {
-		return dec
-	}
-	blob, ok := s.sealed[pkgPath]
-	if !ok {
-		return nil
-	}
-	var dec []factEntry
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&dec); err != nil {
-		// A blob we wrote ourselves failing to decode is a framework bug.
-		panic(fmt.Sprintf("analysis: corrupt fact blob for %s: %v", pkgPath, err))
-	}
-	s.cache[pkgPath] = dec
-	return dec
-}
-
-// lookup decodes the fact for (pkgPath, objKey, analyzer) into ptr, which
-// must be a pointer of the same concrete type that was exported.
-func (s *factStore) lookup(pkgPath, objKey, analyzer string, ptr Fact) bool {
-	want := factTypeName(ptr)
-	for _, e := range s.entries(pkgPath) {
-		if e.Analyzer != analyzer || e.Object != objKey || e.Type != want {
-			continue
-		}
-		if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(ptr); err != nil {
-			panic(fmt.Sprintf("analysis: decoding %s fact %s.%s: %v", analyzer, pkgPath, objKey, err))
-		}
-		return true
-	}
-	return false
-}
-
-func factTypeName(f Fact) string { return reflect.TypeOf(f).String() }
-
-// ExportObjectFact attaches fact to obj, which must be a package-level
-// object (or method of a package-level type) of the pass's own package. The
-// fact becomes visible to this analyzer when importing packages are analyzed.
+// ExportObjectFact attaches a copy of *fact to obj, which must be a
+// package-level object (or method of a package-level type) of the pass's own
+// package. The fact is visible to this analyzer for the rest of this pass and
+// when importing packages are analyzed.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.facts == nil {
-		return
-	}
 	if obj.Pkg() == nil || obj.Pkg() != p.Pkg {
 		panic(fmt.Sprintf("analysis: %s: exporting fact for foreign object %v", p.Analyzer.Name, obj))
 	}
@@ -166,22 +89,13 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if !ok {
 		panic(fmt.Sprintf("analysis: %s: exporting fact for non-package-level object %v", p.Analyzer.Name, obj))
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fact); err != nil {
-		panic(fmt.Sprintf("analysis: %s: encoding fact for %s: %v", p.Analyzer.Name, key, err))
-	}
-	*p.facts = append(*p.facts, factEntry{
-		Analyzer: p.Analyzer.Name,
-		Object:   key,
-		Type:     factTypeName(fact),
-		Data:     buf.Bytes(),
-	})
+	k := factKey{p.Pkg.Path(), key, p.Analyzer.Name, reflect.TypeOf(fact)}
+	p.facts[k] = reflect.ValueOf(fact).Elem().Interface()
 }
 
 // ImportObjectFact copies the fact previously exported for obj by this
-// analyzer into ptr, reporting whether one was found. obj may belong to any
-// package in the analyzed set; same-package objects resolve against facts
-// exported earlier in this pass.
+// analyzer into *ptr, reporting whether one was found. obj may belong to any
+// package in the analyzed set, the pass's own included.
 func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	if obj == nil || obj.Pkg() == nil {
 		return false
@@ -190,23 +104,9 @@ func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	if !ok {
 		return false
 	}
-	if obj.Pkg().Path() == p.Pkg.Path() {
-		if p.facts == nil {
-			return false
-		}
-		want := factTypeName(ptr)
-		for _, e := range *p.facts {
-			if e.Analyzer == p.Analyzer.Name && e.Object == key && e.Type == want {
-				if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(ptr); err != nil {
-					panic(fmt.Sprintf("analysis: decoding own fact %s: %v", key, err))
-				}
-				return true
-			}
-		}
-		return false
+	v, ok := p.facts[factKey{obj.Pkg().Path(), key, p.Analyzer.Name, reflect.TypeOf(ptr)}]
+	if ok {
+		reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(v))
 	}
-	if p.store == nil {
-		return false
-	}
-	return p.store.lookup(obj.Pkg().Path(), key, p.Analyzer.Name, ptr)
+	return ok
 }

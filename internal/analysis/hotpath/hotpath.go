@@ -1,13 +1,19 @@
-// Package hotpath is the whole-program extension of hotalloc: it propagates
-// the `//minigiraffe:hot` contract transitively through the static call
-// graph. Where hotalloc inspects one annotated body at a time, hotpath
-// computes a bottom-up *effect summary* for every declared function —
-// blocking operations (channel send/receive/select, mutex locks, sleeps),
-// I/O and fmt calls, map growth, escaping closure captures, goroutine
-// spawns — folding in its callees' summaries, and exports the summary as a
-// Fact on the function's package-level object. When a dependent package is
-// analyzed later, its hot roots see everything reachable two, three, or ten
-// calls deep across package boundaries.
+// Package hotpath enforces the `//minigiraffe:hot` annotation: functions so
+// marked are mapping-kernel inner loops (extend walks, cluster grouping, GBWT
+// LF-search, core.Mapper dispatch) where per-record allocation, formatting or
+// blocking distorts exactly the measurements the proxy exists to produce.
+//
+// It works in two passes over a package's static call graph. The direct pass
+// collects every declared function's in-body effects — blocking operations
+// (channel send/receive/select, mutex locks, sleeps), I/O and fmt calls,
+// non-constant string concatenation, map allocation and growth, escaping
+// closure captures, goroutine spawns. The transitive pass folds callees'
+// effects into a bottom-up *summary* per function and exports it as a Fact
+// on the function's package-level object, so when a dependent package is
+// analyzed later its hot roots see everything reachable two, three, or ten
+// calls deep across package boundaries. A hot function is then reported for
+// its own direct effects, where they occur, and for what each of its call
+// sites reaches, at the call site.
 //
 // Conventions (see DESIGN.md):
 //
@@ -22,9 +28,13 @@
 //     clean — runtime-internal machinery like slices.SortFunc or
 //     sync/atomic does not block.
 //   - `panic(fmt.Sprintf(...))` is exempt: the crash path is not a hot path.
-//   - Direct in-body fmt calls, string concatenation, and map allocation in
-//     a hot function are hotalloc's findings and are not re-reported here;
-//     hotpath reports them only when reached through a call.
+//   - One kind is direct-only: an append inside a loop of a hot body whose
+//     destination was not preallocated with a three-argument make in the same
+//     function (unbounded growth reallocates mid-kernel). It is reported where
+//     it occurs and never inherited — a cold helper may grow a slice.
+//
+// Cold code is untouched: the annotation is the contract, placed next to the
+// kernels in their doc comments.
 package hotpath
 
 import (
@@ -34,29 +44,31 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/hotalloc"
 )
 
-// Analyzer is the transitive hot-path check.
+// HotDirective marks a function as a hot path in its doc comment.
+const HotDirective = "//minigiraffe:hot"
+
+// Analyzer is the hot-path check.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc: "report blocking or allocating operations transitively reachable " +
-		"from //minigiraffe:hot functions, across package boundaries via facts",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*EffectsFact)(nil), (*HotFact)(nil)},
+	Doc: "report blocking or allocating operations (fmt, string concatenation, " +
+		"map allocation, unpreallocated append growth, locks, channels, I/O) inside " +
+		"//minigiraffe:hot functions or reachable from them, across packages via facts",
+	Run: run,
 }
 
-// Effect kinds. The hotalloc-owned kinds are suppressed for direct (in-body)
-// occurrences in hot functions to avoid double reporting.
+// Effect kinds.
 const (
 	kindBlock    = "block"         // chan ops, select, known-blocking calls
-	kindFmt      = "fmt"           // hotalloc-owned when direct
+	kindFmt      = "fmt"           // any call into package fmt
 	kindIO       = "io"            // os/io/net/log calls
-	kindMapAlloc = "map-alloc"     // hotalloc-owned when direct
+	kindMapAlloc = "map-alloc"     // make(map...) or a map composite literal
 	kindMapWrite = "map-write"     // assignment may grow the map
-	kindConcat   = "string-concat" // hotalloc-owned when direct
+	kindConcat   = "string-concat" // non-constant string concatenation
 	kindClosure  = "closure"       // escaping closure capture
 	kindGo       = "goroutine"     // spawn inside a hot region
+	kindAppend   = "append-growth" // direct-only: see appendGrowth
 )
 
 // Effect is one blocking or allocating operation in a function's summary.
@@ -71,6 +83,9 @@ type Effect struct {
 	// Via is the call chain from the summarized function down to the
 	// operation, exclusive of both endpoints.
 	Via []string
+	// pos is the operation itself, set on a direct effect only: where a hot
+	// function is reported for it.
+	pos token.Pos
 }
 
 // EffectsFact is a function's transitive effect summary, exported on its
@@ -87,7 +102,7 @@ type HotFact struct{}
 // AFact marks HotFact as a fact.
 func (*HotFact) AFact() {}
 
-// maxEffects bounds a single function's serialized summary; kernels with
+// maxEffects bounds a single function's summary; kernels with
 // more findings than this are broken enough that truncation costs nothing.
 const maxEffects = 64
 
@@ -99,7 +114,7 @@ func run(pass *analysis.Pass) error {
 	for fn, decl := range g.Decls {
 		if isHot(decl) {
 			hot[fn] = true
-			if _, ok := exportableKey(fn); ok {
+			if analysis.CanCarryFact(fn) {
 				pass.ExportObjectFact(fn, &HotFact{})
 			}
 		}
@@ -143,38 +158,16 @@ func run(pass *analysis.Pass) error {
 		if len(sum) == 0 {
 			continue
 		}
-		if _, ok := exportableKey(fn); ok {
+		if analysis.CanCarryFact(fn) {
 			pass.ExportObjectFact(fn, &EffectsFact{Effects: sum})
 		}
 	}
 
 	// Report at the hot roots.
 	for fn := range hot {
-		reportHot(pass, g, hot, summaries, fn)
+		reportHot(pass, g, hot, summaries, direct[fn], fn)
 	}
 	return nil
-}
-
-// exportableKey reports whether fn can carry facts (package-level function
-// or method of a package-level named type).
-func exportableKey(fn *types.Func) (string, bool) {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return "", false
-	}
-	if sig.Recv() == nil && fn.Parent() != fn.Pkg().Scope() {
-		return "", false
-	}
-	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-		}
-		if _, named := t.(*types.Named); !named {
-			return "", false
-		}
-	}
-	return fn.Name(), true
 }
 
 func isHot(fn *ast.FuncDecl) bool {
@@ -182,7 +175,7 @@ func isHot(fn *ast.FuncDecl) bool {
 		return false
 	}
 	for _, c := range fn.Doc.List {
-		if strings.HasPrefix(c.Text, hotalloc.HotDirective) {
+		if strings.HasPrefix(c.Text, HotDirective) {
 			return true
 		}
 	}
@@ -286,88 +279,49 @@ func knownExternal(fn *types.Func) (Effect, bool) {
 	return Effect{}, false
 }
 
-// hotallocOwned reports kinds that hotalloc already reports for direct
-// in-body occurrences.
-func hotallocOwned(kind string) bool {
-	return kind == kindFmt || kind == kindMapAlloc || kind == kindConcat
-}
-
 // reportHot emits diagnostics for one hot function: its direct effects (at
 // the operation) and everything its call sites reach (at the call site).
 func reportHot(pass *analysis.Pass, g *analysis.CallGraph, hot map[*types.Func]bool,
-	summaries map[*types.Func][]Effect, fn *types.Func) {
+	summaries map[*types.Func][]Effect, direct []Effect, fn *types.Func) {
 
 	name := fn.Name()
-	decl := g.Decls[fn]
 	seen := make(map[string]bool)
 
-	// Direct effects carry their own positions; re-collect to keep them
-	// (summaries only keep formatted Posn strings).
-	for _, pe := range collectDirectPositioned(pass, decl) {
-		if hotallocOwned(pe.eff.Kind) {
-			continue
-		}
-		key := pe.eff.Kind + "|" + pe.eff.Posn + "|" + strings.Join(pe.eff.Via, ">")
+	for _, eff := range append(appendGrowth(pass, g.Decls[fn]), direct...) {
+		key := eff.Kind + "|" + eff.Posn
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		pass.Reportf(pe.pos, "%s in hot function %s", pe.eff.Desc, name)
+		pass.Reportf(eff.pos, "%s in hot function %s", eff.Desc, name)
 	}
 
 	for _, cs := range g.Calls[fn] {
 		if pass.Suppressed(cs.Pos) {
 			continue
 		}
-		inComp := map[*types.Func]bool{}
-		for _, eff := range calleeEffects(pass, g, hot, summaries, summaries, inComp, cs) {
+		// No component here: every callee contributes its finished summary.
+		for _, eff := range calleeEffects(pass, g, hot, summaries, nil, nil, cs) {
 			key := eff.Kind + "|" + eff.Posn + "|" + strings.Join(eff.Via, ">")
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			if len(eff.Via) == 0 {
-				// Known-blocking external called directly from the hot body.
-				pass.Reportf(cs.Pos, "%s in hot function %s", eff.Desc, name)
-				continue
-			}
 			pass.Reportf(cs.Pos, "%s at %s reachable from hot function %s via %s",
 				eff.Desc, eff.Posn, name, strings.Join(eff.Via, " -> "))
 		}
 	}
 }
 
-// positionedEffect pairs an effect with the token position of the operation.
-type positionedEffect struct {
-	eff Effect
-	pos token.Pos
-}
-
 // collectDirect returns a function's in-body effects (suppressed operations
 // excluded at the origin).
 func collectDirect(pass *analysis.Pass, decl *ast.FuncDecl) []Effect {
-	pes := collectDirectPositioned(pass, decl)
-	out := make([]Effect, 0, len(pes))
-	for _, pe := range pes {
-		out = append(out, pe.eff)
-	}
-	return out
-}
-
-func collectDirectPositioned(pass *analysis.Pass, decl *ast.FuncDecl) []positionedEffect {
-	if decl == nil || decl.Body == nil {
-		return nil
-	}
 	parents := buildParents(decl.Body)
-	var out []positionedEffect
+	var out []Effect
 	add := func(pos token.Pos, kind, desc string) {
-		if pass.Suppressed(pos) {
-			return
+		if !pass.Suppressed(pos) {
+			out = append(out, Effect{Kind: kind, Desc: desc, Posn: pass.Posn(pos), pos: pos})
 		}
-		out = append(out, positionedEffect{
-			eff: Effect{Kind: kind, Desc: desc, Posn: pass.Posn(pos)},
-			pos: pos,
-		})
 	}
 
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
@@ -436,12 +390,10 @@ func collectDirectPositioned(pass *analysis.Pass, decl *ast.FuncDecl) []position
 func collectCallEffects(pass *analysis.Pass, parents map[ast.Node]ast.Node,
 	call *ast.CallExpr, add func(token.Pos, string, string)) {
 
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if _, isB := pass.TypesInfo.Uses[id].(*types.Builtin); isB && id.Name == "make" && len(call.Args) > 0 {
-			if tv, ok := pass.TypesInfo.Types[call.Args[0]]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					add(call.Pos(), kindMapAlloc, "map allocation")
-				}
+	if isBuiltin(pass, call, "make") && len(call.Args) > 0 {
+		if tv, ok := pass.TypesInfo.Types[call.Args[0]]; ok {
+			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+				add(call.Pos(), kindMapAlloc, "map allocation")
 			}
 		}
 		return
@@ -477,17 +429,89 @@ func inSelectComm(parents map[ast.Node]ast.Node, n ast.Node) bool {
 // onPanicPath reports whether n sits inside the arguments of a panic call.
 func onPanicPath(pass *analysis.Pass, parents map[ast.Node]ast.Node, n ast.Node) bool {
 	for p := parents[n]; p != nil; p = parents[p] {
-		call, ok := p.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok {
-			if _, isB := pass.TypesInfo.Uses[id].(*types.Builtin); isB && id.Name == "panic" {
-				return true
-			}
+		if call, ok := p.(*ast.CallExpr); ok && isBuiltin(pass, call, "panic") {
+			return true
 		}
 	}
 	return false
+}
+
+// isBuiltin reports whether call invokes the named builtin.
+func isBuiltin(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, ok = pass.TypesInfo.Uses[id].(*types.Builtin)
+	return ok
+}
+
+// appendGrowth is the direct-only kind: every append inside a loop of decl's
+// body whose destination is not a local that a three-argument make in the
+// same function preallocated. Only hot bodies are asked.
+func appendGrowth(pass *analysis.Pass, decl *ast.FuncDecl) []Effect {
+	type span struct{ lo, hi token.Pos }
+	var loops []span
+	prealloc := make(map[types.Object]bool)
+	mark := func(lhs ast.Expr, rhs ast.Expr) {
+		id, ok := lhs.(*ast.Ident)
+		call, isCall := rhs.(*ast.CallExpr)
+		if ok && isCall && isBuiltin(pass, call, "make") && len(call.Args) == 3 {
+			prealloc[identObj(pass, id)] = true
+		}
+	}
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.ForStmt:
+			loops = append(loops, span{s.Body.Pos(), s.Body.End()})
+		case *ast.RangeStmt:
+			loops = append(loops, span{s.Body.Pos(), s.Body.End()})
+		case *ast.AssignStmt:
+			for i := 0; i < len(s.Rhs) && i < len(s.Lhs); i++ {
+				mark(s.Lhs[i], s.Rhs[i])
+			}
+		case *ast.ValueSpec:
+			for i := 0; i < len(s.Values) && i < len(s.Names); i++ {
+				mark(s.Names[i], s.Values[i])
+			}
+		}
+		return true
+	})
+
+	var out []Effect
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || !isBuiltin(pass, call, "append") || len(call.Args) == 0 {
+			return true
+		}
+		inLoop := false
+		for _, l := range loops {
+			inLoop = inLoop || (call.Pos() >= l.lo && call.Pos() < l.hi)
+		}
+		if !inLoop {
+			return true
+		}
+		desc := "append to non-local destination inside a loop"
+		if dest, ok := call.Args[0].(*ast.Ident); ok {
+			if prealloc[identObj(pass, dest)] {
+				return true
+			}
+			desc = "append grows " + dest.Name + " inside a loop without preallocated capacity (make with an explicit cap)"
+		}
+		if !pass.Suppressed(call.Pos()) {
+			out = append(out, Effect{Kind: kindAppend, Desc: desc, Posn: pass.Posn(call.Pos()), pos: call.Pos()})
+		}
+		return true
+	})
+	return out
+}
+
+// identObj resolves an identifier to the object it defines or uses.
+func identObj(pass *analysis.Pass, id *ast.Ident) types.Object {
+	if obj := pass.TypesInfo.Defs[id]; obj != nil {
+		return obj
+	}
+	return pass.TypesInfo.Uses[id]
 }
 
 // closureEscapes decides whether a function literal both captures enclosing

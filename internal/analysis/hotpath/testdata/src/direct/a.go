@@ -1,7 +1,7 @@
-// Fixture for the hotalloc analyzer: //minigiraffe:hot functions must be
-// free of fmt, string concatenation, map allocation, and unpreallocated
-// append growth.
-package a
+// Fixture for the hotpath analyzer's direct pass: //minigiraffe:hot bodies
+// must be free of fmt, string concatenation, map allocation, and
+// unpreallocated append growth, each reported once, where it occurs.
+package direct
 
 import "fmt"
 
@@ -59,4 +59,28 @@ func coldAllOfIt(a, b string) string {
 	m := map[string]int{}
 	m[a] = 1
 	return fmt.Sprintf("%s%d", a+b, m[a])
+}
+
+// grow is cold, so its loop may grow a slice — and append growth is a
+// direct-only kind: a hot caller does not inherit it.
+func grow(xs []int) []int {
+	var out []int
+	for _, x := range xs {
+		out = append(out, x)
+	}
+	return out
+}
+
+//minigiraffe:hot
+func hotCallsGrow(xs []int) []int {
+	return grow(xs)
+}
+
+//minigiraffe:hot
+func hotSuppressedAppend(xs []int) []int {
+	var out []int
+	for _, x := range xs {
+		out = append(out, x) //vetgiraffe:ignore hotpath bounded by the caller's batch size
+	}
+	return out
 }

@@ -1,6 +1,5 @@
-// Fixture hot root: inherits xpkg's effect summaries through serialized
-// facts — the blocking lock it reports lives two calls away in another
-// package.
+// Fixture hot root: inherits xpkg's effect summaries through facts — the
+// blocking lock it reports lives two calls away in another package.
 package xhot
 
 import "repro/internal/analysis/hotpath/testdata/src/xpkg"

@@ -1,4 +1,4 @@
-// Fixture dependency package: its effect summaries are serialized as facts
+// Fixture dependency package: its effect summaries are exported as facts
 // and consumed when xhot (which imports it) is analyzed.
 package xpkg
 

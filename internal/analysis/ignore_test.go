@@ -108,13 +108,14 @@ func TestIgnoreDirectives(t *testing.T) {
 }
 
 // TestIgnoreDirectivesQuiet checks that stale reporting is off by default:
-// the same fixture under plain Run yields only the unsuppressed findings.
+// the same fixture under zero RunOptions yields only the unsuppressed findings.
 func TestIgnoreDirectivesQuiet(t *testing.T) {
 	pkg, err := analysis.LoadDir("testdata/ignorefix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{dummy("dummyA"), dummy("dummyB")})
+	diags, err := analysis.RunWith(analysis.RunOptions{},
+		[]*analysis.Package{pkg}, []*analysis.Analyzer{dummy("dummyA"), dummy("dummyB")})
 	if err != nil {
 		t.Fatal(err)
 	}

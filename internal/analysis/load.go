@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, parsed, and type-checked package.
@@ -32,8 +31,8 @@ type Package struct {
 	Types     *types.Package
 	TypesInfo *types.Info
 	// Imports lists the package's direct imports (all of them, not just
-	// module-internal ones). RunWith intersects it with the analyzed set to
-	// schedule fact-dependency order.
+	// module-internal ones). RunWith checks against it that the packages it
+	// was handed come imports-first.
 	Imports []string
 }
 
@@ -91,21 +90,6 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// lockedImporter serialises Import calls so packages can be type-checked
-// concurrently: the gc export-data importer keeps a package cache that is not
-// safe for concurrent mutation, while the *types.Packages it returns are
-// read-only afterwards.
-type lockedImporter struct {
-	mu  sync.Mutex
-	imp types.Importer
-}
-
-func (l *lockedImporter) Import(path string) (*types.Package, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.imp.Import(path)
-}
-
 func newTypesInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -121,9 +105,9 @@ func newTypesInfo() *types.Info {
 // files are analyzed, matching what ships in the binaries. dir anchors the
 // go tool invocation ("." means the current directory).
 //
-// Parsing and type-checking fan out over a worker pool: every import —
-// module-internal ones included — resolves through export data, so target
-// packages check independently of each other and the pool needs no ordering.
+// The packages come back one after another in the order `go list -deps`
+// emits them — every package after the packages it imports, whatever order
+// the patterns named them in — which is the order RunWith needs.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -133,71 +117,36 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	exports := make(map[string]string, len(listed))
-	var targets []listedPkg
 	for _, p := range listed {
 		if p.Error != nil {
 			return nil, fmt.Errorf("analysis: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		exports[p.ImportPath] = p.Export
-		if !p.DepOnly {
-			targets = append(targets, p)
-		}
 	}
 
 	fset := token.NewFileSet()
-	imp := &lockedImporter{imp: exportImporter(fset, exports)}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	out := make([]*Package, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				t := targets[i]
-				if len(t.GoFiles) == 0 {
-					continue
-				}
-				files := make([]string, len(t.GoFiles))
-				for j, f := range t.GoFiles {
-					files[j] = filepath.Join(t.Dir, f)
-				}
-				pkg, err := check(fset, imp, t.ImportPath, files)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				pkg.Dir = t.Dir
-				pkg.Imports = t.Imports
-				out[i] = pkg
-			}
-		}()
-	}
-	for i := range targets {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
+	imp := exportImporter(fset, exports)
 	var pkgs []*Package
-	for i := range targets {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, t := range listed {
+		if t.DepOnly || len(t.GoFiles) == 0 {
+			continue
 		}
-		if out[i] != nil {
-			pkgs = append(pkgs, out[i])
+		files := make([]string, len(t.GoFiles))
+		for j, f := range t.GoFiles {
+			files[j] = filepath.Join(t.Dir, f)
 		}
+		syntax, err := parseFiles(fset, files)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := checkParsed(fset, imp, t.ImportPath, syntax)
+		if err != nil {
+			return nil, err
+		}
+		pkg.Dir = t.Dir
+		pkg.Imports = t.Imports
+		pkgs = append(pkgs, pkg)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })
 	return pkgs, nil
 }
 
@@ -224,13 +173,9 @@ func LoadDir(dir string) (*Package, error) {
 
 	// Parse once up front to discover the fixture's imports.
 	fset := token.NewFileSet()
-	var syntax []*ast.File
-	for _, f := range files {
-		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		syntax = append(syntax, af)
+	syntax, err := parseFiles(fset, files)
+	if err != nil {
+		return nil, err
 	}
 	impSet := make(map[string]bool)
 	for _, af := range syntax {
@@ -270,8 +215,8 @@ func LoadDir(dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// check parses files and type-checks them as one package.
-func check(fset *token.FileSet, imp types.Importer, pkgPath string, files []string) (*Package, error) {
+// parseFiles parses the named files, comments included.
+func parseFiles(fset *token.FileSet, files []string) ([]*ast.File, error) {
 	var syntax []*ast.File
 	for _, f := range files {
 		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -280,9 +225,10 @@ func check(fset *token.FileSet, imp types.Importer, pkgPath string, files []stri
 		}
 		syntax = append(syntax, af)
 	}
-	return checkParsed(fset, imp, pkgPath, syntax)
+	return syntax, nil
 }
 
+// checkParsed type-checks syntax as one package.
 func checkParsed(fset *token.FileSet, imp types.Importer, pkgPath string, syntax []*ast.File) (*Package, error) {
 	var typeErrs []error
 	conf := types.Config{

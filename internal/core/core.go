@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -251,21 +250,4 @@ func keySet(exts []extend.Extension) map[string]bool {
 		m[fmt.Sprintf("%s@%d", e.Key(), e.Score)] = true
 	}
 	return m
-}
-
-// SortExtensions orders a read's extensions canonically (already the kernel
-// order); exported for tools that merge outputs.
-func SortExtensions(exts []extend.Extension) {
-	sort.Slice(exts, func(a, b int) bool {
-		if exts[a].Score != exts[b].Score {
-			return exts[a].Score > exts[b].Score
-		}
-		if exts[a].StartPos.Node != exts[b].StartPos.Node {
-			return exts[a].StartPos.Node < exts[b].StartPos.Node
-		}
-		if exts[a].StartPos.Off != exts[b].StartPos.Off {
-			return exts[a].StartPos.Off < exts[b].StartPos.Off
-		}
-		return exts[a].ReadStart < exts[b].ReadStart
-	})
 }

@@ -316,18 +316,3 @@ func TestCacheCapacityAffectsStats(t *testing.T) {
 			cached.Cache.Misses, disabled.Cache.Misses)
 	}
 }
-
-func TestSortExtensions(t *testing.T) {
-	exts := []extend.Extension{
-		{Score: 1, StartPos: vgraph.Position{Node: 2}},
-		{Score: 5, StartPos: vgraph.Position{Node: 1}},
-		{Score: 5, StartPos: vgraph.Position{Node: 3}},
-	}
-	core.SortExtensions(exts)
-	if exts[0].Score != 5 || exts[0].StartPos.Node != 1 {
-		t.Errorf("sort wrong: %+v", exts)
-	}
-	if exts[2].Score != 1 {
-		t.Errorf("sort wrong: %+v", exts)
-	}
-}

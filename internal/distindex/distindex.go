@@ -36,7 +36,6 @@ type Index struct {
 	memoMu   sync.RWMutex
 	memo     map[nodePair]int32
 	memoCap  int
-	queries  int64 // atomic
 	memoHits int64 // atomic
 }
 
@@ -82,7 +81,6 @@ func (ix *Index) BackboneDistance(a, b vgraph.Position) int {
 // the bases strictly between the two positions, so adjacent bases are at
 // distance 1 and identical positions at distance 0.
 func (ix *Index) MinDistance(a, b vgraph.Position, limit int) int {
-	atomic.AddInt64(&ix.queries, 1)
 	if ix.tree != nil {
 		d := ix.tree.MinDistance(a, b)
 		if d == snarl.Unreachable || d > limit {
@@ -198,7 +196,9 @@ func (ix *Index) dijkstra(from, to vgraph.NodeID, limit int32) int {
 	return Unreachable
 }
 
-// Stats reports query and memo-hit counts (for instrumentation).
-func (ix *Index) Stats() (queries, memoHits int64) {
-	return atomic.LoadInt64(&ix.queries), atomic.LoadInt64(&ix.memoHits)
+// MemoHits reports how many fallback-path queries the memo answered. The
+// snarl-tree path, which every query of a decomposable graph takes, counts
+// nothing: a shared counter there is a contended cache line per seed pair.
+func (ix *Index) MemoHits() int64 {
+	return atomic.LoadInt64(&ix.memoHits)
 }

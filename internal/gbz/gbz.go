@@ -66,14 +66,9 @@ func zigzag(v int32) uint64 { return uint64(uint32(v<<1) ^ uint32(v>>31)) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int32 { return int32(uint32(u)>>1) ^ -int32(uint32(u)&1) }
 
-// Write serialises f to w with a DEFLATE-compressed payload.
-func Write(w io.Writer, f *File) error { return write(w, f, true) }
-
-// WriteUncompressed serialises f without payload compression (faster load,
-// larger file).
-func WriteUncompressed(w io.Writer, f *File) error { return write(w, f, false) }
-
-func write(w io.Writer, f *File, compress bool) error {
+// Write serialises f to w with a DEFLATE-compressed payload. (Read also
+// accepts a stored payload, flag bit 0 clear; nothing here writes one.)
+func Write(w io.Writer, f *File) error {
 	if f == nil || f.Graph == nil || f.Index == nil {
 		return errors.New("gbz: nil file, graph, or index")
 	}
@@ -84,23 +79,18 @@ func write(w io.Writer, f *File, compress bool) error {
 	if err := f.Index.Serialize(&payload); err != nil {
 		return err
 	}
-	stored := payload.Bytes()
-	flags := uint16(0)
-	if compress {
-		var zbuf bytes.Buffer
-		zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
-		if err != nil {
-			return err
-		}
-		if _, err := zw.Write(stored); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		stored = zbuf.Bytes()
-		flags |= flagDeflate
+	var zbuf bytes.Buffer
+	zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
+	if err != nil {
+		return err
 	}
+	if _, err := zw.Write(payload.Bytes()); err != nil {
+		return err
+	}
+	if err := zw.Close(); err != nil {
+		return err
+	}
+	stored := zbuf.Bytes()
 
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(Magic[:]); err != nil {
@@ -108,7 +98,7 @@ func write(w io.Writer, f *File, compress bool) error {
 	}
 	var hdr [12]byte
 	binary.LittleEndian.PutUint16(hdr[0:], Version)
-	binary.LittleEndian.PutUint16(hdr[2:], flags)
+	binary.LittleEndian.PutUint16(hdr[2:], flagDeflate)
 	binary.LittleEndian.PutUint64(hdr[4:], uint64(len(stored)))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err

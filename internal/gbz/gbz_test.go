@@ -2,7 +2,11 @@ package gbz
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -192,15 +196,31 @@ func TestZigzag(t *testing.T) {
 	}
 }
 
-func TestUncompressedRoundTrip(t *testing.T) {
-	f := buildTestFile(t, 7)
-	var plain, deflated bytes.Buffer
-	if err := WriteUncompressed(&plain, f); err != nil {
+// storedCopy rewrites a container Write produced into the format's other
+// form — the payload stored as is, flag bit 0 clear — which Read accepts and
+// nothing in the repo writes.
+func storedCopy(t *testing.T, deflated []byte) *bytes.Buffer {
+	t.Helper()
+	const head = 4 + 12 // magic, then version/flags/payloadLen
+	payload, err := io.ReadAll(flate.NewReader(bytes.NewReader(deflated[head : len(deflated)-4])))
+	if err != nil {
 		t.Fatal(err)
 	}
+	out := bytes.NewBuffer(append([]byte(nil), deflated[:head]...))
+	binary.LittleEndian.PutUint16(out.Bytes()[6:], 0)
+	binary.LittleEndian.PutUint64(out.Bytes()[8:], uint64(len(payload)))
+	out.Write(payload)
+	binary.Write(out, binary.LittleEndian, crc32.ChecksumIEEE(payload))
+	return out
+}
+
+func TestUncompressedRoundTrip(t *testing.T) {
+	f := buildTestFile(t, 7)
+	var deflated bytes.Buffer
 	if err := Write(&deflated, f); err != nil {
 		t.Fatal(err)
 	}
+	plain := *storedCopy(t, deflated.Bytes())
 	// Compression must actually shrink the random-but-structured payload.
 	if deflated.Len() >= plain.Len() {
 		t.Errorf("deflated %d ≥ plain %d bytes", deflated.Len(), plain.Len())
@@ -219,7 +239,7 @@ func TestUncompressedRoundTrip(t *testing.T) {
 func TestReadRejectsUnknownFlags(t *testing.T) {
 	f := buildTestFile(t, 8)
 	var buf bytes.Buffer
-	if err := WriteUncompressed(&buf, f); err != nil {
+	if err := Write(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

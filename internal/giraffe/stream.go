@@ -70,17 +70,12 @@ type ExtractSource struct {
 	totalSeeds int
 }
 
-// NewExtractSource starts streaming extraction of the FASTQ text in r
+// NewExtractSourceObs starts streaming extraction of the FASTQ text in r
 // against the minimizer index. lookahead bounds the prefetch window (≤0
-// means DefaultLookahead).
-func NewExtractSource(ix *minimizer.Index, r io.Reader, lookahead int) *ExtractSource {
-	return NewExtractSourceObs(ix, r, lookahead, nil)
-}
-
-// NewExtractSourceObs is NewExtractSource with an observability registry:
-// the prefetch stage counts extracted reads and seeds and records per-read
-// preprocessing latency (extract_reads_total, extract_seeds_total,
-// extract_preprocess_seconds). A nil registry is exactly NewExtractSource.
+// means DefaultLookahead). With an observability registry the prefetch stage
+// counts extracted reads and seeds and records per-read preprocessing
+// latency (extract_reads_total, extract_seeds_total,
+// extract_preprocess_seconds); a nil registry records nothing.
 func NewExtractSourceObs(ix *minimizer.Index, r io.Reader, lookahead int, reg *obs.Registry) *ExtractSource {
 	if lookahead <= 0 {
 		lookahead = DefaultLookahead

@@ -301,7 +301,7 @@ func TestExtractSourceParseError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewExtractSource(b.MinIx, strings.NewReader("not a fastq file\n"), 2)
+	src := NewExtractSourceObs(b.MinIx, strings.NewReader("not a fastq file\n"), 2, nil)
 	defer src.Close()
 	var buf bytes.Buffer
 	_, err = pipeline.RunToCSV(m, src, &buf, pipeline.Options{Workers: 2})

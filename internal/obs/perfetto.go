@@ -23,10 +23,59 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// perfettoTrace is the JSON-object form of the trace-event format.
-type perfettoTrace struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+// perfettoDoc is the one trace-event encoder both exporters convert onto: a
+// document of named tracks (a process id plus a thread id), each a run of
+// complete events, written as the JSON-object form of the format.
+type perfettoDoc struct {
+	events []traceEvent
+}
+
+// perfettoTrack adds events to one thread of a perfettoDoc.
+type perfettoTrack struct {
+	doc      *perfettoDoc
+	pid, tid int
+	cat      string
+}
+
+// track opens thread (pid, tid) under a display name; its events are filed
+// under category cat.
+func (d *perfettoDoc) track(pid, tid int, cat, name string) perfettoTrack {
+	d.events = append(d.events, traceEvent{
+		Name: "thread_name",
+		Ph:   "M",
+		Pid:  pid,
+		Tid:  tid,
+		Args: map[string]any{"name": name},
+	})
+	return perfettoTrack{doc: d, pid: pid, tid: tid, cat: cat}
+}
+
+// event adds one complete event; the format counts in microseconds.
+func (t perfettoTrack) event(name string, startNanos, durNanos int64, args map[string]any) {
+	t.doc.events = append(t.doc.events, traceEvent{
+		Name: name,
+		Cat:  t.cat,
+		Ph:   "X",
+		Ts:   float64(startNanos) / 1e3,
+		Dur:  float64(durNanos) / 1e3,
+		Pid:  t.pid,
+		Tid:  t.tid,
+		Args: args,
+	})
+}
+
+// write encodes the document; one without events is still a valid trace.
+func (d *perfettoDoc) write(w io.Writer) error {
+	out := struct {
+		TraceEvents     []traceEvent `json:"traceEvents"`
+		DisplayTimeUnit string       `json:"displayTimeUnit"`
+	}{d.events, "ms"}
+	if out.TraceEvents == nil {
+		out.TraceEvents = []traceEvent{} // "[]", not "null"
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(out)
 }
 
 // perfettoPid is the single process id every span is filed under; the
@@ -40,36 +89,20 @@ const perfettoPid = 1
 // (matching WriteTimelineCSV), so the same spans always produce the same
 // bytes. A nil recorder writes an empty, still-valid trace.
 func WritePerfettoTrace(w io.Writer, rec *trace.Recorder) error {
-	out := perfettoTrace{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
+	var doc perfettoDoc
 	if rec != nil {
 		for worker := 0; worker < rec.Workers(); worker++ {
 			spans := rec.SortedSpans(worker)
 			if len(spans) == 0 {
 				continue
 			}
-			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: "thread_name",
-				Ph:   "M",
-				Pid:  perfettoPid,
-				Tid:  worker,
-				Args: map[string]any{"name": fmt.Sprintf("worker %d", worker)},
-			})
+			track := doc.track(perfettoPid, worker, "minigiraffe", fmt.Sprintf("worker %d", worker))
 			for _, s := range spans {
-				out.TraceEvents = append(out.TraceEvents, traceEvent{
-					Name: s.Region,
-					Cat:  "minigiraffe",
-					Ph:   "X",
-					Ts:   float64(s.Start.Nanoseconds()) / 1e3,
-					Dur:  float64(s.Dur.Nanoseconds()) / 1e3,
-					Pid:  perfettoPid,
-					Tid:  worker,
-				})
+				track.event(s.Region, s.Start.Nanoseconds(), s.Dur.Nanoseconds(), nil)
 			}
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return doc.write(w)
 }
 
 // perfettoReqPid files request tracks under their own process so the worker
@@ -83,25 +116,10 @@ const perfettoReqPid = 2
 // ui.perfetto.dev shows where its time went. Snapshot order is deterministic,
 // so the same snapshot always produces the same bytes.
 func WritePerfettoRequests(w io.Writer, snap ReqTraceSnapshot) error {
-	out := perfettoTrace{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
+	var doc perfettoDoc
 	for tid, tr := range snap.Traces {
-		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: "thread_name",
-			Ph:   "M",
-			Pid:  perfettoReqPid,
-			Tid:  tid,
-			Args: map[string]any{"name": fmt.Sprintf("req %s %d", tr.TraceID, tr.Status)},
-		})
+		track := doc.track(perfettoReqPid, tid, "request", fmt.Sprintf("req %s %d", tr.TraceID, tr.Status))
 		for _, sp := range tr.Spans {
-			ev := traceEvent{
-				Name: sp.Name,
-				Cat:  "request",
-				Ph:   "X",
-				Ts:   float64(sp.StartNanos) / 1e3,
-				Dur:  float64(sp.DurNanos) / 1e3,
-				Pid:  perfettoReqPid,
-				Tid:  tid,
-			}
 			args := map[string]any{"worker": sp.Worker}
 			if sp.Canceled {
 				args["canceled"] = true
@@ -111,11 +129,8 @@ func WritePerfettoRequests(w io.Writer, snap ReqTraceSnapshot) error {
 				args["extend_ns"] = sp.ExtendNanos
 				args["cache_build_ns"] = sp.CacheBuildNanos
 			}
-			ev.Args = args
-			out.TraceEvents = append(out.TraceEvents, ev)
+			track.event(sp.Name, sp.StartNanos, sp.DurNanos, args)
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return doc.write(w)
 }

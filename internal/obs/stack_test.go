@@ -131,7 +131,7 @@ func TestStackManifestOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chdir(wd)
-	for _, tool := range []string{"minigiraffe", "giraffed", "benchreport", "scalability", "loadgen", "autotune"} {
+	for _, tool := range []string{"minigiraffe", "giraffed", "benchreport", "loadgen"} {
 		for _, path := range []string{"", "off"} {
 			s, err := Start(StackConfig{Tool: tool, Manifest: path})
 			if err != nil {

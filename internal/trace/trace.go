@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -30,7 +29,6 @@ const (
 	RegionExtend     = "extend"
 	RegionPostproc   = "postprocess"
 	RegionAlign      = "align"
-	RegionScheduler  = "scheduler"
 )
 
 // Span is one recorded region execution on one worker.
@@ -47,8 +45,6 @@ type Span struct {
 type Recorder struct {
 	epoch   time.Time
 	buffers [][]Span
-	// mu guards only Merge-time reads of extra recorders, not Record.
-	mu sync.Mutex
 }
 
 // NewRecorder creates a recorder for the given worker count.
@@ -58,8 +54,7 @@ func NewRecorder(workers int) *Recorder {
 
 // NewRecorderEpoch creates a recorder whose span offsets are measured from
 // the given epoch instead of the construction time — for tests that need
-// byte-stable exports, and for aligning recorders created at different
-// times before a Merge.
+// byte-stable exports.
 func NewRecorderEpoch(workers int, epoch time.Time) *Recorder {
 	if workers < 1 {
 		workers = 1
@@ -105,8 +100,8 @@ func (r *Recorder) Record(worker int, region string, start time.Time, dur time.D
 func (r *Recorder) Spans(worker int) []Span { return r.buffers[worker] }
 
 // SortedSpans returns a copy of worker w's spans in canonical order: by
-// start offset, then region name, then duration. Record order depends on
-// which recorder a span was merged from, so exporters that must be
+// start offset, then region name, then duration. Record order is the order
+// regions ended in, not the order they started in, so exporters that must be
 // deterministic across runs (timeline CSV, Perfetto) sort first.
 func (r *Recorder) SortedSpans(worker int) []Span {
 	spans := append([]Span(nil), r.buffers[worker]...)
@@ -182,9 +177,9 @@ func (r *Recorder) Shares(exclude ...string) []RegionShare {
 // WriteTimelineCSV dumps every span as CSV (worker, region, start_us,
 // dur_us) — the Figure 2 raw data. Rows are emitted in canonical order
 // (worker, then start offset, then region, then duration) rather than
-// record order, so two runs that produced the same spans — or the same run
-// exported before and after a Merge — write byte-identical files that
-// golden tests and run-to-run diffs can compare directly.
+// record order, so two runs that produced the same spans write
+// byte-identical files that golden tests and run-to-run diffs can compare
+// directly.
 func (r *Recorder) WriteTimelineCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "worker,region,start_us,dur_us"); err != nil {
 		return err
@@ -198,23 +193,4 @@ func (r *Recorder) WriteTimelineCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Merge appends all spans of other into r (worker buffers are matched by
-// index; extra workers are appended). Useful when a stage used its own
-// recorder.
-func (r *Recorder) Merge(other *Recorder) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	shift := other.epoch.Sub(r.epoch)
-	for w, spans := range other.buffers {
-		for _, s := range spans {
-			s.Start += shift
-			if w < len(r.buffers) {
-				r.buffers[w] = append(r.buffers[w], s)
-			} else {
-				r.buffers = append(r.buffers, []Span{s})
-			}
-		}
-	}
 }

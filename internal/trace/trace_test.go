@@ -105,25 +105,6 @@ func TestWriteTimelineCSV(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := NewRecorder(1)
-	b := NewRecorder(2)
-	now := time.Now()
-	a.Record(0, RegionCluster, now, time.Millisecond)
-	b.Record(0, RegionExtend, now, time.Millisecond)
-	b.Record(1, RegionExtend, now, time.Millisecond)
-	a.Merge(b)
-	if a.Workers() != 2 {
-		t.Fatalf("workers after merge = %d, want 2", a.Workers())
-	}
-	if len(a.Spans(0)) != 2 {
-		t.Errorf("worker 0 spans = %d, want 2", len(a.Spans(0)))
-	}
-	if len(a.Spans(1)) != 1 {
-		t.Errorf("worker 1 spans = %d, want 1", len(a.Spans(1)))
-	}
-}
-
 func TestNewRecorderMinWorkers(t *testing.T) {
 	r := NewRecorder(0)
 	if r.Workers() != 1 {
@@ -162,22 +143,14 @@ func TestNilRecorderIsFree(t *testing.T) {
 
 // TestConcurrentRecordMerge locks in the recorder's concurrency contract
 // under the race detector: the record path takes no locks, so concurrent
-// workers recording on distinct worker indices must be race-free, and
-// concurrent Merges of per-stage recorders into one aggregate (the only
-// cross-recorder operation, guarded by the recorder mutex) must serialize
-// cleanly against each other.
+// workers recording on distinct worker indices must be race-free and lose
+// nothing. (The name dates from when recorders could also be merged.)
 func TestConcurrentRecordMerge(t *testing.T) {
 	const (
 		workers       = 8
-		stages        = 6
 		spansPerActor = 200
 	)
-
-	// Shared recorder: one goroutine per worker index, lock-free records.
 	shared := NewRecorder(workers)
-	// Aggregate: per-stage private recorders merged in concurrently.
-	agg := NewRecorder(workers)
-
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -193,36 +166,10 @@ func TestConcurrentRecordMerge(t *testing.T) {
 			}
 		}(w)
 	}
-	for s := 0; s < stages; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			private := NewRecorder(workers)
-			for i := 0; i < spansPerActor; i++ {
-				private.Record(i%workers, RegionEmit, time.Now(), time.Microsecond)
-			}
-			agg.Merge(private)
-		}(s)
-	}
 	wg.Wait()
-
-	// The shared recorder's own spans merge in after its workers are done.
-	agg.Merge(shared)
-
-	total := 0
-	for w := 0; w < agg.Workers(); w++ {
-		total += len(agg.Spans(w))
-	}
-	if want := (workers + stages) * spansPerActor; total != want {
-		t.Fatalf("aggregate holds %d spans, want %d", total, want)
-	}
-	perWorker := (workers + stages) * spansPerActor / workers
 	for w := 0; w < workers; w++ {
 		if got := len(shared.Spans(w)); got != spansPerActor {
-			t.Errorf("shared worker %d: %d spans, want %d", w, got, spansPerActor)
-		}
-		if got := len(agg.Spans(w)); got != perWorker {
-			t.Errorf("aggregate worker %d: %d spans, want %d", w, got, perWorker)
+			t.Errorf("worker %d: %d spans, want %d", w, got, spansPerActor)
 		}
 	}
 }
