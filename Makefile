@@ -57,14 +57,15 @@ bench-quick:
 	$(GO) run ./cmd/bench -quick >/dev/null
 
 # Short native-fuzz runs over the untrusted input surfaces (the capture
-# binary format, FASTQ, the GBWT record body every GBZ load decodes, and the
-# two things giraffed parses off the network on every request: the /map body
-# and the traceparent header). The checked-in corpora under testdata/fuzz seed
+# binary format, FASTQ, the GBWT record body every GBZ load decodes, the GBZ
+# container around it, and the two things giraffed parses off the network on
+# every request: the /map body and the traceparent header). The checked-in corpora under testdata/fuzz seed
 # the mutation; 10 seconds each is a smoke test, not a campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadSeeds -fuzztime=10s ./internal/seeds
 	$(GO) test -run='^$$' -fuzz=FuzzFASTQ -fuzztime=10s ./internal/fastq
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/gbwt
+	$(GO) test -run='^$$' -fuzz=FuzzReadGBZ -fuzztime=10s ./internal/gbz
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMapRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace
 

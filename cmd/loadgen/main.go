@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -474,15 +475,23 @@ func meanMs(xs []float64) float64 {
 	return obs.SanitizeFloat(sum / float64(len(xs)))
 }
 
-// quantileMs is the nearest-rank quantile of a millisecond sample set.
+// quantile is the nearest-rank p-quantile of ascending, non-empty samples:
+// the smallest one with at least p·n of the n at or below it, sorted[⌈p·n⌉−1].
+// Flooring p·(n−1) instead would report the second-slowest of 48 requests as
+// their p99.
+func quantile[T any](sorted []T, p float64) T {
+	i := int(math.Ceil(p*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
+}
+
+// quantileMs is quantile over an unsorted millisecond sample set.
 func quantileMs(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	i := int(p * float64(len(sorted)-1))
-	return obs.SanitizeFloat(sorted[i])
+	return obs.SanitizeFloat(quantile(sorted, p))
 }
 
 func (g *generator) buildReport(shape string, rps float64, elapsed time.Duration) *Report {
@@ -517,10 +526,7 @@ func (g *generator) buildReport(shape string, rps float64, elapsed time.Duration
 			sum += l
 		}
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		q := func(p float64) float64 {
-			i := int(p * float64(len(g.latencies)-1))
-			return ms(g.latencies[i])
-		}
+		q := func(p float64) float64 { return ms(quantile(g.latencies, p)) }
 		rep.MeanMs = ms(sum / time.Duration(len(g.latencies)))
 		rep.P50Ms = q(0.50)
 		rep.P90Ms = q(0.90)

@@ -121,15 +121,11 @@ func (m *Mapper) acquire(reader gbwt.BiReader) *mapState {
 //minigiraffe:hot
 func (m *Mapper) acquireOwn(worker int) *mapState {
 	st := m.acquire(gbwt.BiReader{})
-	switch fwd := st.own.Fwd.(type) {
-	case nil:
+	if st.own.Fwd == nil {
 		st.own = m.NewReader(worker)
-	case *gbwt.CachedGBWT:
-		fwd.Reset()
-		st.own.Rev.(*gbwt.CachedGBWT).Reset()
-	case *gbwt.EpochReader:
-		fwd.Reset(worker)
-		st.own.Rev.(*gbwt.EpochReader).Reset(worker)
+	} else {
+		st.own.Fwd.Reset(worker)
+		st.own.Rev.Reset(worker)
 	}
 	st.env.Bi = st.own
 	return st
@@ -259,8 +255,8 @@ func (m *Mapper) WithoutProbe() *Mapper {
 // discipline that is a fresh CachedGBWT pair at the configured initial
 // capacity — Giraffe's per-batch cache lifetime, the mechanism behind the
 // paper's most significant tuning parameter (§VII-B). Under the epoch
-// discipline it pins the current shared snapshots and wraps them with a
-// private overflow pair of the same capacity.
+// discipline the pair also pins the current shared snapshots, which it looks
+// in before its private tables.
 func (m *Mapper) NewReader(worker int) gbwt.BiReader {
 	if m.shared != nil {
 		return m.shared.NewBiReader(m.sharedRow(worker), m.opts.CacheCapacity)
@@ -412,21 +408,12 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 	return cs, mapped
 }
 
-// cacheStatser is any reader layer that can drain its cache counters —
-// CachedGBWT and the epoch discipline's EpochReader both qualify.
-type cacheStatser interface{ Stats() gbwt.CacheStats }
-
-// ReaderCacheStats drains the cache counters of both directions of a
-// BiReader (zero when caching is disabled). It works across cache
-// disciplines: any reader exposing Stats contributes, so shared-epoch and
-// private-only stats merge identically — and since CacheStats.Add is
+// ReaderCacheStats sums the cache counters of both directions of a BiReader,
+// whichever cache levels it was built with — and since CacheStats.Add is
 // commutative, the per-worker aggregation is order-independent.
-func ReaderCacheStats(r gbwt.BiReader) (s gbwt.CacheStats) {
-	for _, rd := range []gbwt.Reader{r.Fwd, r.Rev} {
-		if c, ok := rd.(cacheStatser); ok {
-			s.Add(c.Stats())
-		}
-	}
+func ReaderCacheStats(r gbwt.BiReader) gbwt.CacheStats {
+	s := r.Fwd.Stats()
+	s.Add(r.Rev.Stats())
 	return s
 }
 

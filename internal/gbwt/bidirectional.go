@@ -1,8 +1,6 @@
 package gbwt
 
-import (
-	"errors"
-)
+import "errors"
 
 // Bidirectional is a bidirectional GBWT: the forward index plus an index of
 // the reversed paths, with synchronised search states — the structure
@@ -41,19 +39,7 @@ func NewBidirectional(paths [][]NodeID) (*Bidirectional, error) {
 	if err != nil {
 		return nil, err
 	}
-	rev := make([][]NodeID, len(paths))
-	for i, p := range paths {
-		r := make([]NodeID, len(p))
-		for j, v := range p {
-			r[len(p)-1-j] = v
-		}
-		rev[i] = r
-	}
-	revIdx, err := New(rev)
-	if err != nil {
-		return nil, err
-	}
-	return &Bidirectional{fwd: fwd, rev: revIdx}, nil
+	return FromForward(fwd, paths)
 }
 
 // FromForward wraps an existing forward GBWT, rebuilding the reverse index
@@ -89,19 +75,16 @@ func (b *Bidirectional) BiFullState(v NodeID) BiState {
 	return BiState{Fwd: b.fwd.FullState(v), Rev: b.rev.FullState(v)}
 }
 
-// BiReader pairs per-direction record readers (e.g. two CachedGBWTs) so the
-// extension kernel's cache behaviour covers both orientations.
+// BiReader pairs the per-direction record readers so the extension kernel's
+// cache behaviour covers both orientations.
 type BiReader struct {
-	Fwd, Rev Reader
+	Fwd, Rev *CachedGBWT
 }
 
 // NewBiReader builds cached readers over both directions with the given
-// initial capacity.
+// initial capacity (0: readers that decode on every access).
 func (b *Bidirectional) NewBiReader(capacity int) BiReader {
-	return BiReader{
-		Fwd: NewCached(b.fwd, capacity),
-		Rev: NewCached(b.rev, capacity),
-	}
+	return BiReader{Fwd: NewCached(b.fwd, capacity), Rev: NewCached(b.rev, capacity)}
 }
 
 // smallerEdgeCount counts, within rec.Ranks[start:end), occurrences of edges
@@ -118,7 +101,7 @@ func smallerEdgeCount(rec *DecodedRecord, start, end int32, to NodeID) int32 {
 	return n
 }
 
-// ExtendRight extends the match with a following node: M ↦ M·to. The
+// ExtendRightWith extends the match with a following node: M ↦ M·to. The
 // forward range takes an LF step; the reverse range shrinks in place, its
 // offset advanced by the in-range occurrences of successors smaller than
 // `to`.
@@ -132,7 +115,9 @@ func ExtendRightWith(r BiReader, s BiState, to NodeID) BiState {
 	if rec == nil {
 		return BiState{Fwd: SearchState{Node: to}, Rev: s.Rev}
 	}
-	newFwd := ExtendWith(r.Fwd, s.Fwd, to)
+	// The step fetches the record again: the access sequence the cache
+	// counters are compared on (ROADMAP item 2) has both.
+	newFwd := r.Fwd.Record(s.Fwd.Node).lf(s.Fwd, to)
 	if newFwd.Empty() {
 		return BiState{Fwd: newFwd, Rev: SearchState{Node: s.Rev.Node}}
 	}
@@ -145,7 +130,7 @@ func ExtendRightWith(r BiReader, s BiState, to NodeID) BiState {
 	return BiState{Fwd: newFwd, Rev: newRev}
 }
 
-// ExtendLeft extends the match with a preceding node: M ↦ u·M. The reverse
+// ExtendLeftWith extends the match with a preceding node: M ↦ u·M. The reverse
 // range takes an LF step (u follows the first node in the reversed paths);
 // the forward range shrinks in place by the count of in-range predecessors
 // smaller than u.
@@ -159,7 +144,7 @@ func ExtendLeftWith(r BiReader, s BiState, u NodeID) BiState {
 	if rec == nil {
 		return BiState{Fwd: s.Fwd, Rev: SearchState{Node: u}}
 	}
-	newRev := ExtendWith(r.Rev, s.Rev, u)
+	newRev := r.Rev.Record(s.Rev.Node).lf(s.Rev, u) // fetched again, as in ExtendRightWith
 	if newRev.Empty() {
 		return BiState{Fwd: SearchState{Node: s.Fwd.Node}, Rev: newRev}
 	}
@@ -172,14 +157,17 @@ func ExtendLeftWith(r BiReader, s BiState, u NodeID) BiState {
 	return BiState{Fwd: newFwd, Rev: newRev}
 }
 
-// ExtendRight extends through plain (uncached) readers.
+// ExtendRight is one ExtendRightWith step without a cache. The capacity-0
+// reader pair it decodes through is inlined onto its stack (calling
+// NewBiReader here would put it on the heap); a search of many steps builds
+// NewBiReader(0) once, as FindBi does.
 func (b *Bidirectional) ExtendRight(s BiState, to NodeID) BiState {
-	return ExtendRightWith(BiReader{Fwd: b.fwd, Rev: b.rev}, s, to)
+	return ExtendRightWith(BiReader{Fwd: NewCached(b.fwd, 0), Rev: NewCached(b.rev, 0)}, s, to)
 }
 
-// ExtendLeft extends through plain (uncached) readers.
+// ExtendLeft is ExtendRight's mirror image over ExtendLeftWith.
 func (b *Bidirectional) ExtendLeft(s BiState, u NodeID) BiState {
-	return ExtendLeftWith(BiReader{Fwd: b.fwd, Rev: b.rev}, s, u)
+	return ExtendLeftWith(BiReader{Fwd: NewCached(b.fwd, 0), Rev: NewCached(b.rev, 0)}, s, u)
 }
 
 // FindBi searches for the node path bidirectionally (seeding on the middle
@@ -191,22 +179,23 @@ func (b *Bidirectional) FindBi(path []NodeID) BiState {
 	}
 	mid := len(path) / 2
 	s := b.BiFullState(path[mid])
+	r := b.NewBiReader(0)
 	// Alternate directions to exercise the synchronisation both ways.
 	left, right := mid-1, mid+1
 	for !s.Empty() && (left >= 0 || right < len(path)) {
 		if right < len(path) {
-			s = b.ExtendRight(s, path[right])
+			s = ExtendRightWith(r, s, path[right])
 			right++
 		}
 		if !s.Empty() && left >= 0 {
-			s = b.ExtendLeft(s, path[left])
+			s = ExtendLeftWith(r, s, path[left])
 			left--
 		}
 	}
 	return s
 }
 
-// Predecessors returns the haplotype-consistent predecessors of the match's
+// PredecessorsWith returns the haplotype-consistent predecessors of the match's
 // first node under the current state: the reverse-index successors with a
 // non-empty left extension, ascending.
 func (b *Bidirectional) PredecessorsWith(r BiReader, s BiState) []NodeID {

@@ -1,29 +1,92 @@
 package gbwt
 
-// CachedGBWT keeps decompressed records in an open-addressing hash table so
-// repeated accesses to the same subgraph skip decompression. This mirrors
-// Giraffe's CachedGBWT: the table's *initial capacity* is a tuning parameter
-// (default 256 in Giraffe), and growth happens through an expensive rehash —
-// which is exactly why the miniGiraffe autotuning study (§VII-B) found the
-// initial capacity to be the statistically significant knob.
-//
-// A CachedGBWT is not safe for concurrent use; the mapper gives each worker
-// thread its own cache, as Giraffe does.
-type CachedGBWT struct {
-	g *GBWT
-	// Open addressing with linear probing. Slot keys store node+1 so the
-	// zero value means empty (the endmarker is cacheable as key 1).
+// recordTable is the one hash table of decoded records: open addressing with
+// linear probing over a power-of-two slot count that always keeps an empty
+// slot. A CachedGBWT's private level and a published Snapshot are both built
+// on it; the hash and the probe are written here and nowhere else.
+type recordTable struct {
+	// keys store node+1 so the zero value means empty (the endmarker is
+	// cacheable as key 1).
 	keys []NodeID
 	vals []*DecodedRecord
 	used int
-	// initial is the capacity NewCached was asked for, rounded up: the size
-	// Reset rewinds the table to. 0 disables caching entirely.
+}
+
+func newRecordTable(slots int) recordTable {
+	return recordTable{keys: make([]NodeID, slots), vals: make([]*DecodedRecord, slots)}
+}
+
+// find probes for v: its record and slot, or nil and the empty slot the probe
+// stopped at. Table sizes are powers of two, so the hash multiplies by a
+// 32-bit odd constant (Knuth) and folds.
+//
+//minigiraffe:hot
+func (t *recordTable) find(v NodeID) (*DecodedRecord, int) {
+	mask := len(t.keys) - 1
+	i := int(uint32(v)*2654435761) & mask
+	for t.keys[i] != 0 {
+		if t.keys[i] == v+1 {
+			return t.vals[i], i
+		}
+		i = (i + 1) & mask
+	}
+	return nil, i
+}
+
+// set stores rec under v in slot, the empty slot find(v) stopped at.
+func (t *recordTable) set(slot int, v NodeID, rec *DecodedRecord) {
+	t.keys[slot], t.vals[slot] = v+1, rec
+	t.used++
+}
+
+// put stores rec under v, which the table does not hold, where find stops.
+func (t *recordTable) put(v NodeID, rec *DecodedRecord) {
+	_, slot := t.find(v)
+	t.set(slot, v, rec)
+}
+
+// reset empties the table at the first slots slots of its backing.
+func (t *recordTable) reset(slots int) {
+	t.keys, t.vals, t.used = t.keys[:slots], t.vals[:slots], 0
+	clear(t.keys)
+	clear(t.vals)
+}
+
+// CachedGBWT is the record reader of the map path: a chain of cache levels
+// in front of the decoder, each present or absent by construction.
+//
+//   - A pinned Snapshot of a SharedCache, when the reader came from
+//     SharedCache.NewReader: the epoch discipline's shared level (epoch.go).
+//   - A private table of the records this reader decoded, unless it was built
+//     with capacity 0. This mirrors Giraffe's CachedGBWT: the table's *initial
+//     capacity* is a tuning parameter (default 256 in Giraffe), and growth
+//     happens through an expensive rehash — which is exactly why the
+//     miniGiraffe autotuning study (§VII-B) found the initial capacity to be
+//     the statistically significant knob.
+//   - GBWT.Record, which decompresses.
+//
+// A record is valid until the reader's next Reset unless it came from a
+// snapshot; a snapshot's records are immutable and garbage-collected.
+//
+// A CachedGBWT is not safe for concurrent use; the mapper gives each worker
+// thread its own, as Giraffe does.
+type CachedGBWT struct {
+	g *GBWT
+	// shared, snap and row are the shared level: the cache this reader reports
+	// its decodes to, the snapshot Reset pinned, and the worker's hit-counter
+	// row on it. All zero without a shared cache.
+	shared *SharedCache
+	snap   *Snapshot
+	row    int
+	// table is the private level; initial is the capacity NewCached was asked
+	// for, rounded up: the size Reset rewinds the table to. 0 disables the
+	// level entirely.
+	table   recordTable
 	initial int
-	// spareKeys/spareVals are the table rehash left behind, the backing of the
-	// next rehash that fits it. Their contents are stale; a table is cleared
-	// when it goes into service, never when it leaves.
-	spareKeys []NodeID
-	spareVals []*DecodedRecord
+	// spare is the table rehash left behind, the backing of the next rehash
+	// that fits it. Its contents are stale; a table is cleared when it goes
+	// into service, never when it leaves.
+	spare recordTable
 	// slab holds every record the table points at: a miss decodes into it
 	// instead of allocating, and it lives exactly as long as the entries do
 	// (Reset rewinds both).
@@ -36,13 +99,12 @@ type CachedGBWT struct {
 // models.
 type CacheStats struct {
 	Accesses int64
-	Hits     int64 // private-layer hits
+	Hits     int64 // private-level hits
 	Misses   int64 // decompressions
 	Rehashes int64
-	// SharedHits counts hits answered by the shared epoch snapshot
-	// (EpochReader); zero when running per-batch private caches only.
-	// Snapshot hits are counted in Accesses but not in Hits, so
-	// Hits+SharedHits+Misses == Accesses regardless of cache discipline.
+	// SharedHits counts hits answered by the pinned epoch snapshot; zero when
+	// running per-batch private caches only. Hits+SharedHits+Misses ==
+	// Accesses regardless of cache discipline.
 	SharedHits int64
 }
 
@@ -58,7 +120,7 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.SharedHits += o.SharedHits
 }
 
-// TotalHits returns hits across both layers (private + shared snapshot).
+// TotalHits returns hits across both levels (private + shared snapshot).
 func (s CacheStats) TotalHits() int64 { return s.Hits + s.SharedHits }
 
 // DefaultCacheCapacity is Giraffe's default initial CachedGBWT capacity.
@@ -76,75 +138,69 @@ const (
 // rounded up to a power of two.
 func NewCached(g *GBWT, capacity int) *CachedGBWT {
 	c := &CachedGBWT{g: g}
-	if capacity <= 0 {
-		return c
+	if capacity > 0 {
+		c.initial = pow2ceil(capacity)
+		c.table = newRecordTable(c.initial)
 	}
-	c.initial = pow2ceil(capacity)
-	c.keys = make([]NodeID, c.initial)
-	c.vals = make([]*DecodedRecord, c.initial)
 	return c
 }
 
-// Base implements Reader.
+// Base returns the underlying GBWT.
 func (c *CachedGBWT) Base() *GBWT { return c.g }
 
 // Stats returns a copy of the cache counters.
 func (c *CachedGBWT) Stats() CacheStats { return c.stats }
 
-// Capacity returns the current table capacity (0 when disabled).
-func (c *CachedGBWT) Capacity() int { return len(c.keys) }
+// Capacity returns the private table's current capacity (0 when disabled).
+func (c *CachedGBWT) Capacity() int { return len(c.table.keys) }
 
-// Len returns the number of cached records.
-func (c *CachedGBWT) Len() int { return c.used }
+// Len returns the number of privately cached records.
+func (c *CachedGBWT) Len() int { return c.table.used }
 
-// hash mixes the node id; table sizes are powers of two so we multiply by a
-// 32-bit odd constant (Knuth) and fold.
-func (c *CachedGBWT) hash(v NodeID) int {
-	h := uint32(v) * 2654435761
-	return int(h) & (len(c.keys) - 1)
-}
-
-// Record implements Reader with memoisation.
+// Record returns the decoded record of v, or nil if v has no visits, from the
+// first level that holds it: snapshot hit (lock-free, zero-alloc) → private
+// table → decode.
 //
 //minigiraffe:hot
 func (c *CachedGBWT) Record(v NodeID) *DecodedRecord {
 	c.stats.Accesses++
-	if c.initial == 0 {
-		c.stats.Misses++
-		return c.g.Record(v)
-	}
-	key := v + 1
-	i := c.hash(v)
-	for c.keys[i] != 0 {
-		if c.keys[i] == key {
-			c.stats.Hits++
-			return c.vals[i]
+	if c.snap != nil {
+		if rec, slot := c.snap.find(v); rec != nil {
+			c.stats.SharedHits++
+			c.snap.hit(c.row, slot)
+			return rec
 		}
-		i = (i + 1) & (len(c.keys) - 1)
 	}
-	c.stats.Misses++
-	rec := c.g.record(v, &c.slab)
-	if rec == nil {
-		return nil
+	if c.initial == 0 {
+		return c.decode(v, nil)
 	}
-	c.insert(key, rec, i)
+	rec, slot := c.table.find(v)
+	if rec != nil {
+		c.stats.Hits++
+		return rec
+	}
+	if rec = c.decode(v, &c.slab); rec != nil {
+		// Growth happens before the insert that would cross the load factor,
+		// and only then is the miss's slot probed for again.
+		if (c.table.used+1)*maxLoadDen > len(c.table.keys)*maxLoadNum {
+			c.rehash()
+			_, slot = c.table.find(v)
+		}
+		c.table.set(slot, v, rec)
+	}
 	return rec
 }
 
-// insert places the record at the probe slot, rehashing first if the load
-// factor would exceed the threshold.
-func (c *CachedGBWT) insert(key NodeID, rec *DecodedRecord, slot int) {
-	if (c.used+1)*maxLoadDen > len(c.keys)*maxLoadNum {
-		c.rehash()
-		// Re-probe in the grown table.
-		slot = c.hash(key - 1)
-		for c.keys[slot] != 0 {
-			slot = (slot + 1) & (len(c.keys) - 1)
-		}
+// decode is the last level: v's record decompressed into slab (nil: the
+// heap), counted as a miss and, behind a snapshot, fed to the shared cache's
+// frequency sketch so the next epoch learns what this one was missing.
+func (c *CachedGBWT) decode(v NodeID, slab *recordSlab) *DecodedRecord {
+	c.stats.Misses++
+	rec := c.g.record(v, slab)
+	if rec != nil && c.snap != nil {
+		c.shared.note(v)
 	}
-	c.keys[slot] = key
-	c.vals[slot] = rec
-	c.used++
+	return rec
 }
 
 // rehash doubles the table and reinserts every entry — the expensive growth
@@ -154,52 +210,64 @@ func (c *CachedGBWT) insert(key NodeID, rec *DecodedRecord, slot int) {
 // spare.
 func (c *CachedGBWT) rehash() {
 	c.stats.Rehashes++
-	oldKeys, oldVals := c.keys, c.vals
-	n := 2 * len(oldKeys)
-	if cap(c.spareKeys) >= n {
-		c.keys, c.vals = c.spareKeys[:n], c.spareVals[:n]
-		clear(c.keys)
-		clear(c.vals)
+	old := c.table
+	if n := 2 * len(old.keys); cap(c.spare.keys) >= n {
+		c.table = c.spare
+		c.table.reset(n)
 	} else {
-		c.keys = make([]NodeID, n)
-		c.vals = make([]*DecodedRecord, n)
+		c.table = newRecordTable(n)
 	}
-	c.spareKeys, c.spareVals = oldKeys[:cap(oldKeys)], oldVals[:cap(oldVals)]
-	for i, k := range oldKeys {
-		if k == 0 {
-			continue
+	c.spare = old
+	for i, k := range old.keys {
+		if k != 0 {
+			c.table.put(k-1, old.vals[i])
 		}
-		j := c.hash(k - 1)
-		for c.keys[j] != 0 {
-			j = (j + 1) & (len(c.keys) - 1)
-		}
-		c.keys[j] = k
-		c.vals[j] = oldVals[i]
 	}
 }
 
-// Extend advances a search state through the cache.
-func (c *CachedGBWT) Extend(s SearchState, to NodeID) SearchState {
-	return ExtendWith(c, s, to)
-}
-
-// Find searches for a node path through the cache.
-func (c *CachedGBWT) Find(path []NodeID) SearchState { return FindWith(c, path) }
-
-// Reset rewinds the cache to what NewCached returned — empty, at the initial
-// capacity, counters at zero — so that the probes, inserts and rehashes of
-// the accesses that follow, and therefore their CacheStats, are those of a
-// fresh cache. What it keeps is memory only: the table's backing, the spare
-// table rehash grows into, and the largest slab chunk of each kind. Records
-// handed out before Reset are overwritten by the misses after it: a
-// *DecodedRecord is valid until the Reset that follows it, no longer.
+// Extend advances state along the edge to `to`, LF-mapping the visit range
+// into to's record. The result is empty if no haplotype in the state
+// continues to `to`.
 //
 //minigiraffe:hot
-func (c *CachedGBWT) Reset() {
+func (c *CachedGBWT) Extend(s SearchState, to NodeID) SearchState {
+	if s.Empty() {
+		return SearchState{Node: to}
+	}
+	return c.Record(s.Node).lf(s, to)
+}
+
+// Find returns the search state of haplotypes containing the node sequence
+// `path` as a consecutive subpath.
+func (c *CachedGBWT) Find(path []NodeID) SearchState {
+	if len(path) == 0 {
+		return SearchState{}
+	}
+	s := c.g.FullState(path[0])
+	for _, v := range path[1:] {
+		s = c.Extend(s, v)
+		if s.Empty() {
+			break
+		}
+	}
+	return s
+}
+
+// Reset makes c what its constructor would return now for worker — the
+// private table empty at the initial capacity, counters at zero, the shared
+// cache's current snapshot pinned (worker is unused without one) — so that
+// the probes, inserts and rehashes of the accesses that follow, and therefore
+// their CacheStats, are those of a fresh reader. What it keeps is memory
+// only: the table's backing, the spare table rehash grows into, and the
+// largest slab chunk of each kind. Records decoded before Reset are
+// overwritten by the misses after it.
+//
+//minigiraffe:hot
+func (c *CachedGBWT) Reset(worker int) {
 	c.stats = CacheStats{}
-	c.keys, c.vals = c.keys[:c.initial], c.vals[:c.initial]
-	clear(c.keys)
-	clear(c.vals)
-	c.used = 0
+	c.table.reset(c.initial)
 	c.slab.rewind()
+	if c.shared != nil {
+		c.snap, c.row = c.shared.cur.Load(), c.shared.row(worker)
+	}
 }

@@ -5,30 +5,31 @@ package gbwt
 // The per-batch CachedGBWT rebuild (Giraffe's cache lifetime, §VII-B) is the
 // single biggest attributed cost in slow-read exemplars: every worker
 // re-decodes the same zipf-hot node records every batch. This file replaces
-// that discipline with a two-layer design borrowed from Doppel's phase-split
-// playbook:
+// that discipline with a shared level in front of the private one, borrowed
+// from Doppel's phase-split playbook:
 //
 //   - A SharedCache holds an immutable Snapshot of decoded records that
 //     every worker reads lock-free through an atomic.Pointer. Hot records
 //     survive across batches and across workers.
-//   - Each worker keeps a small private CachedGBWT as an overflow layer for
-//     records missing from the snapshot, preserving the paper's capacity
-//     knob (the overflow is still rebuilt per batch).
-//   - Access-frequency feedback flows off the hot path: overflow *misses*
+//   - A CachedGBWT from SharedCache.NewReader pins one snapshot per batch and
+//     looks there first; its private table takes the records missing from
+//     the snapshot, preserving the paper's capacity knob (the table is still
+//     rebuilt per batch).
+//   - Access-frequency feedback flows off the hot path: a reader's *decodes*
 //     bump lock-free frequency slots; snapshot *hits* bump per-worker
 //     per-slot counters on the snapshot itself. At batch boundaries a single
 //     builder (CAS-elected) ranks residents + candidates by observed
 //     frequency, carries the winners already resident over, decodes the
 //     newly admitted ones, and publishes the next epoch.
 //
-// Immutability invariant: once published, a Snapshot's keys/vals are never
+// Immutability invariant: once published, a Snapshot's table is never
 // written again — readers that pinned an old epoch keep a consistent view
 // until they drop it. The per-worker hit counters are the only mutable cells
 // on a published snapshot; they are atomic, advisory (they only steer the
 // next epoch's ranking), and never affect lookup results. Correctness is
-// cache-independent by construction: every layer returns decoded records of
+// cache-independent by construction: every level returns decoded records of
 // the same underlying GBWT, so mapping output is byte-identical whichever
-// layer answers (the differential harness in internal/giraffe locks this).
+// level answers (the differential harness in internal/giraffe locks this).
 //
 // Ownership: a snapshot's records are immutable, individually heap-allocated
 // and owned by the garbage collector — none is slab-backed. A resident that
@@ -72,20 +73,24 @@ func (c EpochConfig) normalize() EpochConfig {
 	return c
 }
 
-// Snapshot is one published epoch: an immutable open-addressing table of
-// decoded records. Lookup is lock-free and allocation-free; the only mutable
+// Snapshot is one published epoch: an immutable recordTable of decoded
+// records. Lookup (find) is lock-free and allocation-free; the only mutable
 // state is the advisory per-worker hit counters consumed by the next
 // publish.
 type Snapshot struct {
+	recordTable
 	epoch int64
-	// keys stores node+1 so the zero value means empty, as CachedGBWT does.
-	keys []NodeID
-	vals []*DecodedRecord
-	used int
 	// hits is rows × len(keys) atomic counters, row-major per worker, so
 	// concurrent workers never contend on one cache line for the same slot.
 	hits []atomic.Int64
 	rows int
+}
+
+// newSnapshot returns an empty snapshot sized for n residents; even the
+// seed snapshot has a slot, so find needs no empty-table case.
+func newSnapshot(epoch int64, rows, n int) *Snapshot {
+	t := newRecordTable(pow2ceil(2 * n))
+	return &Snapshot{recordTable: t, epoch: epoch, hits: make([]atomic.Int64, rows*len(t.keys)), rows: rows}
 }
 
 // Epoch returns the snapshot's publication number (0 = the empty seed
@@ -95,32 +100,12 @@ func (s *Snapshot) Epoch() int64 { return s.epoch }
 // Len returns the number of resident records.
 func (s *Snapshot) Len() int { return s.used }
 
-// lookup probes the immutable table. The second result is the slot index
-// for hit accounting; it is meaningless when the record is nil.
-//
-//minigiraffe:hot
-func (s *Snapshot) lookup(v NodeID) (*DecodedRecord, int32) {
-	if len(s.keys) == 0 {
-		return nil, 0
-	}
-	key := v + 1
-	mask := uint32(len(s.keys) - 1)
-	i := (uint32(v) * 2654435761) & mask
-	for s.keys[i] != 0 {
-		if s.keys[i] == key {
-			return s.vals[i], int32(i)
-		}
-		i = (i + 1) & mask
-	}
-	return nil, 0
-}
-
 // hit bumps the worker-row counter of a resident slot — one uncontended
 // atomic add; rows keep workers off each other's cache lines.
 //
 //minigiraffe:hot
-func (s *Snapshot) hit(row int, slot int32) {
-	s.hits[row*len(s.keys)+int(slot)].Add(1)
+func (s *Snapshot) hit(row, slot int) {
+	s.hits[row*len(s.keys)+slot].Add(1)
 }
 
 // slotHits sums a slot's hit counters across all worker rows.
@@ -142,7 +127,7 @@ type SharedCache struct {
 	cur atomic.Pointer[Snapshot]
 
 	// Feedback slots: a lock-free Misra-Gries-style frequency sketch fed by
-	// overflow misses. slotNode stores node+1 (0 = empty); collisions decay
+	// readers' decodes. slotNode stores node+1 (0 = empty); collisions decay
 	// the incumbent and eventually take the slot over. Races only blur
 	// counts — the sketch is advisory.
 	slotNode  []atomic.Uint64
@@ -162,8 +147,8 @@ type epochCand struct {
 }
 
 // NewShared builds a shared epoch cache over g. The initial snapshot is
-// empty: every access overflows into the private layer (and feeds the
-// frequency sketch) until the first publish.
+// empty: every access falls through to the readers' private level (and its
+// decodes feed the frequency sketch) until the first publish.
 func NewShared(g *GBWT, cfg EpochConfig) *SharedCache {
 	cfg = cfg.normalize()
 	if cfg.Capacity < 1 {
@@ -180,15 +165,12 @@ func NewShared(g *GBWT, cfg EpochConfig) *SharedCache {
 		// Every sketch slot plus every resident: Publish never grows it.
 		cands: make([]epochCand, 0, slots+cfg.Capacity),
 	}
-	c.cur.Store(&Snapshot{rows: cfg.Workers})
+	c.cur.Store(newSnapshot(0, cfg.Workers, 0))
 	return c
 }
 
-// Base returns the underlying GBWT.
-func (c *SharedCache) Base() *GBWT { return c.g }
-
-// Current returns the live snapshot (readers should pin it once per batch
-// via NewReader instead of loading per access).
+// Current returns the live snapshot (readers pin it once per batch, in
+// NewReader and Reset, instead of loading per access).
 func (c *SharedCache) Current() *Snapshot { return c.cur.Load() }
 
 // Publishes returns how many epochs have been published.
@@ -197,7 +179,7 @@ func (c *SharedCache) Publishes() int64 { return c.publishes.Load() }
 // Resident returns the record count of the live snapshot.
 func (c *SharedCache) Resident() int { return c.cur.Load().used }
 
-// note feeds one overflow miss into the frequency sketch: lock-free,
+// note feeds one decode behind a snapshot into the frequency sketch: lock-free,
 // allocation-free, tolerant of racing writers.
 //
 //minigiraffe:hot
@@ -275,121 +257,38 @@ func (c *SharedCache) Publish() bool {
 		merged = merged[:c.cfg.Capacity]
 	}
 
-	snap := &Snapshot{epoch: old.epoch + 1, rows: c.cfg.Workers}
-	if len(merged) > 0 {
-		size := pow2ceil(2 * len(merged))
-		snap.keys = make([]NodeID, size)
-		snap.vals = make([]*DecodedRecord, size)
-		snap.hits = make([]atomic.Int64, c.cfg.Workers*size)
-		mask := uint32(size - 1)
-		for _, cd := range merged {
-			// Carry-over: a resident that stays ranked keeps the record the
-			// replaced snapshot holds; only a newly admitted node is decoded.
-			rec, _ := old.lookup(cd.node)
-			if rec == nil {
-				rec = c.g.Record(cd.node)
-			}
-			if rec == nil {
-				continue // unvisited node noted by a stale sketch entry
-			}
-			i := (uint32(cd.node) * 2654435761) & mask
-			for snap.keys[i] != 0 {
-				i = (i + 1) & mask
-			}
-			snap.keys[i] = cd.node + 1
-			snap.vals[i] = rec
-			snap.used++
+	snap := newSnapshot(old.epoch+1, c.cfg.Workers, len(merged))
+	for _, cd := range merged {
+		// Carry-over: a resident that stays ranked keeps the record the
+		// replaced snapshot holds; only a newly admitted node is decoded.
+		rec, _ := old.find(cd.node)
+		if rec == nil {
+			rec = c.g.Record(cd.node)
 		}
+		if rec == nil {
+			continue // unvisited node noted by a stale sketch entry
+		}
+		snap.put(cd.node, rec)
 	}
 	c.cur.Store(snap)
 	c.publishes.Add(1)
 	return true
 }
 
-// EpochReader reads snapshot-first with a private CachedGBWT overflow — the
-// per-worker, per-batch reader of the epoch discipline. Not safe for
-// concurrent use (the overflow layer is private); each worker builds its own
-// and Resets it per batch, which pins one snapshot for the whole batch.
-type EpochReader struct {
-	c    *SharedCache
-	snap *Snapshot
-	over *CachedGBWT
-	row  int
-
-	sharedHits int64
-}
-
-// NewReader pins the current snapshot and wraps it with a fresh private
-// overflow cache of the given capacity (the §VII-B knob; 0 disables the
-// overflow layer so every snapshot miss decompresses).
-func (c *SharedCache) NewReader(worker, overflowCapacity int) *EpochReader {
-	return &EpochReader{
-		c:    c,
-		snap: c.cur.Load(),
-		over: NewCached(c.g, overflowCapacity),
-		row:  c.row(worker),
-	}
+// NewReader builds a worker's reader under the epoch discipline: a CachedGBWT
+// with the current snapshot pinned in front of a private table of the given
+// capacity (the §VII-B knob; 0 drops the table so every snapshot miss
+// decompresses). Each worker builds its own and Resets it per batch, which
+// pins one snapshot for the whole batch.
+func (c *SharedCache) NewReader(worker, capacity int) *CachedGBWT {
+	r := NewCached(c.g, capacity)
+	r.shared, r.snap, r.row = c, c.cur.Load(), c.row(worker)
+	return r
 }
 
 // row clamps a worker index onto the hit-counter rows.
 func (c *SharedCache) row(worker int) int {
 	return min(max(worker, 0), c.cfg.Workers-1)
-}
-
-// Reset makes r what NewReader(worker, …) would return now — the current
-// snapshot pinned, the overflow rewound (CachedGBWT.Reset), counters at
-// zero — without building anything. Records r handed out before are invalid
-// after it unless they came from a snapshot.
-//
-//minigiraffe:hot
-func (r *EpochReader) Reset(worker int) {
-	r.snap = r.c.cur.Load()
-	r.over.Reset()
-	r.row = r.c.row(worker)
-	r.sharedHits = 0
-}
-
-// Base implements Reader.
-func (r *EpochReader) Base() *GBWT { return r.c.g }
-
-// Snapshot returns the epoch pinned by this reader.
-func (r *EpochReader) Snapshot() *Snapshot { return r.snap }
-
-// Record implements Reader: snapshot hit (lock-free, zero-alloc) → private
-// overflow → decode. Overflow decodes feed the frequency sketch so the next
-// epoch learns what this one was missing.
-//
-//minigiraffe:hot
-func (r *EpochReader) Record(v NodeID) *DecodedRecord {
-	if rec, slot := r.snap.lookup(v); rec != nil {
-		r.sharedHits++
-		r.snap.hit(r.row, slot)
-		return rec
-	}
-	m0 := r.over.stats.Misses
-	rec := r.over.Record(v)
-	if rec != nil && r.over.stats.Misses != m0 {
-		r.c.note(v)
-	}
-	return rec
-}
-
-// Extend advances a search state through the reader.
-func (r *EpochReader) Extend(s SearchState, to NodeID) SearchState {
-	return ExtendWith(r, s, to)
-}
-
-// Find searches for a node path through the reader.
-func (r *EpochReader) Find(path []NodeID) SearchState { return FindWith(r, path) }
-
-// Stats drains the reader's counters: snapshot hits count as accesses (and
-// as SharedHits), the private overflow contributes its usual hit/miss/rehash
-// split.
-func (r *EpochReader) Stats() CacheStats {
-	s := r.over.Stats()
-	s.Accesses += r.sharedHits
-	s.SharedHits = r.sharedHits
-	return s
 }
 
 // SharedBiCache pairs one SharedCache per direction of a bidirectional
@@ -413,14 +312,10 @@ func NewSharedBi(b *Bidirectional, cfg EpochConfig) *SharedBiCache {
 	}
 }
 
-// NewBiReader builds the per-worker epoch reader pair, pinning the current
-// snapshots and wrapping them with private overflow caches of the given
-// capacity.
-func (s *SharedBiCache) NewBiReader(worker, overflowCapacity int) BiReader {
-	return BiReader{
-		Fwd: s.Fwd.NewReader(worker, overflowCapacity),
-		Rev: s.Rev.NewReader(worker, overflowCapacity),
-	}
+// NewBiReader builds the per-worker reader pair of the epoch discipline, one
+// NewReader per direction.
+func (s *SharedBiCache) NewBiReader(worker, capacity int) BiReader {
+	return BiReader{Fwd: s.Fwd.NewReader(worker, capacity), Rev: s.Rev.NewReader(worker, capacity)}
 }
 
 // MaybePublish is the batch-boundary hook: it ticks the epoch clock and,

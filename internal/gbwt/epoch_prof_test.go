@@ -29,7 +29,7 @@ func TestSnapshotHitZeroAllocUnderProfiling(t *testing.T) {
 	c.note(4)
 	c.Publish()
 	r := c.NewReader(0, 0)
-	if rec, _ := r.snap.lookup(1); rec == nil {
+	if rec, _ := r.snap.find(1); rec == nil {
 		t.Fatal("node 1 not resident; cannot measure the hit path")
 	}
 

@@ -114,11 +114,11 @@ func TestSharedCachePublishRanking(t *testing.T) {
 		t.Fatalf("resident %d, want capacity 2", snap.Len())
 	}
 	for _, v := range []NodeID{1, 4} {
-		if rec, _ := snap.lookup(v); rec == nil {
+		if rec, _ := snap.find(v); rec == nil {
 			t.Errorf("hot node %d not resident", v)
 		}
 	}
-	if rec, _ := snap.lookup(7); rec != nil {
+	if rec, _ := snap.find(7); rec != nil {
 		t.Error("cold node 7 resident over hotter candidates")
 	}
 
@@ -136,10 +136,10 @@ func TestSharedCachePublishRanking(t *testing.T) {
 		t.Fatal("second publish refused")
 	}
 	snap = c.Current()
-	if rec, _ := snap.lookup(1); rec == nil {
+	if rec, _ := snap.find(1); rec == nil {
 		t.Error("hit-heavy resident 1 evicted by feedback flood")
 	}
-	if rec, _ := snap.lookup(4); rec != nil {
+	if rec, _ := snap.find(4); rec != nil {
 		t.Error("idle resident 4 survived over hotter candidates")
 	}
 }
@@ -157,7 +157,7 @@ func TestEpochReaderOverflowFeedback(t *testing.T) {
 		t.Fatalf("pre-publish stats = %+v", st)
 	}
 	c.Publish()
-	if rec, _ := c.Current().lookup(5); rec == nil {
+	if rec, _ := c.Current().find(5); rec == nil {
 		t.Fatal("missed node not adopted by next epoch")
 	}
 	r2 := c.NewReader(0, 4)
@@ -227,7 +227,7 @@ func TestSnapshotHitZeroAlloc(t *testing.T) {
 	c.note(4)
 	c.Publish()
 	r := c.NewReader(0, 0) // no overflow layer: every access is snapshot-or-decode
-	if rec, _ := r.snap.lookup(1); rec == nil {
+	if rec, _ := r.snap.find(1); rec == nil {
 		t.Fatal("node 1 not resident; cannot measure the hit path")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -253,8 +253,8 @@ func TestSharedBiCacheInterval(t *testing.T) {
 	s := NewSharedBi(bi, EpochConfig{Capacity: 4, Interval: 3})
 	r := s.NewBiReader(0, 8)
 	for _, v := range allNodes() {
-		r.Fwd.(*EpochReader).Record(v)
-		r.Rev.(*EpochReader).Record(v)
+		r.Fwd.Record(v)
+		r.Rev.Record(v)
 	}
 	for tick := 1; tick <= 6; tick++ {
 		_, published := s.MaybePublish()
@@ -324,7 +324,7 @@ func TestEpochRace(t *testing.T) {
 					return
 				}
 			}
-			if e := r.Snapshot().Epoch(); e != 1 || r.Stats().SharedHits == 0 {
+			if e := r.snap.Epoch(); e != 1 || r.Stats().SharedHits == 0 {
 				fail("pinned reader left epoch 1 or never hit its snapshot")
 			}
 		}(w)
@@ -400,7 +400,7 @@ func TestPublishExclusion(t *testing.T) {
 
 // hitResidents gives every resident of the live snapshot n hits through r
 // (re-pinned first), so all of them rank at n in the next publication.
-func hitResidents(r *EpochReader, n int) {
+func hitResidents(r *CachedGBWT, n int) {
 	r.Reset(0)
 	for _, k := range r.snap.keys {
 		for i := 0; k != 0 && i < n; i++ {
@@ -428,7 +428,7 @@ func TestPublishCarriesResidentsOver(t *testing.T) {
 		hot := nodes[0]
 		noteTimes(c, hot, 100)
 		c.Publish()
-		first, _ := c.Current().lookup(hot)
+		first, _ := c.Current().find(hot)
 		if first == nil {
 			t.Fatal("hot node not admitted")
 		}
@@ -443,7 +443,7 @@ func TestPublishCarriesResidentsOver(t *testing.T) {
 				noteTimes(c, v, 10)
 			}
 			c.Publish()
-			if got, _ := c.Current().lookup(hot); got != first {
+			if got, _ := c.Current().find(hot); got != first {
 				t.Fatalf("epoch %d: the resident was decoded again (%p, first %p)", epoch, got, first)
 			}
 		}
@@ -477,7 +477,7 @@ func TestPublishCarriesResidentsOver(t *testing.T) {
 				t.Errorf("capacity %d: %.1f allocations per steady-state Publish admitting %d nodes, want at most %d",
 					capacity, allocs, admitted, bound)
 			}
-			if rec, _ := c.Current().lookup(nodes[(next-1)%len(nodes)]); rec == nil {
+			if rec, _ := c.Current().find(nodes[(next-1)%len(nodes)]); rec == nil {
 				t.Errorf("capacity %d: the last node noted was not admitted", capacity)
 			}
 		}
@@ -492,7 +492,7 @@ func TestPublishCarriesResidentsOver(t *testing.T) {
 		noteTimes(c, nodes[last], 10)
 		c.Publish()
 		collected := make(chan struct{})
-		rec, _ := c.Current().lookup(nodes[last])
+		rec, _ := c.Current().find(nodes[last])
 		runtime.SetFinalizer(rec, func(*DecodedRecord) { close(collected) })
 		rec = nil
 
@@ -548,7 +548,7 @@ func TestPublishCarriesResidentsOver(t *testing.T) {
 func TestRewoundReaderMatchesFresh(t *testing.T) {
 	g, _ := buildRandomHaplotypes(t, 61, 12)
 	nodes := visitedNodes(g)
-	same := func(t *testing.T, batch int, got, want Reader, v NodeID) {
+	same := func(t *testing.T, batch int, got, want *CachedGBWT, v NodeID) {
 		t.Helper()
 		if a, b := got.Record(v), want.Record(v); !reflect.DeepEqual(a, b) {
 			t.Fatalf("batch %d node %d: rewound reader returned %+v, fresh %+v", batch, v, a, b)
@@ -573,7 +573,7 @@ func TestRewoundReaderMatchesFresh(t *testing.T) {
 		for batch := 0; batch < 30; batch++ {
 			seq := access(rng)
 
-			rewound.Reset()
+			rewound.Reset(0)
 			fresh := NewCached(g, capacity)
 			for _, v := range seq {
 				same(t, batch, rewound, fresh, v)
@@ -586,7 +586,7 @@ func TestRewoundReaderMatchesFresh(t *testing.T) {
 			worker := batch % 3 // 2 is out of range: both must clamp alike
 			epochRewound.Reset(worker)
 			epochFresh := shared.NewReader(worker, capacity)
-			if epochRewound.Snapshot() != epochFresh.Snapshot() || epochRewound.row != epochFresh.row {
+			if epochRewound.snap != epochFresh.snap || epochRewound.row != epochFresh.row {
 				t.Fatalf("capacity %d batch %d: re-pinned reader is on another snapshot or row", capacity, batch)
 			}
 			for _, v := range seq {

@@ -96,7 +96,7 @@ func (r *DecodedRecord) rankAt(e int, i int32) int32 {
 }
 
 // GBWT is an immutable Graph BWT over a set of paths. Records live
-// compressed; use Record (or a CachedGBWT) to access them.
+// compressed; Record decodes one on every call, a CachedGBWT memoises.
 type GBWT struct {
 	// comp[v] is the compressed record of node v (index 0 = endmarker);
 	// nil for nodes with no visits.
@@ -107,15 +107,6 @@ type GBWT struct {
 	// identifier of each arrival, in visit order. Supports LocatePaths.
 	endDA    []int32
 	numPaths int
-}
-
-// Reader provides access to decoded records. GBWT itself decodes on every
-// call; CachedGBWT memoises.
-type Reader interface {
-	// Record returns the decoded record of v, or nil if v has no visits.
-	Record(v NodeID) *DecodedRecord
-	// Base returns the underlying GBWT.
-	Base() *GBWT
 }
 
 // NumPaths returns the number of indexed paths.
@@ -156,9 +147,6 @@ func (g *GBWT) record(v NodeID, slab *recordSlab) *DecodedRecord {
 	return rec
 }
 
-// Base implements Reader.
-func (g *GBWT) Base() *GBWT { return g }
-
 // SearchState is a half-open range [Start,End) of visits in Node's record:
 // the haplotype set whose next step is being tracked.
 type SearchState struct {
@@ -182,54 +170,37 @@ func (g *GBWT) FullState(v NodeID) SearchState {
 	return SearchState{Node: v, End: int32(g.NumVisits(v))}
 }
 
-// ExtendWith advances state along the edge to `to` using reader r,
-// LF-mapping the visit range into to's record. The result is empty if no
-// haplotype in the state continues to `to`.
+// lf is the one LF step: state s of this record's node mapped along the edge
+// to `to` into to's record. A nil record — an unvisited node — and a record
+// without that edge both give the empty state.
 //
 //minigiraffe:hot
-func ExtendWith(r Reader, s SearchState, to NodeID) SearchState {
-	if s.Empty() {
+func (r *DecodedRecord) lf(s SearchState, to NodeID) SearchState {
+	if r == nil {
 		return SearchState{Node: to}
 	}
-	rec := r.Record(s.Node)
-	if rec == nil {
-		return SearchState{Node: to}
-	}
-	e := rec.edgeRank(to)
+	e := r.edgeRank(to)
 	if e < 0 {
 		return SearchState{Node: to}
 	}
-	off := rec.Edges[e].Offset
+	off := r.Edges[e].Offset
 	return SearchState{
 		Node:  to,
-		Start: off + rec.rankAt(e, s.Start),
-		End:   off + rec.rankAt(e, s.End),
+		Start: off + r.rankAt(e, s.Start),
+		End:   off + r.rankAt(e, s.End),
 	}
 }
 
-// Extend is ExtendWith over the uncached GBWT.
-func (g *GBWT) Extend(s SearchState, to NodeID) SearchState { return ExtendWith(g, s, to) }
-
-// Find returns the search state of haplotypes containing the node sequence
-// `path` as a consecutive subpath.
-func (g *GBWT) Find(path []NodeID) SearchState {
-	return FindWith(g, path)
+// Extend is CachedGBWT.Extend without a cache: it decodes s.Node's record.
+func (g *GBWT) Extend(s SearchState, to NodeID) SearchState {
+	if s.Empty() {
+		return SearchState{Node: to}
+	}
+	return g.Record(s.Node).lf(s, to)
 }
 
-// FindWith is Find through an arbitrary Reader.
-func FindWith(r Reader, path []NodeID) SearchState {
-	if len(path) == 0 {
-		return SearchState{}
-	}
-	s := r.Base().FullState(path[0])
-	for _, v := range path[1:] {
-		s = ExtendWith(r, s, v)
-		if s.Empty() {
-			break
-		}
-	}
-	return s
-}
+// Find is CachedGBWT.Find through a reader that caches nothing.
+func (g *GBWT) Find(path []NodeID) SearchState { return NewCached(g, 0).Find(path) }
 
 // Successors returns the nodes reachable from v along at least one
 // haplotype, ascending, excluding the endmarker.

@@ -305,7 +305,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err := g.Serialize(&buf); err != nil {
 		t.Fatalf("Serialize: %v", err)
 	}
-	g2, err := Deserialize(&buf)
+	g2, err := Deserialize(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Deserialize: %v", err)
 	}
@@ -465,7 +465,7 @@ func TestCacheReset(t *testing.T) {
 	if c.Len() == 0 {
 		t.Fatal("nothing cached")
 	}
-	c.Reset()
+	c.Reset(0)
 	if c.Len() != 0 {
 		t.Errorf("Len after Reset = %d", c.Len())
 	}

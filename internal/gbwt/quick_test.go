@@ -97,7 +97,7 @@ func TestQuickSerializePreservesQueries(t *testing.T) {
 		if err := g.Serialize(&buf); err != nil {
 			return false
 		}
-		g2, err := Deserialize(&buf)
+		g2, err := Deserialize(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}

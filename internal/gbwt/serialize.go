@@ -2,8 +2,8 @@ package gbwt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -58,14 +58,16 @@ func (g *GBWT) Serialize(w io.Writer) error {
 	return bw.Flush()
 }
 
-// maxReasonableNodes guards deserialization against hostile or corrupt
-// headers.
-const maxReasonableNodes = 1 << 31
+// maxIndexSpace bounds the node and path counts of a serialized GBWT: node
+// IDs are 32-bit and document-array entries are stored as int32.
+const maxIndexSpace = 1 << 31
 
-// Deserialize reads a GBWT written by Serialize.
-func Deserialize(r io.Reader) (*GBWT, error) {
-	br := bufio.NewReader(r)
-	get := func() (uint64, error) { return binary.ReadUvarint(br) }
+// Deserialize reads a GBWT written by Serialize from r, which holds the
+// stream in memory: the stream is untrusted, and every count in it is held
+// to the bytes that remain — each path, node and record byte costs at least
+// one — before anything is sized from it.
+func Deserialize(r *bytes.Reader) (*GBWT, error) {
+	get := func() (uint64, error) { return binary.ReadUvarint(r) }
 	numPaths, err := get()
 	if err != nil {
 		return nil, fmt.Errorf("gbwt: reading numPaths: %w", err)
@@ -74,8 +76,8 @@ func Deserialize(r io.Reader) (*GBWT, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gbwt: reading node count: %w", err)
 	}
-	if n == 0 || n > maxReasonableNodes || numPaths > maxReasonableNodes {
-		return nil, errors.New("gbwt: implausible header")
+	if most := min(maxIndexSpace, uint64(r.Len())); n == 0 || n > most || numPaths > most {
+		return nil, fmt.Errorf("gbwt: header claims %d nodes and %d paths, %d bytes remain", n, numPaths, r.Len())
 	}
 	g := &GBWT{
 		comp:     make([][]byte, n),
@@ -105,8 +107,11 @@ func Deserialize(r io.Reader) (*GBWT, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gbwt: reading record %d visits: %w", v, err)
 		}
+		if recLen > uint64(r.Len()) {
+			return nil, fmt.Errorf("gbwt: record %d claims %d bytes, %d remain", v, recLen, r.Len())
+		}
 		buf := make([]byte, recLen)
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("gbwt: reading record %d body: %w", v, err)
 		}
 		// Validate that the record decodes and claims the declared visit

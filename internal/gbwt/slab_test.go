@@ -115,7 +115,7 @@ func TestResetKeepsMemory(t *testing.T) {
 	if first.Rehashes == 0 {
 		t.Fatalf("fixture too small: %d nodes never outgrew 16 slots", len(nodes))
 	}
-	c.Reset()
+	c.Reset(0)
 	if c.Capacity() != 16 || c.Len() != 0 || c.Stats() != (CacheStats{}) {
 		t.Fatalf("after Reset: capacity %d, %d records, stats %+v; want 16, 0, zero",
 			c.Capacity(), c.Len(), c.Stats())
@@ -123,9 +123,9 @@ func TestResetKeepsMemory(t *testing.T) {
 	// Two replays settle the chunks (the second batch still doubles the one
 	// the first ended on); from then on a batch costs no allocation.
 	batch()
-	c.Reset()
+	c.Reset(0)
 	batch()
-	if allocs := testing.AllocsPerRun(10, func() { c.Reset(); batch() }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, func() { c.Reset(0); batch() }); allocs != 0 {
 		t.Errorf("%.1f allocations per replayed batch on a reset cache, want 0", allocs)
 	}
 	if c.Capacity() != grown || c.Stats() != first {

@@ -18,6 +18,12 @@
 // Graph section (varints): numNodes; per node: seqLen, packed 2-bit bases,
 // zigzag backbone coordinate; numEdges; per edge: delta-from, to; numPaths;
 // per path: length, node ids (delta within path).
+//
+// The file is untrusted. Read sizes nothing from a number in it before that
+// many bytes are known to be there: the stored payload is copied through a
+// limit into a buffer that grows with what arrives, and once the payload is
+// in memory every length is refused unless the bytes that remain could hold
+// it (FuzzReadGBZ).
 package gbz
 
 import (
@@ -141,10 +147,11 @@ func Read(r io.Reader) (*File, error) {
 	if payloadLen > maxPayload {
 		return nil, fmt.Errorf("gbz: implausible payload length %d", payloadLen)
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	var stored bytes.Buffer
+	if _, err := io.CopyN(&stored, br, int64(payloadLen)); err != nil {
 		return nil, fmt.Errorf("gbz: reading payload: %w", err)
 	}
+	payload := stored.Bytes()
 	var tail [4]byte
 	if _, err := io.ReadFull(br, tail[:]); err != nil {
 		return nil, fmt.Errorf("gbz: reading checksum: %w", err)
@@ -249,6 +256,9 @@ func readGraph(r *bytes.Reader) (*vgraph.Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gbz: node %d seq length: %w", i+1, err)
 		}
+		if ln > 4*uint64(r.Len()) {
+			return nil, fmt.Errorf("gbz: node %d claims %d bases, %d bytes remain", i+1, ln, r.Len())
+		}
 		data := make([]byte, (ln+3)/4)
 		if _, err := io.ReadFull(r, data); err != nil {
 			return nil, fmt.Errorf("gbz: node %d bases: %w", i+1, err)
@@ -294,6 +304,9 @@ func readGraph(r *bytes.Reader) (*vgraph.Graph, error) {
 		ln, err := get()
 		if err != nil {
 			return nil, fmt.Errorf("gbz: path %d length: %w", i, err)
+		}
+		if ln > uint64(r.Len()) {
+			return nil, fmt.Errorf("gbz: path %d claims %d steps, %d bytes remain", i, ln, r.Len())
 		}
 		path := make([]vgraph.NodeID, ln)
 		for j := range path {

@@ -19,15 +19,18 @@ import (
 )
 
 // buildTestFile creates a pangenome with haplotypes and its GBWT.
-func buildTestFile(t testing.TB, seed int64) *File {
+func buildTestFile(t testing.TB, seed int64) *File { return buildSized(t, seed, 1500) }
+
+// buildSized is buildTestFile over a reference of refLen bases.
+func buildSized(t testing.TB, seed int64, refLen int) *File {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	ref := make(dna.Sequence, 1500)
+	ref := make(dna.Sequence, refLen)
 	for i := range ref {
 		ref[i] = dna.Base(rng.Intn(4))
 	}
 	var vs []vgraph.Variant
-	for pos := 40; pos < 1400; pos += 80 {
+	for pos := 40; pos < refLen-100; pos += 80 {
 		vs = append(vs, vgraph.Variant{Pos: pos, Kind: vgraph.SNP, Alt: dna.Sequence{(ref[pos] + 1) & 3}})
 	}
 	p, err := vgraph.BuildPangenome(ref, vs, 24)
@@ -196,22 +199,32 @@ func TestZigzag(t *testing.T) {
 	}
 }
 
-// storedCopy rewrites a container Write produced into the format's other
-// form — the payload stored as is, flag bit 0 clear — which Read accepts and
-// nothing in the repo writes.
-func storedCopy(t *testing.T, deflated []byte) *bytes.Buffer {
+// sealed wraps payload in the format's other form — stored as is, flag bit 0
+// clear — under the header and CRC Read checks. Read accepts it and nothing
+// in the repo writes it.
+func sealed(payload []byte) []byte {
+	out := append([]byte(nil), Magic[:]...)
+	out = binary.LittleEndian.AppendUint16(out, Version)
+	out = binary.LittleEndian.AppendUint16(out, 0)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
+// inflated returns the payload of a container Write produced.
+func inflated(t testing.TB, deflated []byte) []byte {
 	t.Helper()
 	const head = 4 + 12 // magic, then version/flags/payloadLen
 	payload, err := io.ReadAll(flate.NewReader(bytes.NewReader(deflated[head : len(deflated)-4])))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := bytes.NewBuffer(append([]byte(nil), deflated[:head]...))
-	binary.LittleEndian.PutUint16(out.Bytes()[6:], 0)
-	binary.LittleEndian.PutUint64(out.Bytes()[8:], uint64(len(payload)))
-	out.Write(payload)
-	binary.Write(out, binary.LittleEndian, crc32.ChecksumIEEE(payload))
-	return out
+	return payload
+}
+
+// storedCopy rewrites a container Write produced with its payload stored.
+func storedCopy(t *testing.T, deflated []byte) *bytes.Buffer {
+	return bytes.NewBuffer(sealed(inflated(t, deflated)))
 }
 
 func TestUncompressedRoundTrip(t *testing.T) {

@@ -125,7 +125,7 @@ func extensionEnd(g *vgraph.Graph, e *extend.Extension) (vgraph.NodeID, int32, b
 
 // spellForward collects up to n bases starting at (node, off), following the
 // first haplotype-consistent successor at each node end.
-func spellForward(g *vgraph.Graph, fwd gbwt.Reader, node vgraph.NodeID, off int32, n int) dna.Sequence {
+func spellForward(g *vgraph.Graph, fwd *gbwt.CachedGBWT, node vgraph.NodeID, off int32, n int) dna.Sequence {
 	out := make(dna.Sequence, 0, n)
 	for len(out) < n {
 		label := g.Seq(node)
@@ -157,7 +157,7 @@ func spellForward(g *vgraph.Graph, fwd gbwt.Reader, node vgraph.NodeID, off int3
 // spellBackward collects up to n bases strictly before (node, off), in
 // forward orientation, following the first haplotype predecessor (from the
 // reverse-index record) at each node start.
-func spellBackward(g *vgraph.Graph, rev gbwt.Reader, node vgraph.NodeID, off int32, n int) dna.Sequence {
+func spellBackward(g *vgraph.Graph, rev *gbwt.CachedGBWT, node vgraph.NodeID, off int32, n int) dna.Sequence {
 	// Collect backwards then reverse.
 	out := make(dna.Sequence, 0, n)
 	cur := node

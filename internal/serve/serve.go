@@ -162,9 +162,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // closes the session.
 func (s *Server) EnterDrain() { s.draining.Store(true) }
 
-// Draining reports whether EnterDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // MapRequest is the POST /map body.
 type MapRequest struct {
 	// Client identifies the submitting client for per-client admission;
