@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke lint escapecheck codeweight staticcheck govulncheck perfdiff pgo-capture pgo-verify ci
+.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke cli-smoke lint escapecheck codeweight staticcheck govulncheck perfdiff pgo-capture pgo-verify ci
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,14 @@ fuzz-smoke:
 # SMOKE_DIR (default serve-smoke/) for CI upload.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# cli-smoke drives the deliverable binaries no other job executes (validate,
+# extractseeds, giraffe -capture, minigiraffe) over one generated input:
+# validate at 100 %, one CSV SHA-256 from every route into the kernels, and
+# an error — not a panic — on a capture naming a node the graph lacks.
+# Artifacts land in SMOKE_DIR (default cli-smoke/).
+cli-smoke:
+	sh scripts/cli_smoke.sh
 
 # lint runs the six project-specific analyzers (atomicmix, ctxflow,
 # escapebudget, hotpath, metricname, nakedgoroutine) over the whole tree, one
@@ -157,4 +165,4 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-ci: verify vet fmt-check lint staticcheck govulncheck race bench-smoke bench-quick fuzz-smoke serve-smoke
+ci: verify vet fmt-check lint staticcheck govulncheck race bench-smoke bench-quick cli-smoke fuzz-smoke serve-smoke

@@ -3,16 +3,14 @@
 // sequence-seeds.bin. This is the capture step of §V: the proxy's inputs
 // are extracted from the parent right before the critical functions run.
 //
-// Both modes run the same giraffe.Preprocess per read. The default mode
-// materializes the workload and writes the count-up-front v1 format; with
-// -stream, records flow from the FASTQ scanner through the count-free v2
-// stream writer one at a time, so capture memory no longer scales with the
-// workload.
+// Records flow from the FASTQ scanner through giraffe.Preprocess into the
+// count-free v2 capture stream one at a time (giraffe.CaptureSeeds), so
+// capture memory does not scale with the workload. seeds.Reader reads both
+// capture versions, so the file maps like genworkload's v1 capture.
 //
 // Usage:
 //
 //	extractseeds -gbz A-human.gbz -reads A-human.fq -out A-human-seeds.bin
-//	extractseeds -gbz A-human.gbz -reads A-human.fq -stream -out A-human-seeds.bin
 package main
 
 import (
@@ -21,10 +19,8 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/fastq"
 	"repro/internal/gbz"
 	"repro/internal/giraffe"
-	"repro/internal/seeds"
 )
 
 func main() {
@@ -33,7 +29,6 @@ func main() {
 	gbzPath := flag.String("gbz", "", "pangenome .gbz file (required)")
 	readsPath := flag.String("reads", "", "FASTQ reads (required)")
 	out := flag.String("out", "sequence-seeds.bin", "output .bin file")
-	stream := flag.Bool("stream", false, "stream extraction record by record (v2 capture format, bounded memory)")
 	flag.Parse()
 	if *gbzPath == "" || *readsPath == "" {
 		flag.Usage()
@@ -48,45 +43,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *stream {
-		in, err := os.Open(*readsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer in.Close()
-		outFile, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		st, err := giraffe.CaptureSeeds(ix.MinIx, in, outFile)
-		if err != nil {
-			outFile.Close()
-			log.Fatal(err)
-		}
-		if err := outFile.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("streamed %d seeds from %d reads -> %s\n", st.TotalSeeds, st.Reads, *out)
-		return
-	}
-
-	reads, err := fastq.ReadFile(*readsPath)
+	in, err := os.Open(*readsPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	recs := make([]seeds.ReadSeeds, len(reads))
-	totalSeeds := 0
-	for i := range reads {
-		rec, err := giraffe.Preprocess(ix.MinIx, &reads[i])
-		if err != nil {
-			log.Fatal(err)
-		}
-		recs[i] = rec
-		totalSeeds += len(rec.Seeds)
-	}
-	if err := seeds.WriteFile(*out, recs); err != nil {
+	defer in.Close()
+	outFile, err := os.Create(*out)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("extracted %d seeds from %d reads -> %s\n", totalSeeds, len(reads), *out)
+	st, err := giraffe.CaptureSeeds(ix.MinIx, in, outFile)
+	if err != nil {
+		outFile.Close()
+		log.Fatal(err)
+	}
+	if err := outFile.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("extracted %d seeds from %d reads -> %s\n", st.TotalSeeds, st.Reads, *out)
 }

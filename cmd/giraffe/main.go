@@ -35,7 +35,6 @@ func main() {
 	out := flag.String("out", "", "alignment TSV output (default stdout)")
 	capture := flag.String("capture", "", "write captured seeds (the proxy input) to this .bin file")
 	timeline := flag.String("timeline", "", "write the per-thread region timeline CSV here")
-	rescue := flag.Int("rescue", 0, "paired-end rescue with this fragment length (0 disables)")
 	gafPath := flag.String("gaf", "", "also write alignments in Graph Alignment Format here")
 	flag.Parse()
 	if *gbzPath == "" || *readsPath == "" {
@@ -68,16 +67,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *rescue > 0 {
-		stats, err := giraffe.RescuePairs(ix, reads, res, giraffe.RescueParams{FragmentLen: *rescue}, giraffe.Options{
-			Threads: *threads, BatchSize: *batch, CacheCapacity: *capacity,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pair rescue: %d pairs, %d both-mapped, %d attempted, %d rescued\n",
-			stats.Pairs, stats.BothMapped, stats.Attempted, stats.Rescued)
 	}
 
 	w := os.Stdout

@@ -342,8 +342,8 @@ func TestScratchMatchesFresh(t *testing.T) {
 }
 
 // TestFreshResultIsCallerOwned: the package-level entry returns memory that
-// later calls, on it or on any Scratch, leave alone (cmd/bench and the
-// rescue path keep clusters across reads).
+// later calls, on it or on any Scratch, leave alone (cmd/bench keeps
+// clusters across reads).
 func TestFreshResultIsCallerOwned(t *testing.T) {
 	g, ids := linearGraph(t, 4000, 16)
 	ix := distindex.New(g)

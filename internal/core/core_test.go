@@ -284,6 +284,67 @@ func TestRunWithTraceAndStats(t *testing.T) {
 	}
 }
 
+// TestRunRefusesSeedsOutsideTheGraph: a record that names what the graph or
+// its read lacks (as a corrupt capture file can) ends Run with an error that
+// names it — before scheduling, where the kernels would have indexed out of
+// range on a goroutine no caller can recover. The mapper is unharmed: the
+// valid workload still maps to the same extensions.
+func TestRunRefusesSeedsOutsideTheGraph(t *testing.T) {
+	f, recs, _ := fixture(t, 0.03)
+	m, err := core.NewMapper(f, core.Options{Threads: 2, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Run(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := -1
+	for i := range recs {
+		if len(recs[i].Seeds) > 0 {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		t.Fatal("fixture has no seeded read")
+	}
+	seed := recs[victim].Seeds[0]
+	for _, c := range []struct {
+		name   string
+		mutate func(s *seeds.Seed)
+	}{
+		{"node 0", func(s *seeds.Seed) { s.Pos.Node = 0 }},
+		{"node 1<<30", func(s *seeds.Seed) { s.Pos.Node = 1 << 30 }},
+		{"Off -5", func(s *seeds.Seed) { s.Pos.Off = -5 }},
+		{"Off = SeqLen", func(s *seeds.Seed) { s.Pos.Off = int32(f.Graph.SeqLen(s.Pos.Node)) }},
+		{"ReadOff = len(read)", func(s *seeds.Seed) { s.ReadOff = int32(len(recs[victim].Read.Seq)) }},
+	} {
+		bad := append([]seeds.ReadSeeds(nil), recs...)
+		bad[victim].Seeds = append([]seeds.Seed(nil), recs[victim].Seeds...)
+		c.mutate(&bad[victim].Seeds[0])
+		_, err := m.Run(bad)
+		if err == nil {
+			t.Errorf("%s: Run accepted %+v", c.name, bad[victim].Seeds[0])
+			continue
+		}
+		for _, part := range []string{fmt.Sprintf("record %d:", victim), fmt.Sprintf("%q seed 0", recs[victim].Read.Name)} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("%s: error %q does not name %s", c.name, err, part)
+			}
+		}
+	}
+	if recs[victim].Seeds[0] != seed {
+		t.Fatal("the test mutated the fixture")
+	}
+	got, err := m.Run(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Extensions, want.Extensions) {
+		t.Error("valid records map differently after the refused runs")
+	}
+}
+
 func TestRunSingleThreadProbe(t *testing.T) {
 	f, recs, _ := fixture(t, 0.03)
 	h := counters.NewDefaultHierarchy()

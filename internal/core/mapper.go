@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -417,10 +418,25 @@ func ReaderCacheStats(r gbwt.BiReader) gbwt.CacheStats {
 	return s
 }
 
+// CheckRecords holds file-borne records against the mapper's graph
+// (seeds.ReadSeeds.Check) before a kernel indexes with them; base is the
+// first record's position in its stream, for the error.
+func (m *Mapper) CheckRecords(records []seeds.ReadSeeds, base int) error {
+	for i := range records {
+		if err := records[i].Check(m.file.Graph); err != nil {
+			return fmt.Errorf("record %d: %w", base+i, err)
+		}
+	}
+	return nil
+}
+
 // Run executes the batch proxy over records on the prepared mapper: the
 // whole workload is scheduled at once under the configured policy, with each
-// batch getting a fresh CachedGBWT.
+// batch getting a fresh CachedGBWT, after CheckRecords and off its clock.
 func (m *Mapper) Run(records []seeds.ReadSeeds) (*Result, error) {
+	if err := m.CheckRecords(records, 0); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	opts := m.opts
 	// Worker count resolution mirrors sched.Run's normalisation so the
 	// per-worker stats slices are sized correctly.

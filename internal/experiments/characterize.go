@@ -79,10 +79,15 @@ func (s *Suite) Table1(root string) ([]Table1Row, error) {
 		return len(set), nil
 	}
 
-	// Parent emulator: the full pipeline and every substrate. Proxy: the
+	// Parent emulator: what cmd/giraffe links, the full pipeline and every
+	// substrate under it (go list -deps ./cmd/giraffe | grep repro/internal)
+	// — not the lint framework, the server or this package. Proxy: the
 	// critical functions and their direct inputs — matching the paper's
 	// framing (the proxy is ~2% of the parent's code base).
-	parentDirs := []string{"internal"}
+	var parentDirs []string
+	for _, pkg := range strings.Fields("align cluster core counters distindex dna extend fastq gaf gbwt gbz giraffe minimizer obs sched seeds snarl trace vgraph") {
+		parentDirs = append(parentDirs, "internal/"+pkg)
+	}
 	proxyDirs := []string{"internal/core", "internal/cluster", "internal/extend"}
 	pl, pf, err := countDir(parentDirs...)
 	if err != nil {

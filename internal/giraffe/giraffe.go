@@ -39,8 +39,9 @@ type Options struct {
 	// BatchSize is the scheduler batch size; ≤0 means 512 (Giraffe's
 	// default).
 	BatchSize int
-	// CacheCapacity is each worker's initial CachedGBWT capacity; 0 uses
-	// the Giraffe default (256). Negative disables caching. Under the epoch
+	// CacheCapacity is each worker's initial CachedGBWT capacity, handed to
+	// core.Options as it arrives (0 = the Giraffe default of 256, negative =
+	// caching off: core.Options owns that convention). Under the epoch
 	// discipline (EpochCapacity > 0) it sizes the private overflow layer.
 	CacheCapacity int
 	// EpochCapacity, when > 0, enables the epoch-published shared cache
@@ -65,12 +66,6 @@ func (o Options) normalize() Options {
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 512
-	}
-	switch {
-	case o.CacheCapacity == 0:
-		o.CacheCapacity = gbwt.DefaultCacheCapacity
-	case o.CacheCapacity < 0:
-		o.CacheCapacity = 0
 	}
 	if o.Threads != 1 {
 		o.Probe = nil
@@ -150,13 +145,10 @@ func Map(ix *Indexes, reads []dna.Read, opts Options) (*Result, error) {
 	if ix == nil {
 		return nil, errors.New("giraffe: nil indexes")
 	}
-	rawCapacity := opts.CacheCapacity
 	opts = opts.normalize()
-	// core.Options shares giraffe's pre-normalize capacity convention
-	// (0 = default, negative = disabled), so pass the raw value through.
 	mapper, err := core.NewMapperFromIndexes(ix.File, ix.Dist, ix.Bi, core.Options{
 		Threads:       opts.Threads,
-		CacheCapacity: rawCapacity,
+		CacheCapacity: opts.CacheCapacity,
 		EpochCapacity: opts.EpochCapacity,
 		Trace:         opts.Trace,
 		Probe:         opts.Probe,

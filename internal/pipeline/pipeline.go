@@ -241,6 +241,13 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 		for !stop.Load() {
 			t0 := time.Now()
 			recs, err := readBatch(src, opts.BatchSize)
+			if err == nil || err == io.EOF {
+				// A record that names what the graph lacks fails the run
+				// here, before a worker indexes with it.
+				if cerr := m.CheckRecords(recs, base); cerr != nil {
+					err = cerr
+				}
+			}
 			d := time.Since(t0)
 			rec.Record(ingestShard, trace.RegionIngest, t0, d)
 			hIngest.Observe(ingestShard, d)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/seeds"
 	"repro/internal/trace"
+	"repro/internal/vgraph"
 	"repro/internal/workload"
 )
 
@@ -185,6 +187,25 @@ func TestSourceErrorPropagates(t *testing.T) {
 	})
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("disk on fire")) {
 		t.Fatalf("source error not propagated: %v", err)
+	}
+}
+
+// TestIngestRefusesSeedOutsideTheGraph: a streamed record naming a node the
+// graph lacks fails the run at ingest, like any other bad input.
+func TestIngestRefusesSeedOutsideTheGraph(t *testing.T) {
+	f, recs := fixture(t, 0.04)
+	m, err := core.NewMapper(f, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]seeds.ReadSeeds(nil), recs...)
+	victim := len(bad) - 1
+	bad[victim].Seeds = []seeds.Seed{{Pos: vgraph.Position{Node: 1 << 30}}}
+	var buf bytes.Buffer
+	_, err = pipeline.RunToCSV(m, pipeline.NewSliceSource(bad), &buf, pipeline.Options{Workers: 2, BatchSize: 4})
+	want := fmt.Sprintf("pipeline: ingest: record %d: ", victim)
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %v, want prefix %q", err, want)
 	}
 }
 

@@ -44,6 +44,10 @@ var (
 var (
 	ErrBadMagic   = errors.New("seeds: bad magic")
 	ErrBadVersion = errors.New("seeds: unsupported version")
+	// A seed field on the wire is a uint64 varint; the record narrows it.
+	// A value the narrowed field cannot hold is corruption, not a position.
+	errNodeRange   = errors.New("seeds: node beyond uint32 node IDs")
+	errOffsetRange = errors.New("seeds: offset beyond int32")
 )
 
 // Writer streams ReadSeeds records to an output.
@@ -318,6 +322,12 @@ func (r *Reader) Next() (*ReadSeeds, error) {
 		var f [4]byte
 		if _, err := io.ReadFull(r.br, f[:]); err != nil {
 			return nil, fmt.Errorf("seeds: seed %d score: %w", i, err)
+		}
+		if node > math.MaxUint32 {
+			return nil, fmt.Errorf("seeds: seed %d node %d: %w", i, node, errNodeRange)
+		}
+		if off > math.MaxInt32 || readOff > math.MaxInt32 {
+			return nil, fmt.Errorf("seeds: seed %d offset %d, read offset %d: %w", i, off, readOff, errOffsetRange)
 		}
 		rs.Seeds = append(rs.Seeds, Seed{
 			Pos:     vgraph.Position{Node: vgraph.NodeID(node), Off: int32(off)},

@@ -2,6 +2,7 @@ package seeds
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 
@@ -48,10 +49,27 @@ func serializeV1(t testing.TB, recs []ReadSeeds) []byte {
 	return buf.Bytes()
 }
 
+// wireCapture hand-assembles a one-record v1 capture (read "w", ACGT) whose
+// one seed carries the given raw varints — values the Writer cannot emit,
+// since it serialises from the already-narrowed fields.
+func wireCapture(node, off, readOff uint64) []byte {
+	b := append([]byte("MGSB"), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0) // version 1, count 1
+	b = append(b, 1, 'w', 0, 0)                                     // name, single-end, end 0
+	b = append(b, 4, 0xE4)                                          // ACGT, 2-bit packed
+	b = append(b, 1)                                                // one seed
+	for _, v := range []uint64{node, off, readOff, 0} {             // …, flags
+		b = binary.AppendUvarint(b, v)
+	}
+	return append(b, 0, 0, 0x80, 0x3F) // score 1.0
+}
+
 // FuzzReadSeeds throws arbitrary bytes at the capture-file reader. The
 // reader must reject corrupt input with an error — truncations, bad
 // varints, implausible counts, garbage headers — and must never panic.
-// When a full parse succeeds, serialising the records must be stable:
+// A record that reads has non-negative offsets: the reader refuses a wire
+// value its narrowed field cannot hold (the node's narrowing leaves no trace
+// in the record, so TestReaderAndCheckRefuse and the wireCapture seeds cover
+// it). When a full parse succeeds, serialising the records must be stable:
 // write -> read -> write yields identical bytes.
 //
 // The Remaining() contract is checked on every input that opens: a v1
@@ -94,6 +112,9 @@ func FuzzReadSeeds(f *testing.F) {
 	overcount := append([]byte(nil), v1...)
 	overcount[8]++ // v1 header claims one more record than the file holds
 	f.Add(overcount)
+	f.Add(wireCapture(1<<33, 0, 0))      // node beyond uint32
+	f.Add(wireCapture(1, ^uint64(4), 0)) // Off -5 as the Writer sign-extends it
+	f.Add(wireCapture(1, 0, 1<<31))      // read offset beyond int32
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
@@ -123,6 +144,11 @@ func FuzzReadSeeds(f *testing.F) {
 				t.Fatalf("stream Remaining() = %d mid-iteration, want -1 until the footer", after)
 			case !stream && after != before-1:
 				t.Fatalf("Remaining() went %d -> %d across one Next, want a decrement of exactly 1", before, after)
+			}
+			for i, s := range rec.Seeds {
+				if s.Pos.Off < 0 || s.ReadOff < 0 {
+					t.Fatalf("record %q seed %d read with a negative offset: %+v", rec.Read.Name, i, s)
+				}
 			}
 			parsed = append(parsed, *rec)
 		}

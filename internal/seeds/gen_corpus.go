@@ -3,13 +3,17 @@
 // Regenerates the checked-in fuzz corpus for FuzzReadSeeds. The corpus
 // seeds the fuzzer with both capture-format versions plus the interesting
 // corruption classes (truncation, clipped footer, varint overflow, bad
-// magic). Run from the repository root:
+// magic, seed values the narrowed fields cannot hold), and
+// testdata/node-outside-graph.bin: a well-formed capture whose one seed names
+// node 2^30, outside any generated graph, which scripts/cli_smoke.sh feeds
+// minigiraffe. Run from the repository root:
 //
 //	go run internal/seeds/gen_corpus.go
 package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
@@ -19,6 +23,19 @@ import (
 	"repro/internal/seeds"
 	"repro/internal/vgraph"
 )
+
+// wireCapture is fuzz_test.go's: a one-record v1 capture (read "w", ACGT)
+// whose one seed carries raw varints the Writer cannot emit.
+func wireCapture(node, off, readOff uint64) []byte {
+	b := append([]byte("MGSB"), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0) // version 1, count 1
+	b = append(b, 1, 'w', 0, 0)                                     // name, single-end, end 0
+	b = append(b, 4, 0xE4)                                          // ACGT, 2-bit packed
+	b = append(b, 1)                                                // one seed
+	for _, v := range []uint64{node, off, readOff, 0} {             // …, flags
+		b = binary.AppendUvarint(b, v)
+	}
+	return append(b, 0, 0, 0x80, 0x3F) // score 1.0
+}
 
 func main() {
 	recs := []seeds.ReadSeeds{
@@ -92,15 +109,18 @@ func main() {
 	overcount := append([]byte(nil), v1.Bytes()...)
 	overcount[8]++
 	entries := map[string][]byte{
-		"valid-v1":          v1.Bytes(),
-		"valid-v2-stream":   v2.Bytes(),
-		"truncated-v1":      v1.Bytes()[:v1.Len()/2],
-		"clipped-footer-v2": v2.Bytes()[:v2.Len()-4],
-		"bad-varint":        badVarint,
-		"garbage-header":    []byte("not a capture file"),
-		"empty-v1":          emptyV1.Bytes(),
-		"empty-v2-stream":   emptyV2.Bytes(),
-		"overcount-v1":      overcount,
+		"valid-v1":             v1.Bytes(),
+		"valid-v2-stream":      v2.Bytes(),
+		"truncated-v1":         v1.Bytes()[:v1.Len()/2],
+		"clipped-footer-v2":    v2.Bytes()[:v2.Len()-4],
+		"bad-varint":           badVarint,
+		"garbage-header":       []byte("not a capture file"),
+		"empty-v1":             emptyV1.Bytes(),
+		"empty-v2-stream":      emptyV2.Bytes(),
+		"overcount-v1":         overcount,
+		"node-beyond-uint32":   wireCapture(1<<33, 0, 0),
+		"offset-negative":      wireCapture(1, ^uint64(4), 0), // Off -5 as the Writer sign-extends it
+		"readoff-beyond-int32": wireCapture(1, 0, 1<<31),
 	}
 	dir := filepath.Join("internal", "seeds", "testdata", "fuzz", "FuzzReadSeeds")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -113,4 +133,9 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", filepath.Join(dir, name), len(data))
 	}
+	outside := filepath.Join("internal", "seeds", "testdata", "node-outside-graph.bin")
+	if err := os.WriteFile(outside, wireCapture(1<<30, 0, 0), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("wrote %s\n", outside)
 }

@@ -6,6 +6,9 @@
 package seeds
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/dna"
 	"repro/internal/minimizer"
 	"repro/internal/vgraph"
@@ -31,6 +34,38 @@ type Seed struct {
 type ReadSeeds struct {
 	Read  dna.Read
 	Seeds []Seed
+}
+
+// What Check refuses.
+var (
+	errSeedNode    = errors.New("node is not in the graph")
+	errSeedOff     = errors.New("offset outside the node")
+	errSeedReadOff = errors.New("read offset outside the read")
+)
+
+// Check holds a record that came from a file against the graph it is about
+// to be mapped on: every seed's node exists (node 0 never does), its offset
+// lies inside that node and its read offset inside the read. The kernels
+// index with all three unchecked, on goroutines no caller can recover, so
+// core.Mapper.Run and pipeline's ingest stage call it first. Every seed
+// Extract makes passes; accepting allocates nothing.
+func (rs *ReadSeeds) Check(g *vgraph.Graph) error {
+	for i := range rs.Seeds {
+		s := &rs.Seeds[i]
+		var err error
+		switch {
+		case !g.Has(s.Pos.Node):
+			err = errSeedNode
+		case s.Pos.Off < 0 || int(s.Pos.Off) >= g.SeqLen(s.Pos.Node):
+			err = errSeedOff
+		case s.ReadOff < 0 || int(s.ReadOff) >= len(rs.Read.Seq):
+			err = errSeedReadOff
+		}
+		if err != nil {
+			return fmt.Errorf("seeds: read %q seed %d (%v, read offset %d): %w", rs.Read.Name, i, s.Pos, s.ReadOff, err)
+		}
+	}
+	return nil
 }
 
 // Extract computes the seeds of a read against a minimizer index, performing

@@ -340,6 +340,61 @@ func TestReaderTruncated(t *testing.T) {
 	}
 }
 
+// TestReaderAndCheckRefuse drives one seed from the wire through both ingest
+// layers: the reader refuses what the narrowed field cannot hold, Check what
+// the graph or the read lacks. None may panic; the valid seed passes both.
+func TestReaderAndCheckRefuse(t *testing.T) {
+	g := &vgraph.Graph{}
+	if _, err := g.AddNode(dna.MustParse("ACGTACGT")); err != nil { // node 1
+		t.Fatal(err)
+	}
+	through := func(node, off, readOff uint64) (*ReadSeeds, error) {
+		r, err := NewReader(bytes.NewReader(wireCapture(node, off, readOff)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := r.Next()
+		if err != nil {
+			return nil, err
+		}
+		return rs, rs.Check(g)
+	}
+	for _, c := range []struct {
+		name               string
+		node, off, readOff uint64
+		want               error
+	}{
+		{"valid", 1, 7, 3, nil},
+		{"node 0", 0, 0, 0, errSeedNode},
+		{"node 1<<30", 1 << 30, 0, 0, errSeedNode},
+		{"node 1<<33 on the wire", 1 << 33, 0, 0, errNodeRange},
+		{"Off -5 as the Writer sign-extends it", 1, ^uint64(4), 0, errOffsetRange},
+		{"Off = SeqLen", 1, 8, 0, errSeedOff},
+		{"ReadOff = len(read)", 1, 0, 4, errSeedReadOff},
+		{"ReadOff beyond int32", 1, 0, 1 << 31, errOffsetRange},
+	} {
+		rs, err := through(c.node, c.off, c.readOff)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if c.want == nil && (rs.Read.Name != "w" || rs.Read.Seq.String() != "ACGT" ||
+			rs.Seeds[0] != Seed{Pos: vgraph.Position{Node: 1, Off: 7}, ReadOff: 3, Score: 1}) {
+			t.Errorf("valid wire record read back as %+v", rs)
+		}
+	}
+	// Negative offsets cannot come off the wire any more; Check still
+	// refuses them in a record built in memory.
+	rs, _ := through(1, 0, 0)
+	rs.Seeds[0].Pos.Off = -5
+	if err := rs.Check(g); !errors.Is(err, errSeedOff) {
+		t.Errorf("Off -5: err = %v, want %v", err, errSeedOff)
+	}
+	rs.Seeds[0].Pos.Off, rs.Seeds[0].ReadOff = 0, -1
+	if err := rs.Check(g); !errors.Is(err, errSeedReadOff) {
+		t.Errorf("ReadOff -1: err = %v, want %v", err, errSeedReadOff)
+	}
+}
+
 // TestExtractOrientation plants a read and its reverse complement and checks
 // seed normalisation maps both onto the same graph positions.
 func TestExtractOrientation(t *testing.T) {
