@@ -14,8 +14,8 @@
 // With -fastq (instead of -seeds), the proxy needs no captured-seed file at
 // all: the giraffe emulator's preprocessing runs inline as the pipeline's
 // ingest stage (giraffe.ExtractSource), extracting seeds from the FASTQ
-// reads on the fly with bounded lookahead — the paper's capture→proxy loop
-// as a single process. -fastq implies -stream.
+// reads a batch at a time — the paper's capture→proxy loop as a single
+// process. -fastq implies -stream.
 //
 // Usage:
 //
@@ -57,7 +57,6 @@ func main() {
 	schedName := flag.String("sched", "dynamic", "scheduler: dynamic, work-stealing, static")
 	stream := flag.Bool("stream", false, "stream records through the pipeline (bounded memory)")
 	depth := flag.Int("depth", 0, "stream mode: max in-flight batches (0 = 2x threads)")
-	lookahead := flag.Int("lookahead", 0, "fastq mode: extraction prefetch bound in records (0 = 512)")
 	out := flag.String("out", "", "extension CSV output (default stdout)")
 	timeline := flag.String("timeline", "", "write the region timeline CSV here")
 	perfetto := flag.String("perfetto", "", "write a Perfetto/chrome://tracing trace-event JSON here")
@@ -113,7 +112,7 @@ func main() {
 	}
 	switch {
 	case *fastqPath != "":
-		runStreamFromFASTQ(f, *fastqPath, w, opts, *depth, *lookahead)
+		runStreamFromFASTQ(f, *fastqPath, w, opts, *depth)
 	case *stream:
 		runStream(f, *seedsPath, w, opts, *depth)
 	default:
@@ -217,7 +216,7 @@ func runStream(f *gbz.File, seedsPath string, w *os.File, opts core.Options, dep
 // runStreamFromFASTQ completes the capture→proxy loop in one process: the
 // emulator's preprocessing feeds the pipeline directly from FASTQ, with no
 // captured-seed file on disk.
-func runStreamFromFASTQ(f *gbz.File, fastqPath string, w *os.File, opts core.Options, depth, lookahead int) {
+func runStreamFromFASTQ(f *gbz.File, fastqPath string, w *os.File, opts core.Options, depth int) {
 	ix, err := giraffe.BuildIndexes(f)
 	if err != nil {
 		log.Fatal(err)
@@ -227,7 +226,7 @@ func runStreamFromFASTQ(f *gbz.File, fastqPath string, w *os.File, opts core.Opt
 	if err != nil {
 		log.Fatal(err)
 	}
-	src, err := giraffe.OpenExtractSourceObs(ix.MinIx, fastqPath, lookahead, opts.Obs)
+	src, err := giraffe.OpenExtractSourceObs(ix.MinIx, fastqPath, opts.Obs)
 	if err != nil {
 		log.Fatal(err)
 	}

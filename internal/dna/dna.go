@@ -74,17 +74,34 @@ func Parse(s string) (Sequence, error) {
 }
 
 // ParseBytes is Parse over bytes the caller keeps (a scanner's line buffer):
-// the Sequence is the only thing it allocates.
+// the Sequence, sized exactly, is the only thing it allocates.
 func ParseBytes(s []byte) (Sequence, error) {
-	seq := make(Sequence, len(s))
-	for i := 0; i < len(s); i++ {
-		b, ok := BaseFromChar(s[i])
-		if !ok {
-			return nil, fmt.Errorf("%w: %q at offset %d", ErrInvalidBase, s[i], i)
-		}
-		seq[i] = b
+	seq, err := AppendParse(make(Sequence, 0, len(s)), s)
+	if err != nil {
+		return nil, err
 	}
 	return seq, nil
+}
+
+// AppendParse is ParseBytes onto the end of dst — a slab that holds a whole
+// batch's bases — and returns the extended slice; with room in dst it
+// allocates nothing. On an invalid character dst comes back at its old
+// length.
+func AppendParse(dst Sequence, s []byte) (Sequence, error) {
+	lo := len(dst)
+	if cap(dst)-lo < len(s) {
+		// Exactly len(s) for an empty dst, at least double for a slab.
+		dst = append(make(Sequence, 0, lo+max(len(s), cap(dst))), dst...)
+	}
+	dst = dst[:lo+len(s)]
+	for i, c := range s {
+		b, ok := BaseFromChar(c)
+		if !ok {
+			return dst[:lo], fmt.Errorf("%w: %q at offset %d", ErrInvalidBase, c, i)
+		}
+		dst[lo+i] = b
+	}
+	return dst, nil
 }
 
 // MustParse is Parse that panics on error; for tests and literals.

@@ -12,10 +12,11 @@
 // these functions, which is why its outputs match Giraffe's bit-for-bit.
 //
 // Memory: the kernel works in buffers its Env owns and reuses from read to
-// read, and allocates only what it returns — the extensions of a read, each with
-// its own Path and Mismatches. The right walk keeps the branch it is on in
-// two stacks and its best leaf so far in one slot instead of building a
-// result per graph node; DESIGN.md §5a gives the ownership rules and the
+// read, and what it returns — the extensions of a read, each with its own
+// Path and Mismatches — it carves from chunks it allocates a few hundred
+// reads at a time and hands out once. The right walk keeps the branch it is
+// on in two stacks and its best leaf so far in one slot instead of building
+// a result per graph node; DESIGN.md §5a gives the ownership rules and the
 // argument that this picks the same leaf as a best-of-children choice at
 // every node.
 package extend
@@ -150,11 +151,13 @@ type Env struct {
 // read allocates only what the caller keeps. The zero value is ready to use;
 // buffers are sized once per read and written by index.
 //
-// Ownership: everything in a scratch belongs to the kernel and is dead
-// between calls. ProcessUntilThresholdC copies what survives — the
-// exact-size []Extension, and a Path and Mismatches per extension — into
-// memory the caller owns, so a result is never changed by a later call on the
-// same Env.
+// Ownership: the working buffers belong to the kernel and are dead between
+// calls. ProcessUntilThresholdC copies what survives — the exact-size
+// []Extension, and a Path and Mismatches per extension — into windows carved
+// off the three chunks, which the caller owns: a window is handed out once
+// and never again, so a result is never changed by a later call on the same
+// Env. What a caller pays for that is retention, not aliasing: one kept
+// result keeps its chunk (at most chunkReads reads' worth) reachable.
 type scratch struct {
 	// Right walk: the mismatch offsets and nodes of the branch being walked
 	// (stacks: a node's entries sit above its parent's) and a copy of the
@@ -170,6 +173,43 @@ type scratch struct {
 	picked []int        // pickSeeds' sorted copy of a cluster's seed indices
 	rev    dna.Sequence // the read's reverse complement
 	out    []Extension  // the extensions kept so far
+
+	// What is left of the chunks results are carved from.
+	exts  []Extension
+	nodes []vgraph.NodeID
+	offs  []int32
+}
+
+// Chunk sizes, in elements: a chunk doubles from its first size up to what
+// about chunkReads reads return (one extension of eight nodes and a mismatch
+// or two each, at the defaults), so a short-lived Env wastes little and a
+// long-lived one allocates three objects per few hundred reads.
+const (
+	chunkReads = 256
+	firstExts  = 8
+	maxExts    = chunkReads
+	firstNodes = 64
+	maxNodes   = 8 * chunkReads
+	firstOffs  = 16
+	maxOffs    = 2 * chunkReads
+)
+
+// carve returns a window of n elements that no other call gets: the next n
+// of *chunk, clamped to its length so an append by the caller cannot reach
+// the neighbour, or the head of a new chunk — twice the last one's size,
+// between first and limit, at least n — when the current one has no room.
+// What is left of an abandoned chunk is never handed out.
+//
+//minigiraffe:hot
+func carve[T any](chunk *[]T, n, first, limit int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(min(2*cap(c), limit), first, n))
+	}
+	lo := len(c)
+	c = c[:lo+n]
+	*chunk = c
+	return c[lo : lo+n : lo+n]
 }
 
 // rightLeaf is where one branch of the right walk stopped: at the mismatch
@@ -305,7 +345,10 @@ func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters 
 			kept++
 		}
 	}
-	out := make([]Extension, kept)
+	if kept == 0 {
+		return []Extension{}
+	}
+	out := carve(&s.exts, kept, firstExts, maxExts)
 	copy(out, s.out[:kept])
 	clear(s.out[:kept]) // the caller's slices are not the scratch's to keep alive
 	slices.SortFunc(out, func(a, b Extension) int {
@@ -410,14 +453,14 @@ func (w *walk) extendSeed(seed seeds.Seed) (Extension, bool) {
 func (s *scratch) materialise(ext *Extension) {
 	left, right := &s.left, &s.best
 	if n := left.nMism + right.nMism; n > 0 {
-		mism := make([]int32, n)
+		mism := carve(&s.offs, n, firstOffs, maxOffs)
 		for i := 0; i < left.nMism; i++ {
 			mism[i] = s.leftMism[left.nMism-1-i]
 		}
 		copy(mism[left.nMism:], s.bestMism[:right.nMism])
 		ext.Mismatches = mism
 	}
-	path := make([]vgraph.NodeID, left.nPath+right.nPath)
+	path := carve(&s.nodes, left.nPath+right.nPath, firstNodes, maxNodes)
 	for i := 0; i < left.nPath; i++ {
 		path[i] = s.leftPath[left.nPath-1-i]
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -879,9 +880,10 @@ func TestResultsDoNotAliasScratch(t *testing.T) {
 }
 
 // TestKernelAllocations locks the allocation budget: on a warm scratch and a
-// warm reader, one read costs the result slice plus a Path and (when there
-// are mismatches) a Mismatches per extension — nothing per node, per seed or
-// per candidate.
+// warm reader a read allocates nothing of its own — its result slice, Paths
+// and Mismatches are windows of chunks that a few hundred reads share — so
+// the mean over many reads, counted in fractions (testing.AllocsPerRun rounds
+// down to whole objects), stays under a constant whatever a read returns.
 func TestKernelAllocations(t *testing.T) {
 	f := buildFixture(t, 11, 8000, 8)
 	seq := f.seqs[2][1000:1120].Clone()
@@ -893,16 +895,70 @@ func TestKernelAllocations(t *testing.T) {
 	}
 	cls := cluster.ClusterSeeds(f.dist, ss, cluster.DefaultParams(), nil, 0)
 	env := &Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(256)}
-	exts := ProcessUntilThresholdC(env, read, ss, cls, Params{}, 0)
-	if len(exts) == 0 {
-		t.Fatal("no extensions")
+	var exts []Extension
+	for i := 0; i < 2*chunkReads; i++ { // the chunks reach their full size
+		exts = ProcessUntilThresholdC(env, read, ss, cls, Params{}, 0)
 	}
-	budget := float64(1 + 2*len(exts))
-	got := testing.AllocsPerRun(100, func() {
+	if len(exts) == 0 || len(exts[0].Mismatches) == 0 {
+		t.Fatalf("want extensions with mismatches, got %+v", exts)
+	}
+	const reads, budget = 4 * chunkReads, 0.05
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
 		ProcessUntilThresholdC(env, read, ss, cls, Params{}, 0)
-	})
-	if got > budget {
-		t.Errorf("%.1f allocations per read for %d extensions, budget %.0f", got, len(exts), budget)
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.Mallocs-before.Mallocs) / reads; got > budget {
+		t.Errorf("%.3f allocations per read returning %d extensions, budget %.2f", got, len(exts), budget)
+	}
+}
+
+// TestCarvedResultsAreDisjoint: every window carve hands out is its own —
+// results of consecutive reads sit side by side in one chunk, so each is
+// held against a private copy while a thousand later reads are written
+// next to it, and an append to one must not reach its neighbour.
+func TestCarvedResultsAreDisjoint(t *testing.T) {
+	f := denseFixture(t, 31, 3000, 12)
+	env := &Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(256)}
+	type kept struct{ got, saved []Extension }
+	var all []kept
+	for i := 0; i < 1000; i++ {
+		hap, at := i%len(f.seqs), 100+(i*37)%2000
+		seq := f.seqs[hap][at : at+140].Clone()
+		seq[70] = (seq[70] + 1) & 3
+		read := &dna.Read{Name: "a", Seq: seq, Fragment: -1}
+		ss, err := seeds.Extract(f.minIx, read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls := cluster.ClusterSeeds(f.dist, ss, cluster.DefaultParams(), nil, i)
+		got := ProcessUntilThresholdC(env, read, ss, cls, Params{}, i)
+		saved := make([]Extension, len(got))
+		for j, e := range got {
+			saved[j] = e
+			saved[j].Path = append([]vgraph.NodeID(nil), e.Path...)
+			saved[j].Mismatches = append([]int32(nil), e.Mismatches...)
+		}
+		all = append(all, kept{got, saved})
+		for j := range got {
+			// A caller that appends to what it was given gets a copy.
+			_ = append(got[j].Path, vgraph.Invalid)
+			_ = append(got[j].Mismatches, -1)
+		}
+		_ = append(got, Extension{Score: -1})
+	}
+	mapped := 0
+	for i, k := range all {
+		if !reflect.DeepEqual(k.got, k.saved) {
+			t.Fatalf("read %d's result changed while later reads were mapped\n now %+v\n was %+v", i, k.got, k.saved)
+		}
+		if len(k.got) > 0 {
+			mapped++
+		}
+	}
+	if mapped < len(all)/2 {
+		t.Fatalf("only %d of %d reads mapped", mapped, len(all))
 	}
 }
 

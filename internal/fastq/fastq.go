@@ -53,77 +53,104 @@ type Scanner struct {
 	line     int
 	fragment int
 	err      error
+	name     []byte // Next's copy of the header line, reused
 }
+
+// maxLine bounds one FASTQ line; the line buffer starts small and grows to
+// it only for a file that needs it.
+const maxLine = 1 << 20
 
 // NewScanner wraps r for incremental record reading.
 func NewScanner(r io.Reader) *Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), maxLine)
 	return &Scanner{sc: sc}
 }
 
-// Next returns the next record, or io.EOF after the last one. Parse errors
-// are sticky: once Next fails, every later call returns the same error.
+// Next returns the next record, or io.EOF after the last one. The record is
+// the caller's: its name and sequence are the two things Next allocates.
+// Parse errors are sticky: once Next fails, every later call returns the
+// same error.
 func (s *Scanner) Next() (dna.Read, error) {
-	if s.err != nil {
-		return dna.Read{}, s.err
-	}
-	rd, err := s.next()
-	if err != nil {
-		s.err = err
-	}
+	var rd dna.Read
+	var err error
+	s.name, _, rd, err = s.AppendNext(s.name[:0], nil)
+	rd.Name = string(s.name)
 	return rd, err
 }
 
-func (s *Scanner) next() (dna.Read, error) {
+// AppendNext is Next into memory the caller owns: the record's name goes on
+// the end of names and its bases on the end of bases, both returned
+// extended. The Read's Seq is that window of bases, clamped to its length,
+// and its Name is empty: a caller filling a batch makes one string of all
+// the names and slices it. On io.EOF or an error both slices come back as
+// they were passed. Errors are sticky, as for Next.
+func (s *Scanner) AppendNext(names []byte, bases dna.Sequence) ([]byte, dna.Sequence, dna.Read, error) {
+	if s.err == nil {
+		n, b, rd, err := s.appendNext(names, bases)
+		if err == nil {
+			return n, b, rd, nil
+		}
+		s.err = err
+	}
+	return names, bases, dna.Read{}, s.err
+}
+
+func (s *Scanner) appendNext(names []byte, bases dna.Sequence) ([]byte, dna.Sequence, dna.Read, error) {
 	for s.sc.Scan() {
-		header := s.sc.Text()
 		s.line++
-		if header == "" {
+		if len(s.sc.Bytes()) == 0 {
 			continue
 		}
-		if !strings.HasPrefix(header, "@") {
-			return dna.Read{}, fmt.Errorf("fastq: line %d: expected @header, got %q", s.line, header)
+		if s.sc.Bytes()[0] != '@' {
+			return nil, nil, dna.Read{}, fmt.Errorf("fastq: line %d: expected @header, got %q", s.line, s.sc.Bytes())
 		}
+		// The name is the one line copied; the other three are read in the
+		// scanner's buffer, which the next Scan overwrites.
+		lo := len(names)
+		names = append(names, s.sc.Bytes()[1:]...)
+		name := names[lo:]
 		if !s.sc.Scan() {
-			return dna.Read{}, fmt.Errorf("fastq: record %q truncated before sequence", header)
+			return nil, nil, dna.Read{}, fmt.Errorf("fastq: record %q truncated before sequence", header(name))
 		}
 		s.line++
-		// The header is the one line kept (the name is a substring of it);
-		// the other three are read in the scanner's buffer and not copied.
-		seq, err := dna.ParseBytes(s.sc.Bytes())
-		if err != nil {
-			return dna.Read{}, fmt.Errorf("fastq: record %q: %w", header, err)
+		from := len(bases)
+		var err error
+		if bases, err = dna.AppendParse(bases, s.sc.Bytes()); err != nil {
+			return nil, nil, dna.Read{}, fmt.Errorf("fastq: record %q: %w", header(name), err)
 		}
+		seq := bases[from:len(bases):len(bases)]
 		if !s.sc.Scan() || !bytes.HasPrefix(s.sc.Bytes(), []byte("+")) {
-			return dna.Read{}, fmt.Errorf("fastq: record %q missing separator line", header)
+			return nil, nil, dna.Read{}, fmt.Errorf("fastq: record %q missing separator line", header(name))
 		}
 		s.line++
 		if !s.sc.Scan() {
-			return dna.Read{}, fmt.Errorf("fastq: record %q truncated before quality", header)
+			return nil, nil, dna.Read{}, fmt.Errorf("fastq: record %q truncated before quality", header(name))
 		}
 		s.line++
 		if n := len(s.sc.Bytes()); n != len(seq) {
-			return dna.Read{}, fmt.Errorf("fastq: record %q quality length %d != sequence %d", header, n, len(seq))
+			return nil, nil, dna.Read{}, fmt.Errorf("fastq: record %q quality length %d != sequence %d", header(name), n, len(seq))
 		}
-		name := strings.TrimPrefix(header, "@")
-		read := dna.Read{Name: name, Seq: seq, Fragment: -1}
+		read := dna.Read{Seq: seq, Fragment: -1}
 		switch {
-		case strings.HasSuffix(name, "/1"):
+		case bytes.HasSuffix(name, []byte("/1")):
 			read.Fragment = s.fragment
 			read.End = 0
-		case strings.HasSuffix(name, "/2"):
+		case bytes.HasSuffix(name, []byte("/2")):
 			read.Fragment = s.fragment
 			read.End = 1
 			s.fragment++
 		}
-		return read, nil
+		return names, bases, read, nil
 	}
 	if err := s.sc.Err(); err != nil {
-		return dna.Read{}, err
+		return nil, nil, dna.Read{}, err
 	}
-	return dna.Read{}, io.EOF
+	return nil, nil, dna.Read{}, io.EOF
 }
+
+// header spells a record's header line again for an error message.
+func header(name []byte) string { return "@" + string(name) }
 
 // Read parses FASTQ records. Names ending in "/1" or "/2" are paired:
 // consecutive /1-/2 records form a fragment, numbered in file order.

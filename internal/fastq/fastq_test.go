@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -188,5 +190,71 @@ func TestScannerAllocatesNameAndSequenceOnly(t *testing.T) {
 	})
 	if budget := float64(2*n + 8); allocs > budget { // 8: the scanner, its buffer, the reader
 		t.Errorf("%.0f allocations for %d records, want at most %.0f", allocs, n, budget)
+	}
+}
+
+// TestLineCap: the line buffer starts at 64 KiB and grows for a file that
+// needs it, up to the same 1 MiB cap as when it started there — a line one
+// byte under the cap parses, a line at it ends the scan, which the record
+// reports as truncated (as it did then).
+func TestLineCap(t *testing.T) {
+	record := func(n int) io.Reader {
+		return strings.NewReader("@long\n" + strings.Repeat("A", n) + "\n+\n" + strings.Repeat("I", n) + "\n@next\nAC\n+\nII\n")
+	}
+	sc := NewScanner(record(maxLine - 1))
+	rd, err := sc.Next()
+	if err != nil || rd.Name != "long" || len(rd.Seq) != maxLine-1 {
+		t.Fatalf("line one under the cap: name %q, %d bases, err %v", rd.Name, len(rd.Seq), err)
+	}
+	if rd, err = sc.Next(); err != nil || rd.Name != "next" {
+		t.Fatalf("record after the long one: %+v, %v", rd, err)
+	}
+	if _, err := NewScanner(record(maxLine)).Next(); err == nil || !strings.Contains(err.Error(), `record "@long" truncated before sequence`) {
+		t.Fatalf("line at the cap: err %v, want the record truncated before its sequence", err)
+	}
+}
+
+// TestAppendNextFillsTheCallersSlabs: the append form writes names and bases
+// where it is told to, allocates nothing once they have room, clamps each
+// Seq to its own bases, and gives both slabs back untouched at io.EOF.
+func TestAppendNextFillsTheCallersSlabs(t *testing.T) {
+	const n = 50
+	var in bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&in, "@read%d/%d\n%s\n+\n%s\n", i/2, i%2+1, strings.Repeat("ACGT", 25), strings.Repeat("I", 100))
+	}
+	want, err := Read(bytes.NewReader(in.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, bases := make([]byte, 0, 1<<10), make(dna.Sequence, 0, 100*n)
+	got, ends := make([]dna.Read, n), make([]int, n)
+	sc := NewScanner(bytes.NewReader(in.Bytes()))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range got {
+		if names, bases, got[i], err = sc.AppendNext(names, bases); err != nil {
+			t.Fatal(err)
+		}
+		ends[i] = len(names)
+	}
+	runtime.ReadMemStats(&after)
+	// None of its own; the runtime (and the race detector, when it runs
+	// this) may add a stray one, a per-record allocation adds fifty.
+	if allocs := after.Mallocs - before.Mallocs; allocs > n/10 {
+		t.Errorf("%d allocations for %d records into slabs with room", allocs, n)
+	}
+	if n2, b2, _, err := sc.AppendNext(names, bases); err != io.EOF || len(n2) != len(names) || len(b2) != len(bases) {
+		t.Fatalf("after the last record: err %v, names %d -> %d, bases %d -> %d", err, len(names), len(n2), len(bases), len(b2))
+	}
+	all, lo := string(names), 0
+	for i := range got {
+		got[i].Name, lo = all[lo:ends[i]], ends[i]
+		if cap(got[i].Seq) != len(got[i].Seq) {
+			t.Fatalf("record %d: Seq has cap %d for len %d", i, cap(got[i].Seq), len(got[i].Seq))
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("AppendNext records differ from Next's")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/dna"
@@ -16,11 +15,11 @@ import (
 
 // Preprocess runs Giraffe's per-read preprocessing — minimizer lookup and
 // seed creation — and bundles the result into the record the critical
-// functions consume. This is the one preprocessing function shared by every
-// path into the kernels: the batch emulator (Map), the streaming
-// ExtractSource, and the capture tools (CaptureSeeds, cmd/extractseeds).
-// The §VI-a output match between parent and proxy holds for the streaming
-// paths by construction because they cannot diverge from the batch loop here.
+// functions consume. Every path into the kernels preprocesses through it —
+// the batch emulator (Map) and the capture tools (CaptureSeeds,
+// cmd/extractseeds) — or, for the streaming ExtractSource, through the append
+// form of the same seeds.Extract (seeds.Batch.Add), so the §VI-a output match
+// between parent and proxy holds for the streaming paths by construction.
 func Preprocess(ix *minimizer.Index, read *dna.Read) (seeds.ReadSeeds, error) {
 	ss, err := seeds.Extract(ix, read)
 	if err != nil {
@@ -29,38 +28,36 @@ func Preprocess(ix *minimizer.Index, read *dna.Read) (seeds.ReadSeeds, error) {
 	return seeds.ReadSeeds{Read: *read, Seeds: ss}, nil
 }
 
-// DefaultLookahead is the ExtractSource prefetch bound: how many
-// preprocessed records may sit between the extractor and the consumer. One
-// scheduler batch (512, Giraffe's default) keeps extraction ahead of the
-// mapping stage without buffering a second workload in memory.
-const DefaultLookahead = 512
-
-// extracted is one prefetched record or the error that ended the stream.
-type extracted struct {
-	rec *seeds.ReadSeeds
-	err error
-}
+// nextBatch is how many records Next extracts at a time.
+const nextBatch = 64
 
 // ExtractSource streams the capture→proxy loop as a single process: it reads
-// FASTQ records incrementally, runs Preprocess on each, and yields
-// *seeds.ReadSeeds on demand — a pipeline.Source with no captured-seed file
-// on disk and no whole-workload buffering. Extraction runs ahead of the
-// consumer in a prefetch goroutine bounded by the lookahead window, so FASTQ
+// FASTQ records incrementally, extracts each one's seeds, and yields
+// seeds.ReadSeeds on demand — a pipeline.Source with no captured-seed file on
+// disk and no whole-workload buffering. It starts no goroutine: extraction
+// runs on the caller's, which for the pipeline is the ingest stage, so FASTQ
 // parsing and minimizer lookup hide behind the mapping stage the same way
 // ingest I/O does.
 //
-// Next is not safe for concurrent use (the pipeline's single ingest
-// goroutine is the intended caller). Close releases the prefetcher and any
-// underlying file; it is safe to call even when the stream was not drained.
+// There are two ways to read it, and a caller uses one of them. ReadBatch
+// fills a batch the caller owns and recycles: a warm stream then allocates
+// one name string per batch and nothing per read (what pipeline.Run does).
+// Next yields one record at a time out of fresh batches that are never
+// refilled, so a record from Next is the caller's to keep.
+//
+// Neither is safe for concurrent use. Close releases the underlying file, if
+// any; it is safe to call more than once and before the stream is drained.
 type ExtractSource struct {
-	ch        chan extracted
-	quit      chan struct{}
-	closeOnce sync.Once
-	closer    io.Closer
+	ix     *minimizer.Index
+	sc     *fastq.Scanner
+	closer io.Closer
+	err    error // sticky: io.EOF or what ended the stream
 
-	// Extraction metrics, recorded by the single prefetch goroutine into
-	// shard 0. All handles are nil (no-op) when the source was built without
-	// a registry; instr additionally gates the time.Now calls.
+	next []seeds.ReadSeeds // what Next has left of the fresh batch it is handing out
+
+	// Extraction metrics, recorded into shard 0. All handles are nil (no-op)
+	// when the source was built without a registry; instr additionally gates
+	// the time.Now calls.
 	instr       bool
 	mReads      *obs.Counter
 	mSeeds      *obs.Counter
@@ -70,121 +67,114 @@ type ExtractSource struct {
 	totalSeeds int
 }
 
-// NewExtractSourceObs starts streaming extraction of the FASTQ text in r
-// against the minimizer index. lookahead bounds the prefetch window (≤0
-// means DefaultLookahead). With an observability registry the prefetch stage
-// counts extracted reads and seeds and records per-read preprocessing
-// latency (extract_reads_total, extract_seeds_total,
-// extract_preprocess_seconds); a nil registry records nothing.
-func NewExtractSourceObs(ix *minimizer.Index, r io.Reader, lookahead int, reg *obs.Registry) *ExtractSource {
-	if lookahead <= 0 {
-		lookahead = DefaultLookahead
-	}
-	s := &ExtractSource{
-		ch:          make(chan extracted, lookahead),
-		quit:        make(chan struct{}),
+// NewExtractSourceObs streams extraction of the FASTQ text in r against the
+// minimizer index. With an observability registry it counts extracted reads
+// and seeds and records per-read preprocessing latency (extract_reads_total,
+// extract_seeds_total, extract_preprocess_seconds); a nil registry records
+// nothing.
+func NewExtractSourceObs(ix *minimizer.Index, r io.Reader, reg *obs.Registry) *ExtractSource {
+	return &ExtractSource{
+		ix:          ix,
+		sc:          fastq.NewScanner(r),
 		instr:       reg != nil,
 		mReads:      reg.Counter(obs.MetricExtractReads),
 		mSeeds:      reg.Counter(obs.MetricExtractSeeds),
 		hPreprocess: reg.Histogram(obs.MetricExtractPreprocess),
 	}
-	go func() {
-		defer close(s.ch)
-		s.extract(ix, r)
-	}()
-	return s
 }
 
 // OpenExtractSource streams extraction from the FASTQ file at path; the file
-// is released by Close.
-func OpenExtractSource(ix *minimizer.Index, path string, lookahead int) (*ExtractSource, error) {
-	return OpenExtractSourceObs(ix, path, lookahead, nil)
+// is released by Close. The last argument was the prefetch window of a
+// goroutine that is gone and is ignored.
+func OpenExtractSource(ix *minimizer.Index, path string, _ int) (*ExtractSource, error) {
+	return OpenExtractSourceObs(ix, path, nil)
 }
 
 // OpenExtractSourceObs is OpenExtractSource with an observability registry
 // (see NewExtractSourceObs).
-func OpenExtractSourceObs(ix *minimizer.Index, path string, lookahead int, reg *obs.Registry) (*ExtractSource, error) {
+func OpenExtractSourceObs(ix *minimizer.Index, path string, reg *obs.Registry) (*ExtractSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	s := NewExtractSourceObs(ix, f, lookahead, reg)
+	s := NewExtractSourceObs(ix, f, reg)
 	s.closer = f
 	return s, nil
 }
 
-// extract is the prefetch stage: scan, preprocess, hand off — until EOF, a
-// parse error, or Close.
-func (s *ExtractSource) extract(ix *minimizer.Index, r io.Reader) {
-	sc := fastq.NewScanner(r)
-	for {
-		read, err := sc.Next()
-		if err == io.EOF {
-			return
-		}
-		var e extracted
-		if err != nil {
-			e = extracted{err: fmt.Errorf("giraffe: extract: %w", err)}
-		} else {
+// ReadBatch resets b and fills it with up to n records: scan, extract,
+// append — the source's one extraction loop. It returns io.EOF at the end of
+// the FASTQ stream, possibly with a final short batch in b, or the error that
+// ended the stream, with the records read before it. pipeline.Run finds this
+// method on its Source and calls it with a recycled batch in place of n
+// Next calls.
+func (s *ExtractSource) ReadBatch(b *seeds.Batch, n int) error {
+	b.Reset()
+	for s.err == nil && len(b.Recs) < n {
+		read, err := b.Scan(s.sc)
+		switch {
+		case err == io.EOF:
+			s.err = err
+		case err != nil:
+			s.err = fmt.Errorf("giraffe: extract: %w", err)
+		default:
 			var t0 time.Time
 			if s.instr {
 				t0 = time.Now()
 			}
-			rec, perr := Preprocess(ix, &read)
+			err = b.Add(s.ix, read)
 			if s.instr {
 				s.hPreprocess.Observe(0, time.Since(t0))
 			}
-			if perr != nil {
-				e = extracted{err: perr}
-			} else {
-				e = extracted{rec: &rec}
-				s.mReads.Inc(0)
-				s.mSeeds.Add(0, int64(len(rec.Seeds)))
+			if err != nil {
+				s.err = fmt.Errorf("giraffe: extract: read %d: %w", s.reads+len(b.Recs), err)
 			}
 		}
-		select {
-		case s.ch <- e:
-		case <-s.quit:
-			return
-		}
-		if e.err != nil {
-			return
-		}
 	}
+	b.Seal()
+	nSeeds := 0
+	for i := range b.Recs {
+		nSeeds += len(b.Recs[i].Seeds)
+	}
+	s.mReads.Add(0, int64(len(b.Recs)))
+	s.mSeeds.Add(0, int64(nSeeds))
+	s.reads += len(b.Recs)
+	s.totalSeeds += nSeeds
+	return s.err
 }
 
 // Next implements pipeline.Source: it returns the next preprocessed record,
-// io.EOF at the end of the FASTQ stream, or the first extraction error.
+// io.EOF at the end of the FASTQ stream, or the first extraction error. The
+// record is the caller's: it lives in a batch no later call refills.
 func (s *ExtractSource) Next() (*seeds.ReadSeeds, error) {
-	e, ok := <-s.ch
-	if !ok {
-		return nil, io.EOF
-	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	s.reads++
-	s.totalSeeds += len(e.rec.Seeds)
-	return e.rec, nil
-}
-
-// Close stops the prefetcher and releases the underlying file (when the
-// source was opened from a path). It never blocks on unconsumed records.
-func (s *ExtractSource) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		close(s.quit)
-		if s.closer != nil {
-			err = s.closer.Close()
+	for len(s.next) == 0 {
+		if s.err != nil {
+			return nil, s.err
 		}
-	})
-	return err
+		b := new(seeds.Batch)
+		_ = s.ReadBatch(b, nextBatch) // kept in s.err, returned once b is handed out
+		s.next = b.Recs
+	}
+	rec := &s.next[0]
+	s.next = s.next[1:]
+	return rec, nil
 }
 
-// Reads returns how many records Next has yielded.
+// Close releases the underlying file (when the source was opened from a
+// path).
+func (s *ExtractSource) Close() error {
+	if s.closer == nil {
+		return nil
+	}
+	c := s.closer
+	s.closer = nil
+	return c.Close()
+}
+
+// Reads returns how many records have been extracted.
 func (s *ExtractSource) Reads() int { return s.reads }
 
-// TotalSeeds returns the summed seed count of the yielded records.
+// TotalSeeds returns the summed seed count of the extracted records.
 func (s *ExtractSource) TotalSeeds() int { return s.totalSeeds }
 
 // CaptureStats reports a streaming capture run.

@@ -3,13 +3,19 @@ package giraffe
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/dna"
+	"repro/internal/extend"
 	"repro/internal/fastq"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
@@ -34,7 +40,9 @@ func streamFixture(t testing.TB, spec workload.Spec) (*workload.Bundle, string) 
 
 // TestExtractSourceMatchesCapture locks the streaming extraction to the
 // batch capture: record for record, the ExtractSource must yield exactly
-// what the materializing capture path produces.
+// what the materializing capture path produces — and every record Next
+// returned is the caller's, still that record once the stream has reached
+// EOF (cmd/bench's stream replay keeps them across batches).
 func TestExtractSourceMatchesCapture(t *testing.T) {
 	b, path := streamFixture(t, workload.AHuman().Scaled(0.04))
 	want, err := b.CaptureSeeds()
@@ -46,7 +54,7 @@ func TestExtractSourceMatchesCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	var got []seeds.ReadSeeds
+	var got []*seeds.ReadSeeds
 	for {
 		rec, err := src.Next()
 		if err == io.EOF {
@@ -55,14 +63,14 @@ func TestExtractSourceMatchesCapture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, *rec)
+		got = append(got, rec)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d records, capture has %d", len(got), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("record %d differs:\nstream  %+v\ncapture %+v", i, got[i], want[i])
+		if !reflect.DeepEqual(*got[i], want[i]) {
+			t.Fatalf("record %d differs:\nstream  %+v\ncapture %+v", i, *got[i], want[i])
 		}
 	}
 	if src.Reads() != len(want) {
@@ -84,12 +92,28 @@ func TestExtractSourceMatchesCapture(t *testing.T) {
 // concurrently with mapping must not change a single output byte, on
 // either the batch or the serve path.
 func TestDifferentialCSV(t *testing.T) {
-	zipf := workload.BYeast().Scaled(0.004)
+	differentialCSV(t, 0, 1)
+}
+
+// TestDifferentialCSVRecycledSlots is the same harness with the streamed
+// legs at Depth 1 over fifty times the reads: the run's three batch slots
+// are each refilled a hundred to three hundred times, by an ingest stage that
+// is always one slot behind the workers, so a record or a result window
+// reused before its last reader was done with it changes the CSV (and, under
+// `make race`, is reported).
+func TestDifferentialCSVRecycledSlots(t *testing.T) {
+	differentialCSV(t, 1, 50)
+}
+
+// differentialCSV runs the harness with the streamed legs' in-flight bound at
+// depth batches (0: the default) over reads times the usual read counts.
+func differentialCSV(t *testing.T, depth int, reads float64) {
+	zipf := workload.BYeast().Scaled(0.004 * reads)
 	zipf.Name = "B-yeast-zipf"
 	zipf.ZipfS = 1.4
 	specs := []workload.Spec{
-		workload.AHuman().Scaled(0.04),
-		workload.BYeast().Scaled(0.004),
+		workload.AHuman().Scaled(0.04 * reads),
+		workload.BYeast().Scaled(0.004 * reads),
 		zipf,
 	}
 	for _, spec := range specs {
@@ -127,7 +151,7 @@ func TestDifferentialCSV(t *testing.T) {
 			defer fileSrc.Close()
 			var fileCSV bytes.Buffer
 			if _, err := pipeline.RunToCSV(m, fileSrc, &fileCSV, pipeline.Options{
-				Workers: 3, BatchSize: 8, Scheduler: sched.WorkStealing,
+				Workers: 3, BatchSize: 8, Depth: depth, Scheduler: sched.WorkStealing,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +164,7 @@ func TestDifferentialCSV(t *testing.T) {
 			defer extSrc.Close()
 			var streamCSV bytes.Buffer
 			st, err := pipeline.RunToCSV(m, extSrc, &streamCSV, pipeline.Options{
-				Workers: 3, BatchSize: 8, Scheduler: sched.Dynamic,
+				Workers: 3, BatchSize: 8, Depth: depth, Scheduler: sched.Dynamic,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -163,7 +187,7 @@ func TestDifferentialCSV(t *testing.T) {
 			defer epochSrc.Close()
 			var epochCSV bytes.Buffer
 			if _, err := pipeline.RunToCSV(epochM, epochSrc, &epochCSV, pipeline.Options{
-				Workers: 3, BatchSize: 8, Scheduler: sched.WorkStealing,
+				Workers: 3, BatchSize: 8, Depth: depth, Scheduler: sched.WorkStealing,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +205,7 @@ func TestDifferentialCSV(t *testing.T) {
 				t.Fatal(err)
 			}
 			sess, err := pipeline.NewSession(servM, pipeline.Options{
-				Workers: 3, BatchSize: 8, Depth: 64, Scheduler: sched.Dynamic,
+				Workers: 3, BatchSize: 8, Depth: max(64, (len(recs)+7)/8), Scheduler: sched.Dynamic,
 			}, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -301,7 +325,7 @@ func TestExtractSourceParseError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewExtractSourceObs(b.MinIx, strings.NewReader("not a fastq file\n"), 2, nil)
+	src := NewExtractSourceObs(b.MinIx, strings.NewReader("not a fastq file\n"), nil)
 	defer src.Close()
 	var buf bytes.Buffer
 	_, err = pipeline.RunToCSV(m, src, &buf, pipeline.Options{Workers: 2})
@@ -310,8 +334,9 @@ func TestExtractSourceParseError(t *testing.T) {
 	}
 }
 
-// TestExtractSourceCloseEarly stops the prefetcher mid-stream: Close must
-// not block even with unconsumed lookahead, and may be called twice.
+// TestExtractSourceCloseEarly closes a source mid-stream, with records it
+// extracted ahead of Next still unconsumed: Close releases the file and may
+// be called twice.
 func TestExtractSourceCloseEarly(t *testing.T) {
 	b, path := streamFixture(t, workload.AHuman().Scaled(0.04))
 	src, err := OpenExtractSource(b.MinIx, path, 1)
@@ -349,5 +374,118 @@ func TestPreprocessSharedByBatchAndStream(t *testing.T) {
 		if !reflect.DeepEqual(res.Captured[i], want) {
 			t.Fatalf("captured record %d differs from Preprocess output", i)
 		}
+	}
+}
+
+// TestShortReadStreamsUnmapped: a read too short for one minimizer window
+// has no seeds and maps nowhere; it does not end the stream, the batch or the
+// capture it is part of, and the batch and streamed CSVs still agree on it.
+func TestShortReadStreamsUnmapped(t *testing.T) {
+	b, err := workload.Generate(workload.AHuman().Scaled(0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := len(b.Reads) / 2
+	short := dna.Read{Name: "short", Seq: b.Reads[mid].Seq[:10], Fragment: -1}
+	reads := append(append(append([]dna.Read(nil), b.Reads[:mid]...), short), b.Reads[mid:]...)
+	var fq bytes.Buffer
+	if err := fastq.Write(&fq, reads); err != nil {
+		t.Fatal(err)
+	}
+
+	recs := make([]seeds.ReadSeeds, len(reads))
+	for i := range reads {
+		if recs[i], err = Preprocess(b.MinIx, &reads[i]); err != nil {
+			t.Fatalf("read %d (%d bases): %v", i, len(reads[i].Seq), err)
+		}
+	}
+	if recs[mid].Seeds != nil {
+		t.Fatalf("the %d-base read has seeds: %+v", len(short.Seq), recs[mid].Seeds)
+	}
+	res, err := core.Run(b.GBZ(), recs, core.Options{Threads: 2, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Extensions[mid]) != 0 || len(res.Extensions[mid-1])+len(res.Extensions[mid+1]) == 0 {
+		t.Fatalf("want the short read unmapped between mapped ones, got %d / %d / %d extensions",
+			len(res.Extensions[mid-1]), len(res.Extensions[mid]), len(res.Extensions[mid+1]))
+	}
+	var batchCSV, streamCSV, capture bytes.Buffer
+	if err := core.WriteCSV(&batchCSV, recs, res); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := core.NewMapper(b.GBZ(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := pipeline.RunToCSV(m, NewExtractSourceObs(b.MinIx, bytes.NewReader(fq.Bytes()), nil), &streamCSV,
+		pipeline.Options{Workers: 2, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Reads != len(reads) {
+		t.Fatalf("streamed %d of %d reads", st.Reads, len(reads))
+	}
+	if !bytes.Equal(batchCSV.Bytes(), streamCSV.Bytes()) {
+		t.Error("streamed CSV differs from batch CSV")
+	}
+	if cs, err := CaptureSeeds(b.MinIx, bytes.NewReader(fq.Bytes()), &capture); err != nil || cs.Reads != len(reads) {
+		t.Errorf("capture stopped after %d of %d reads: %v", cs.Reads, len(reads), err)
+	}
+}
+
+// failAfter is an emitter that fails on its n-th record.
+type failAfter struct{ n, seen int }
+
+func (e *failAfter) Emit(*seeds.ReadSeeds, []extend.Extension) error {
+	if e.seen++; e.seen == e.n {
+		return errors.New("emitter broke")
+	}
+	return nil
+}
+
+// TestRecycledSlotsFailedRun fails a Depth-1 stream in its middle, once from
+// the source (a FASTQ cut inside a record) and once from the emitter, with
+// every slot in flight: Run returns that error and leaves no goroutine
+// behind — ingest is never left waiting for a slot a failed run kept.
+func TestRecycledSlotsFailedRun(t *testing.T) {
+	b, path := streamFixture(t, workload.AHuman().Scaled(0.5))
+	m, err := core.NewMapper(b.GBZ(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.LastIndexByte(text[:len(text)/2], '@') + 5 // inside a header: no sequence follows
+	for _, tc := range []struct {
+		name string
+		text []byte
+		fail int // the emitted record that fails; 0: none
+		want string
+	}{
+		{"source", text[:cut], 0, "truncated before sequence"},
+		{"emitter", text, len(b.Reads) / 2, "emitter broke"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, kind := range []sched.Kind{sched.Dynamic, sched.Static, sched.WorkStealing} {
+				before := runtime.NumGoroutine()
+				st, err := pipeline.Run(m, NewExtractSourceObs(b.MinIx, bytes.NewReader(tc.text), nil), &failAfter{n: tc.fail},
+					pipeline.Options{Workers: 3, BatchSize: 8, Depth: 1, Scheduler: kind})
+				if st != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%v: Run = %v, %v; want the %q failure", kind, st, err, tc.want)
+				}
+				// Ingest's last act is closing the hand-off, an instant after
+				// Run's return.
+				for i := 0; runtime.NumGoroutine() > before; i++ {
+					if i == 500 {
+						t.Fatalf("%v: %d goroutines before the run, %d after", kind, before, runtime.NumGoroutine())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		})
 	}
 }

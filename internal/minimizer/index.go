@@ -120,6 +120,13 @@ func (ix *Index) Frequency(kmer uint64) int { return len(ix.hits[kmer]) }
 // frequency: rarer minimizers are more informative. The formula mirrors
 // Giraffe's frequency-weighted scoring: ln(cap/freq) clamped to ≥ 1.
 func Score(freq int) float64 {
+	if freq >= 0 && freq <= HardHitCap {
+		return scoreTable[freq]
+	}
+	return score(freq)
+}
+
+func score(freq int) float64 {
 	if freq <= 0 {
 		return 0
 	}
@@ -129,6 +136,16 @@ func Score(freq int) float64 {
 	}
 	return s
 }
+
+// scoreTable holds score over every frequency an indexed minimizer can have
+// (Build drops the ones above HardHitCap), so the lookup's once-per-hit Score
+// is a load and not a logarithm.
+var scoreTable = func() (t [HardHitCap + 1]float64) {
+	for freq := range t {
+		t[freq] = score(freq)
+	}
+	return t
+}()
 
 // ReadMinimizer pairs a read's minimizer with its index occurrences.
 type ReadMinimizer struct {

@@ -2,6 +2,7 @@ package minimizer
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -281,6 +282,20 @@ func TestScoreMonotoneDecreasing(t *testing.T) {
 	}
 	if Score(0) != 0 {
 		t.Error("Score(0) != 0")
+	}
+}
+
+// TestScoreTableIsTheExpression: inside the table and outside it, Score is
+// bit for bit what the logarithm gives.
+func TestScoreTableIsTheExpression(t *testing.T) {
+	for f := -2; f <= HardHitCap+2; f++ {
+		want := 0.0
+		if f > 0 {
+			want = math.Max(1, math.Log(float64(HardHitCap)/float64(f)))
+		}
+		if got := Score(f); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Score(%d) = %v, the expression gives %v", f, got, want)
+		}
 	}
 }
 

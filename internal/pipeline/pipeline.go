@@ -76,6 +76,15 @@ type Source interface {
 	Next() (*seeds.ReadSeeds, error)
 }
 
+// batchReader is what Run looks for on its Source, the way io.Copy looks for
+// WriterTo: a source that can fill a whole batch in memory the batch owns
+// (giraffe.ExtractSource) is asked to, with a recycled batch, in place of n
+// Next calls and n copies. ReadBatch resets b, fills it with up to n records
+// and returns io.EOF — possibly with a final short batch — at end of stream.
+type batchReader interface {
+	ReadBatch(b *seeds.Batch, n int) error
+}
+
 // SliceSource streams an in-memory workload.
 type SliceSource struct {
 	recs []seeds.ReadSeeds
@@ -96,7 +105,9 @@ func (s *SliceSource) Next() (*seeds.ReadSeeds, error) {
 }
 
 // Emitter consumes mapped records. Emit is called from a single goroutine,
-// in workload order.
+// in workload order. rec is valid until Emit returns — Run refills the batch
+// it lives in — so an emitter that keeps a record copies it, strings and
+// slices included; exts are the emitter's to keep.
 type Emitter interface {
 	Emit(rec *seeds.ReadSeeds, exts []extend.Extension) error
 }
@@ -222,15 +233,20 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 		}
 	}
 
-	// inflight is one submitted batch on its way to emit.
-	type inflight struct {
-		job    *sjob
-		ingest time.Duration
+	// The run's memory is Depth+2 slots, made once and recycled: Depth batches
+	// may sit between ingest and emit, ingest fills one more while it waits
+	// for room and emit holds the one it is writing out, so ingest always
+	// finds a free slot and a warm run allocates per batch (a completion
+	// channel, and whatever the source's batch does) and nothing per read.
+	free := make(chan *slot, opts.Depth+2)
+	for i := 0; i < cap(free); i++ {
+		free <- new(slot)
 	}
-	// The FIFO of handles is the in-flight window: ingest blocks on it once
-	// Depth batches are submitted and not yet emitted, which is what bounds
-	// memory, and its order is the emit order.
-	fifo := make(chan inflight, opts.Depth)
+	// The FIFO of submitted slots is the in-flight window: ingest blocks on
+	// it once Depth batches are submitted and not yet emitted, which is what
+	// bounds memory, and its order is the emit order.
+	fifo := make(chan *slot, opts.Depth)
+	br, _ := src.(batchReader)
 	st := &Stats{}
 	start := time.Now()
 
@@ -239,8 +255,15 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 		labels.ApplyIngest()
 		base := 0
 		for !stop.Load() {
+			sl := <-free
 			t0 := time.Now()
-			recs, err := readBatch(src, opts.BatchSize)
+			var err error
+			if br != nil {
+				err = br.ReadBatch(&sl.batch, opts.BatchSize)
+			} else {
+				err = readBatch(src, &sl.batch, opts.BatchSize)
+			}
+			recs := sl.batch.Recs
 			if err == nil || err == io.EOF {
 				// A record that names what the graph lacks fails the run
 				// here, before a worker indexes with it.
@@ -248,23 +271,17 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 					err = cerr
 				}
 			}
-			d := time.Since(t0)
-			rec.Record(ingestShard, trace.RegionIngest, t0, d)
-			hIngest.Observe(ingestShard, d)
+			sl.ingest = time.Since(t0)
+			rec.Record(ingestShard, trace.RegionIngest, t0, sl.ingest)
+			hIngest.Observe(ingestShard, sl.ingest)
 			if err != nil && err != io.EOF {
 				fail(fmt.Errorf("pipeline: ingest: %w", err))
 				return
 			}
 			if len(recs) > 0 {
-				req := &srequest{done: make(chan struct{})}
-				req.remaining.Store(1)
-				j := &sjob{
-					req: req, stop: &stop, recs: recs, out: make([][]extend.Extension, len(recs)),
-					base: base, enq: time.Now(),
-				}
-				s.cq.push(j)
+				s.cq.push(sl.submit(&stop, base))
 				mInFlight.Add(ingestShard, 1)
-				fifo <- inflight{job: j, ingest: d}
+				fifo <- sl
 				base += len(recs)
 			}
 			if err == io.EOF {
@@ -277,29 +294,32 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 	// out rather than left to leak into whatever the caller does next.
 	labels.ApplyEmit()
 	defer labels.Clear()
-	for h := range fifo {
-		j := h.job
+	for sl := range fifo {
+		j := &sl.job
 		<-j.req.done
 		mInFlight.Add(emitShard, -1)
-		if stop.Load() {
-			continue // failed run: drain without emitting
+		if !stop.Load() {
+			st.Batches++
+			st.Reads += len(j.recs)
+			st.MapLatency.Add(j.mapDur.Seconds())
+			st.IngestLatency.Add(sl.ingest.Seconds())
+			t0 := time.Now()
+			err := emitBatch(emit, j)
+			d := time.Since(t0)
+			rec.Record(emitShard, trace.RegionEmit, t0, d)
+			hEmit.Observe(emitShard, d)
+			if err != nil {
+				fail(fmt.Errorf("pipeline: emit: %w", err))
+			} else {
+				lat := time.Since(j.enq)
+				st.BatchLatency.Add(lat.Seconds())
+				hBatch.Observe(emitShard, lat)
+			}
 		}
-		st.Batches++
-		st.Reads += len(j.recs)
-		st.MapLatency.Add(j.mapDur.Seconds())
-		st.IngestLatency.Add(h.ingest.Seconds())
-		t0 := time.Now()
-		err := emitBatch(emit, j)
-		d := time.Since(t0)
-		rec.Record(emitShard, trace.RegionEmit, t0, d)
-		hEmit.Observe(emitShard, d)
-		if err != nil {
-			fail(fmt.Errorf("pipeline: emit: %w", err))
-			continue
-		}
-		lat := time.Since(j.enq)
-		st.BatchLatency.Add(lat.Seconds())
-		hBatch.Observe(emitShard, lat)
+		// The worker closed done as its last touch of the job and the
+		// emitter has returned: the slot is ingest's to refill. A failed run
+		// gives its slots back too, unemitted, so ingest never waits on one.
+		free <- sl
 	}
 	s.Close()
 	st.Makespan = time.Since(start)
@@ -328,18 +348,48 @@ func RunToCSV(m *core.Mapper, src Source, w io.Writer, opts Options) (*Stats, er
 	return st, nil
 }
 
-// readBatch pulls up to n records; it returns io.EOF (possibly with a final
-// short batch) at end of stream.
-func readBatch(src Source, n int) ([]seeds.ReadSeeds, error) {
-	out := make([]seeds.ReadSeeds, 0, n)
-	for len(out) < n {
+// slot is one batch's worth of a run's memory: the records (and, for a
+// source that fills batches itself, the slabs under them), the result
+// window, and the job and completion state a Session worker is handed. Run
+// makes Depth+2 of them and passes each around ingest → queue → worker →
+// emit → ingest; exactly one stage holds a slot at a time.
+type slot struct {
+	batch  seeds.Batch
+	out    [][]extend.Extension
+	job    sjob
+	req    srequest
+	ingest time.Duration
+}
+
+// submit readies the slot's job over the batch ingest just filled and
+// returns it for the queue. The completion channel is the one thing a batch
+// allocates here: a closed channel cannot be reopened.
+func (sl *slot) submit(stop *atomic.Bool, base int) *sjob {
+	n := len(sl.batch.Recs)
+	if cap(sl.out) < n {
+		sl.out = make([][]extend.Extension, n)
+	}
+	sl.out = sl.out[:n]
+	clear(sl.out) // the last batch's results are the emitter's, not the slot's to keep alive
+	sl.req.done = make(chan struct{})
+	sl.req.remaining.Store(1)
+	sl.job = sjob{req: &sl.req, stop: stop, recs: sl.batch.Recs, out: sl.out, base: base, enq: time.Now()}
+	return &sl.job
+}
+
+// readBatch is ReadBatch for a source that only has Next: it copies up to n
+// records into b and returns io.EOF (possibly with a final short batch) at
+// end of stream.
+func readBatch(src Source, b *seeds.Batch, n int) error {
+	b.Reset()
+	for len(b.Recs) < n {
 		r, err := src.Next()
 		if err != nil {
-			return out, err
+			return err
 		}
-		out = append(out, *r)
+		b.Recs = append(b.Recs, *r)
 	}
-	return out, nil
+	return nil
 }
 
 func emitBatch(emit Emitter, b *sjob) error {

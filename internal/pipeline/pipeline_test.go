@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -231,6 +232,58 @@ func TestEmitterErrorPropagates(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("emitter error not propagated")
+	}
+}
+
+// keepEmitter keeps the extensions of the first n records as it was handed
+// them, each next to a deep copy taken on the spot.
+type keepEmitter struct {
+	n           int
+	kept, saved [][]extend.Extension
+}
+
+func (e *keepEmitter) Emit(_ *seeds.ReadSeeds, exts []extend.Extension) error {
+	if len(e.kept) < e.n {
+		saved := make([]extend.Extension, len(exts))
+		for i, x := range exts {
+			saved[i] = x
+			saved[i].Path = append([]vgraph.NodeID(nil), x.Path...)
+			saved[i].Mismatches = append([]int32(nil), x.Mismatches...)
+		}
+		e.kept, e.saved = append(e.kept, exts), append(e.saved, saved)
+	}
+	return nil
+}
+
+// TestEmittedResultsAreTheEmittersToKeep: extensions handed to Emit are
+// unchanged after ten thousand later reads have gone through the same
+// workers, slots and result chunks (cmd/validate's collecting emitter keeps a
+// whole run's).
+func TestEmittedResultsAreTheEmittersToKeep(t *testing.T) {
+	f, recs := fixture(t, 0.1)
+	m, err := core.NewMapper(f, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var long []seeds.ReadSeeds
+	for len(long) < len(recs)+10000 {
+		long = append(long, recs...)
+	}
+	e := &keepEmitter{n: len(recs)}
+	if _, err := pipeline.Run(m, pipeline.NewSliceSource(long), e, pipeline.Options{Workers: 3, BatchSize: 8, Depth: 1}); err != nil {
+		t.Fatal(err)
+	}
+	mapped := 0
+	for i := range e.kept {
+		if !reflect.DeepEqual(e.kept[i], e.saved[i]) {
+			t.Fatalf("record %d's extensions changed after Emit returned\n now %+v\n was %+v", i, e.kept[i], e.saved[i])
+		}
+		if len(e.kept[i]) > 0 {
+			mapped++
+		}
+	}
+	if len(e.kept) != len(recs) || mapped < len(recs)/2 {
+		t.Fatalf("kept %d of %d records, %d of them mapped", len(e.kept), len(recs), mapped)
 	}
 }
 

@@ -71,23 +71,36 @@ func (rs *ReadSeeds) Check(g *vgraph.Graph) error {
 // Extract computes the seeds of a read against a minimizer index, performing
 // the orientation normalisation: a hit whose canonical orientation differs
 // between read and graph anchors the reverse-complemented read. The returned
-// slice, sized exactly, is the call's only allocation.
+// slice, sized exactly, is the call's only allocation. A read too short to
+// hold one minimizer window has no seeds and maps nowhere, as Giraffe leaves
+// it; that is not an error.
 func Extract(ix *minimizer.Index, read *dna.Read) ([]Seed, error) {
+	return AppendExtract(nil, ix, read)
+}
+
+// AppendExtract is Extract onto the end of dst — a slab that holds a whole
+// batch's seeds — and returns the extended slice: the read's seeds are
+// dst[len(dst):] of the result. With room in dst it allocates nothing; a
+// read without seeds returns dst as it was passed.
+func AppendExtract(dst []Seed, ix *minimizer.Index, read *dna.Read) ([]Seed, error) {
 	var buf [64]minimizer.ReadMinimizer
 	rms, err := ix.AppendLookup(buf[:0], read.Seq)
 	if err != nil {
-		return nil, err
+		if errors.Is(err, minimizer.ErrSequenceTooShort) {
+			return dst, nil
+		}
+		return dst, err
 	}
 	total := 0
 	for i := range rms {
 		total += len(rms[i].Occs)
 	}
-	if total == 0 {
-		return nil, nil
+	if room := cap(dst) - len(dst); room < total {
+		// Exactly total for an empty dst, at least double for a slab.
+		dst = append(make([]Seed, 0, len(dst)+max(total, cap(dst))), dst...)
 	}
 	k := int32(ix.Config().K)
 	n := int32(len(read.Seq))
-	out := make([]Seed, 0, total)
 	for _, rm := range rms {
 		for _, occ := range rm.Occs {
 			rev := rm.Min.Rev != occ.Rev
@@ -96,7 +109,7 @@ func Extract(ix *minimizer.Index, read *dna.Read) ([]Seed, error) {
 				// The k-mer's first base in the reverse-complemented read.
 				readOff = n - k - rm.Min.Off
 			}
-			out = append(out, Seed{
+			dst = append(dst, Seed{
 				Pos:     occ.Pos,
 				ReadOff: readOff,
 				Rev:     rev,
@@ -104,5 +117,5 @@ func Extract(ix *minimizer.Index, read *dna.Read) ([]Seed, error) {
 			})
 		}
 	}
-	return out, nil
+	return dst, nil
 }

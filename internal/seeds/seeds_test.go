@@ -399,30 +399,8 @@ func TestReaderAndCheckRefuse(t *testing.T) {
 // seed normalisation maps both onto the same graph positions.
 func TestExtractOrientation(t *testing.T) {
 	cfg := minimizer.Config{K: 13, W: 7}
-	refLen := 600
-	ref := randomSeq(refLen, 9)
-	g := &vgraph.Graph{}
-	var path []vgraph.NodeID
-	for i := 0; i < refLen; i += 20 {
-		end := i + 20
-		if end > refLen {
-			end = refLen
-		}
-		id, err := g.AddNode(ref[i:end].Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(path) > 0 {
-			if err := g.AddEdge(path[len(path)-1], id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		path = append(path, id)
-	}
-	ix, err := minimizer.Build(g, [][]vgraph.NodeID{path}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := randomSeq(600, 9)
+	ix := chainIndex(t, ref, cfg)
 	fwdRead := &dna.Read{Name: "f", Seq: ref[100:220].Clone(), Fragment: -1}
 	revRead := &dna.Read{Name: "r", Seq: ref[100:220].RevComp(), Fragment: -1}
 	fwdSeeds, err := Extract(ix, fwdRead)
