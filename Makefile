@@ -29,8 +29,9 @@ verify: build test
 # The heavily concurrent packages run under the race detector. The giraffe
 # emulator and trace recorder ride along in -short mode (their slowest
 # single-threaded tests are skipped; the multi-threaded ones still run) —
-# that includes the streaming extraction path (ExtractSource prefetcher and
-# its differential harness) plus the fastq/seeds readers feeding it. The obs
+# that includes the streaming extraction path (ExtractSource and its
+# differential harness), the concurrent index build (TestBuildIndexes) and
+# the fastq/seeds readers feeding them. The obs
 # registry is scraped concurrently with recording, so it runs here too, and
 # so does the serving stack (pipeline.Session lives in internal/pipeline;
 # internal/serve layers concurrent HTTP admission/deadline/drain on top).
@@ -125,12 +126,16 @@ staticcheck:
 # machine, back to back — and `cmd/bench -compare` judges the pair against the
 # bounds BENCHMARK.json fixes per end-to-end metric. It exits non-zero exactly
 # when a verdict is "worse"; both documents stay in perfdiff-run/ for
-# inspection.
-BASE ?= origin/main
+# inspection. BASE defaults to the parent commit, as CI's push path passes;
+# a base that predates cmd/bench stops the target with one line.
+BASE ?= HEAD^
 perfdiff:
 	rm -rf perfdiff-run
 	git worktree prune
 	git worktree add --detach perfdiff-run/base $$(git merge-base $(BASE) HEAD)
+	@if [ ! -d perfdiff-run/base/cmd/bench ]; then \
+		git worktree remove --force perfdiff-run/base; \
+		echo "perfdiff: base $(BASE) has no cmd/bench; pass a newer BASE=<rev>"; exit 1; fi
 	cd perfdiff-run/base && $(GO) run ./cmd/bench -trace 0 > ../base.json
 	git worktree remove --force perfdiff-run/base
 	$(GO) run ./cmd/bench -trace 0 > perfdiff-run/head.json

@@ -88,7 +88,7 @@ func finishFixture(t testing.TB, pg *vgraph.Pangenome, rng *rand.Rand, nHaps int
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.minIx, err = minimizer.Build(pg.Graph, f.haps, minimizer.Config{K: 15, W: 8})
+	f.minIx, err = minimizer.Build(pg.Graph, f.haps, minimizer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,15 +126,33 @@ func BuildIndexes(f *gbz.File) (*Indexes, error) {
 	for i := range paths {
 		paths[i] = f.Graph.Path(i)
 	}
-	minIx, err := minimizer.Build(f.Graph, paths, minimizer.Config{K: 15, W: 8})
+	// The three builds only read the graph and the paths, so they run side
+	// by side. The minimizer build's error, which names a bad path and node,
+	// is reported ahead of the GBWT build's.
+	var (
+		wg    sync.WaitGroup
+		bi    *gbwt.Bidirectional
+		biErr error
+		dist  *distindex.Index
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		bi, biErr = gbwt.FromForward(f.Index, paths)
+	}()
+	go func() {
+		defer wg.Done()
+		dist = distindex.New(f.Graph)
+	}()
+	minIx, err := minimizer.Build(f.Graph, paths, minimizer.DefaultConfig())
+	wg.Wait()
 	if err != nil {
 		return nil, fmt.Errorf("giraffe: building minimizer index: %w", err)
 	}
-	bi, err := gbwt.FromForward(f.Index, paths)
-	if err != nil {
-		return nil, fmt.Errorf("giraffe: building bidirectional index: %w", err)
+	if biErr != nil {
+		return nil, fmt.Errorf("giraffe: building bidirectional index: %w", biErr)
 	}
-	return &Indexes{File: f, MinIx: minIx, Dist: distindex.New(f.Graph), Bi: bi}, nil
+	return &Indexes{File: f, MinIx: minIx, Dist: dist, Bi: bi}, nil
 }
 
 // Map runs the full Giraffe-like pipeline over the reads. The two critical

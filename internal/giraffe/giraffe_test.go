@@ -1,11 +1,13 @@
 package giraffe
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/counters"
 	"repro/internal/dna"
+	"repro/internal/gbwt"
 	"repro/internal/gbz"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -20,10 +22,9 @@ func testBundle(t testing.TB, scale float64) *workload.Bundle {
 	return b
 }
 
+// TestBuildIndexes runs in make race's -short leg: BuildIndexes builds its
+// three indexes on concurrent goroutines.
 func TestBuildIndexes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow end-to-end path already covered threaded; skipped in -short race runs")
-	}
 	b := testBundle(t, 0.02)
 	ix, err := BuildIndexes(b.GBZ())
 	if err != nil {
@@ -37,6 +38,20 @@ func TestBuildIndexes(t *testing.T) {
 	}
 	if _, err := BuildIndexes(&gbz.File{}); err == nil {
 		t.Error("empty file accepted")
+	}
+}
+
+// TestBuildIndexesReportsMissingNode corrupts an embedded path (Path aliases
+// graph storage; AddPath would refuse it) so that it names a node the graph
+// lacks, and expects the minimizer build's error with its wrapping.
+func TestBuildIndexesReportsMissingNode(t *testing.T) {
+	f := testBundle(t, 0.02).GBZ()
+	missing := gbwt.NodeID(f.Graph.NumNodes() + 1)
+	f.Graph.Path(1)[3] = missing
+	_, err := BuildIndexes(f)
+	want := fmt.Sprintf("giraffe: building minimizer index: minimizer: path 1 references missing node %d", missing)
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
 	}
 }
 

@@ -1,9 +1,10 @@
 package minimizer
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dna"
 	"repro/internal/vgraph"
@@ -43,50 +44,50 @@ func (ix *Index) Dropped() int { return ix.dropped }
 // Paths are node-ID sequences (as stored in the GBWT); each path's spelled
 // sequence is scanned and every minimizer occurrence is recorded with its
 // graph position.
+//
+// It is one pass over buffers reused from path to path: the spelled
+// sequence, its minimizers, and the offset at which each node of the path
+// starts. Minimizers come in ascending offset order, so a cursor that only
+// moves forward maps each to its node. A k-mer's own occurrence list is its
+// duplicate check, and a list stops growing once it passes HardHitCap — it
+// will be dropped anyway — so a check costs at most HardHitCap+1 comparisons
+// and a repetitive input cannot grow a list without bound.
 func Build(g *vgraph.Graph, paths [][]vgraph.NodeID, cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ix := &Index{cfg: cfg, hits: make(map[uint64][]Occurrence)}
-	type key struct {
-		kmer uint64
-		pos  vgraph.Position
-		rev  bool
-	}
-	seen := make(map[key]bool)
+	var (
+		seq    dna.Sequence
+		starts []int32 // starts[i] is where path[i] begins in seq; one more entry ends seq
+		mins   []Minimizer
+	)
 	for pi, path := range paths {
-		// Spell the path and remember, for each spelled offset, its node and
-		// within-node offset.
-		var seq dna.Sequence
-		type coord struct {
-			node vgraph.NodeID
-			off  int32
-		}
-		var coords []coord
+		seq, starts = seq[:0], starts[:0]
 		for _, id := range path {
 			if !g.Has(id) {
 				return nil, fmt.Errorf("minimizer: path %d references missing node %d", pi, id)
 			}
-			label := g.Seq(id)
-			for off := range label {
-				coords = append(coords, coord{node: id, off: int32(off)})
-			}
-			seq = append(seq, label...)
+			starts = append(starts, int32(len(seq)))
+			seq = append(seq, g.Seq(id)...)
 		}
-		mins, err := Minimizers(seq, cfg)
-		if err != nil {
+		starts = append(starts, int32(len(seq)))
+		var err error
+		if mins, err = appendMinimizers(mins[:0], seq, cfg); err != nil {
 			// Paths shorter than a window contribute nothing.
 			continue
 		}
+		node := 0
 		for _, m := range mins {
-			c := coords[m.Off]
-			pos := vgraph.Position{Node: c.node, Off: c.off}
-			k := key{kmer: m.Kmer, pos: pos, rev: m.Rev}
-			if seen[k] {
+			for starts[node+1] <= m.Off {
+				node++
+			}
+			occ := Occurrence{Pos: vgraph.Position{Node: path[node], Off: m.Off - starts[node]}, Rev: m.Rev}
+			occs := ix.hits[m.Kmer]
+			if len(occs) > HardHitCap || slices.Contains(occs, occ) {
 				continue
 			}
-			seen[k] = true
-			ix.hits[m.Kmer] = append(ix.hits[m.Kmer], Occurrence{Pos: pos, Rev: m.Rev})
+			ix.hits[m.Kmer] = append(occs, occ)
 		}
 	}
 	// Apply the hard hit cap and sort occurrence lists for determinism.
@@ -96,17 +97,27 @@ func Build(g *vgraph.Graph, paths [][]vgraph.NodeID, cfg Config) (*Index, error)
 			ix.dropped++
 			continue
 		}
-		sort.Slice(occs, func(a, b int) bool {
-			if occs[a].Pos.Node != occs[b].Pos.Node {
-				return occs[a].Pos.Node < occs[b].Pos.Node
-			}
-			if occs[a].Pos.Off != occs[b].Pos.Off {
-				return occs[a].Pos.Off < occs[b].Pos.Off
-			}
-			return !occs[a].Rev && occs[b].Rev
-		})
+		slices.SortFunc(occs, compareOccurrences)
 	}
 	return ix, nil
+}
+
+// compareOccurrences orders by node, then offset, then forward before
+// reverse.
+func compareOccurrences(a, b Occurrence) int {
+	if c := cmp.Compare(a.Pos.Node, b.Pos.Node); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Pos.Off, b.Pos.Off); c != 0 {
+		return c
+	}
+	switch {
+	case a.Rev == b.Rev:
+		return 0
+	case b.Rev:
+		return -1
+	}
+	return 1
 }
 
 // Hits returns the graph occurrences of a canonical k-mer (nil when absent).

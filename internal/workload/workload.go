@@ -160,12 +160,10 @@ type Bundle struct {
 	Reads     []dna.Read
 }
 
-// MinimizerConfig is the k/w scheme used across the reproduction.
-var MinimizerConfig = minimizer.Config{K: 15, W: 8}
-
 // Generate builds the bundle for the spec. Deterministic in Spec.Seed.
 func Generate(spec Spec) (*Bundle, error) {
-	if spec.RefLen < 1000 || spec.Reads < 1 || spec.ReadLen < MinimizerConfig.K+MinimizerConfig.W {
+	mcfg := minimizer.DefaultConfig()
+	if spec.RefLen < 1000 || spec.Reads < 1 || spec.ReadLen < mcfg.K+mcfg.W {
 		return nil, fmt.Errorf("workload: degenerate spec %+v", spec)
 	}
 	if spec.Workflow == Paired && spec.FragmentLen < 2*spec.ReadLen {
@@ -231,7 +229,7 @@ func Generate(spec Spec) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: building GBWT: %w", err)
 	}
-	b.MinIx, err = minimizer.Build(pg.Graph, b.Haps, MinimizerConfig)
+	b.MinIx, err = minimizer.Build(pg.Graph, b.Haps, mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("workload: building minimizer index: %w", err)
 	}
