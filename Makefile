@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke cli-smoke lint escapecheck codeweight staticcheck govulncheck perfdiff pgo-capture pgo-verify ci
+.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke cli-smoke lint escapecheck codeweight staticcheck govulncheck perfdiff abpairs pgo-capture pgo-verify ci
 
 build:
 	$(GO) build ./...
@@ -60,12 +60,15 @@ bench-quick:
 # Short native-fuzz runs over the untrusted input surfaces (the capture
 # binary format, FASTQ, the GBWT record body every GBZ load decodes, the GBZ
 # container around it, and the two things giraffed parses off the network on
-# every request: the /map body and the traceparent header). The checked-in corpora under testdata/fuzz seed
-# the mutation; 10 seconds each is a smoke test, not a campaign.
+# every request: the /map body and the traceparent header), plus the GBWT
+# builder held to its reference on paths decoded from the fuzz bytes. The
+# checked-in corpora under testdata/fuzz seed the mutation; 10 seconds each
+# is a smoke test, not a campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadSeeds -fuzztime=10s ./internal/seeds
 	$(GO) test -run='^$$' -fuzz=FuzzFASTQ -fuzztime=10s ./internal/fastq
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/gbwt
+	$(GO) test -run='^$$' -fuzz=FuzzBuildGBWT -fuzztime=10s ./internal/gbwt
 	$(GO) test -run='^$$' -fuzz=FuzzReadGBZ -fuzztime=10s ./internal/gbz
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMapRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace
@@ -140,6 +143,18 @@ perfdiff:
 	git worktree remove --force perfdiff-run/base
 	$(GO) run ./cmd/bench -trace 0 > perfdiff-run/head.json
 	$(GO) run ./cmd/bench -compare perfdiff-run/base.json perfdiff-run/head.json
+
+# abpairs resolves one metric of one workload between BASE and this tree:
+# cmd/bench is built once for each side (BASE in a scratch git worktree that
+# is removed on exit, failed runs included) and run -trace 0 in PAIRS
+# alternated pairs, ABBA order. It prints each pair, both medians and "change
+# lower in k of N"; the runs' JSON stays in abpairs-run/. A timing verdict
+# needs a quiet machine, so it is not part of `make ci`.
+WORKLOAD ?= batch_kernels
+METRIC ?= setup_s
+PAIRS ?= 10
+abpairs:
+	BASE='$(BASE)' WORKLOAD='$(WORKLOAD)' METRIC='$(METRIC)' PAIRS='$(PAIRS)' GO='$(GO)' sh scripts/abpairs.sh
 
 # pgo-capture distills a representative capture into the committed
 # default.pgo: a full-scale streamed run with the continuous profiler on, then

@@ -202,10 +202,15 @@ func (p Packed) At(i int) Base {
 // Unpack expands the packed sequence to one base per byte.
 func (p Packed) Unpack() Sequence {
 	out := make(Sequence, p.n)
-	for i := 0; i < p.n; i++ {
-		out[i] = Base(p.data[i/4]>>uint(2*(i%4))) & 3
-	}
+	p.UnpackTo(out)
 	return out
+}
+
+// UnpackTo expands the packed sequence into dst[:Len()].
+func (p Packed) UnpackTo(dst Sequence) {
+	for i := 0; i < p.n; i++ {
+		dst[i] = Base(p.data[i/4]>>uint(2*(i%4))) & 3
+	}
 }
 
 // Read is one short read to be mapped: a name, the sequence, and for

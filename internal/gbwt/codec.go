@@ -19,10 +19,14 @@ import (
 
 // encodeRecord serialises a decoded record.
 func encodeRecord(rec *DecodedRecord) []byte {
-	buf := make([]byte, 0, 16+len(rec.Edges)*4+len(rec.Ranks))
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Edges)))
+	return appendRecord(make([]byte, 0, 16+len(rec.Edges)*4+len(rec.Ranks)), rec.Edges, rec.Ranks)
+}
+
+// appendRecord appends the record with the given edges and body to buf.
+func appendRecord(buf []byte, edges []Edge, ranks []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(edges)))
 	prev := uint64(0)
-	for i, e := range rec.Edges {
+	for i, e := range edges {
 		to := uint64(e.To)
 		if i == 0 {
 			buf = binary.AppendUvarint(buf, to)
@@ -32,13 +36,13 @@ func encodeRecord(rec *DecodedRecord) []byte {
 		prev = to
 		buf = binary.AppendUvarint(buf, uint64(e.Offset))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Ranks)))
-	for i := 0; i < len(rec.Ranks); {
+	buf = binary.AppendUvarint(buf, uint64(len(ranks)))
+	for i := 0; i < len(ranks); {
 		j := i + 1
-		for j < len(rec.Ranks) && rec.Ranks[j] == rec.Ranks[i] {
+		for j < len(ranks) && ranks[j] == ranks[i] {
 			j++
 		}
-		buf = binary.AppendUvarint(buf, uint64(rec.Ranks[i]))
+		buf = binary.AppendUvarint(buf, uint64(ranks[i]))
 		buf = binary.AppendUvarint(buf, uint64(j-i))
 		i = j
 	}

@@ -12,11 +12,13 @@
 // (§VII-B): too small and the mapper pays repeated decompressions and
 // rehashes; too large and it wastes cache locality.
 //
-// Memory: GBWT.Record allocates the record it returns, and the caller owns
-// it. A CachedGBWT decodes its misses into a slab of its own (recordSlab:
-// geometrically growing chunks, handed out as capacity-clipped windows), so
-// a miss costs no allocation; its records live as long as the cache's
-// entries do and remain valid for whoever still holds one afterwards.
+// Memory: New encodes every record into one arena and builds in a fixed
+// number of flat buffers, whatever the node count. GBWT.Record allocates the
+// record it returns, and the caller owns it. A CachedGBWT decodes its misses
+// into a slab of its own (recordSlab: geometrically growing chunks, handed
+// out as capacity-clipped windows), so a miss costs no allocation; its
+// records live as long as the cache's entries do and remain valid for
+// whoever still holds one afterwards.
 // Record bodies come from untrusted files: the decoder checks every count
 // before sizing anything from it and that edges ascend strictly in To, and
 // the loader checks each record without building it (FuzzDecodeRecord).

@@ -78,9 +78,10 @@ type Source interface {
 
 // batchReader is what Run looks for on its Source, the way io.Copy looks for
 // WriterTo: a source that can fill a whole batch in memory the batch owns
-// (giraffe.ExtractSource) is asked to, with a recycled batch, in place of n
-// Next calls and n copies. ReadBatch resets b, fills it with up to n records
-// and returns io.EOF — possibly with a final short batch — at end of stream.
+// (giraffe.ExtractSource, *seeds.Reader) is asked to, with a recycled batch,
+// in place of n Next calls and n copies. ReadBatch resets b, fills it with
+// up to n records and returns io.EOF — possibly with a final short batch — at
+// end of stream.
 type batchReader interface {
 	ReadBatch(b *seeds.Batch, n int) error
 }

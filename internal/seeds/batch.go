@@ -14,8 +14,10 @@ import (
 // Seeds — which is why a recycled batch must have left every stage that was
 // given its records.
 //
-// A source that already holds finished records (SliceSource, Reader) appends
-// them to Recs and leaves the slabs empty.
+// A capture Reader decodes into the same slabs, with bases and seeds in
+// chunks (take) rather than one growing slice; a source that already holds
+// finished records (SliceSource) appends them to Recs and leaves the slabs
+// empty.
 type Batch struct {
 	// Recs are the batch's records, in input order.
 	Recs []ReadSeeds
@@ -67,4 +69,33 @@ func (b *Batch) Seal() {
 		b.Recs[i].Read.Name = names[lo:hi]
 		lo = hi
 	}
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must grow: append grows a large slice by a quarter, which
+// on a whole-file load copies it many times over.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, max(2*cap(s), len(s)+n)), s...)
+}
+
+// take returns a capacity-clipped window of n elements at the end of *chunk,
+// or nil for none. When the chunk lacks room it starts a new one, twice the
+// old capacity up to last (and at least n), instead of copying: the windows
+// handed out stay where they are, and a batch keeps the newest chunk to
+// refill after Reset.
+func take[S ~[]T, T any](chunk *S, n, last int) S {
+	if n == 0 {
+		return nil
+	}
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make(S, 0, max(min(2*cap(c), last), n))
+	}
+	lo := len(c)
+	c = c[:lo+n]
+	*chunk = c
+	return c[lo : lo+n : lo+n]
 }

@@ -160,28 +160,62 @@ func (w *Writer) Close() error {
 
 // Reader streams ReadSeeds records from an input. It accepts both the
 // count-up-front version 1 and the footer-terminated streaming version 2.
+//
+// It decodes out of a window of buffered input with binary.Uvarint into the
+// slabs of a Batch: one decoder, with three front ends. ReadBatch fills a
+// batch the caller recycles (what pipeline.Run does), Next hands out one
+// record at a time, each the caller's to keep, and ReadFile loads a whole
+// capture. The window grows only as input arrives, and every length and
+// count in a record is held to the bytes that hold it before anything is
+// sized from it. A record that has started must end: a capture cut inside
+// one, or before a version-1 count or a version-2 footer is reached, is an
+// error wrapping io.ErrUnexpectedEOF, never io.EOF.
 type Reader struct {
-	br        *bufio.Reader
+	src    io.Reader
+	buf    []byte // buf[lo:hi] has been read and not yet decoded
+	lo, hi int
+	srcErr error // what ended src: io.EOF at its end
+
 	remaining uint64
 	stream    bool // version 2: remaining is unknown until the footer
 	done      bool
 	read      uint64
+	err       error // sticky: what the last record failed with
 }
 
+// Window sizes and chunk bounds, in bytes and elements.
+const (
+	firstWindow = 64 << 10
+	headerLen   = 16 // magic, version, reserved, count
+	// minSeedBytes is the least one seed takes on the wire: four one-byte
+	// varints and the score.
+	minSeedBytes = 8
+	// A chunk of bases or seeds doubles from the first record's size up to
+	// these, and stays there: large enough that a pipeline batch fits in
+	// one, small enough that a whole-file load wastes little past its end.
+	maxBaseChunk = 1 << 20
+	maxSeedChunk = 1 << 16
+)
+
 // NewReader validates the header and returns a streaming reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("seeds: reading magic: %w", err)
+func NewReader(src io.Reader) (*Reader, error) {
+	r := &Reader{src: src, buf: make([]byte, firstWindow)}
+	for r.hi < headerLen && r.more() {
 	}
-	if magic != binMagic {
+	if r.hi < headerLen && r.srcErr != io.EOF {
+		return nil, fmt.Errorf("seeds: reading header: %w", r.srcErr)
+	}
+	if r.hi < len(binMagic) {
+		return nil, fmt.Errorf("seeds: reading magic: %w", io.ErrUnexpectedEOF)
+	}
+	if [4]byte(r.buf) != binMagic {
 		return nil, ErrBadMagic
 	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("seeds: reading header: %w", err)
+	if r.hi < headerLen {
+		return nil, fmt.Errorf("seeds: reading header: %w", io.ErrUnexpectedEOF)
 	}
+	hdr := r.buf[len(binMagic):headerLen]
+	r.lo = headerLen
 	switch v := binary.LittleEndian.Uint16(hdr[0:]); v {
 	case binVersion:
 		// The declared count feeds Remaining()'s int result; a count no real
@@ -191,12 +225,37 @@ func NewReader(r io.Reader) (*Reader, error) {
 		if count > 1<<56 {
 			return nil, fmt.Errorf("seeds: implausible record count %d", count)
 		}
-		return &Reader{br: br, remaining: count}, nil
+		r.remaining = count
 	case binVersionStream:
-		return &Reader{br: br, stream: true}, nil
+		r.stream = true
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
+	return r, nil
+}
+
+// more moves the window to the front of the buffer and reads at least as
+// many bytes again as it holds, so a record that needs several refills is
+// decoded again a logarithmic number of times, not once per read call. The
+// buffer doubles only when the window fills half of it. It reports whether
+// any byte arrived; once none can, r.srcErr says why.
+func (r *Reader) more() bool {
+	if r.srcErr != nil {
+		return false
+	}
+	n := copy(r.buf, r.buf[r.lo:r.hi])
+	if n >= len(r.buf)/2 {
+		buf := make([]byte, 2*len(r.buf))
+		copy(buf, r.buf[:n])
+		r.buf = buf
+	}
+	got, err := io.ReadAtLeast(r.src, r.buf[n:], max(n, 1))
+	r.lo, r.hi = 0, n+got
+	if err == io.ErrUnexpectedEOF {
+		err = io.EOF // the last bytes came short of the minimum
+	}
+	r.srcErr = err
+	return got > 0
 }
 
 // Remaining returns how many records are left, or -1 when the stream is a
@@ -211,133 +270,219 @@ func (r *Reader) Remaining() int {
 	return int(r.remaining)
 }
 
-// noCleanEOF converts a clean io.EOF into io.ErrUnexpectedEOF: inside a
-// record, running out of bytes is a truncation, not an end of stream.
-func noCleanEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+// Next reads the next record, or io.EOF after the last one. The record and
+// the memory under it are the caller's to keep.
+func (r *Reader) Next() (*ReadSeeds, error) {
+	var b Batch
+	if err := r.ReadBatch(&b, 1); len(b.Recs) == 0 {
+		return nil, err
 	}
+	return &b.Recs[0], nil
+}
+
+// ReadBatch resets b and fills it with up to n records, their names, bases
+// and seeds in b's slabs. It returns io.EOF at the end of the capture,
+// possibly with a final short batch in b, or the error that ended the
+// stream, with the records read before it. pipeline.Run finds this method
+// on its Source and calls it with a recycled batch in place of n Next calls.
+func (r *Reader) ReadBatch(b *Batch, n int) error {
+	b.Reset()
+	var err error
+	for len(b.Recs) < n && err == nil {
+		err = r.record(b)
+	}
+	b.Seal()
 	return err
 }
 
-// Next reads the next record, or io.EOF after the last one.
-func (r *Reader) Next() (*ReadSeeds, error) {
-	if r.done || (!r.stream && r.remaining == 0) {
-		return nil, io.EOF
-	}
-	if !r.stream {
-		r.remaining--
-	}
-	get := func() (uint64, error) { return binary.ReadUvarint(r.br) }
-	nameLen, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("seeds: name length: %w", err)
-	}
-	if r.stream && nameLen == streamEndSentinel {
-		// End-of-stream footer: verify the trailing count.
-		var cnt [8]byte
-		if _, err := io.ReadFull(r.br, cnt[:]); err != nil {
-			return nil, fmt.Errorf("seeds: stream footer: %w", err)
-		}
-		if n := binary.LittleEndian.Uint64(cnt[:]); n != r.read {
-			return nil, fmt.Errorf("seeds: stream footer declares %d records, read %d", n, r.read)
-		}
-		r.done = true
-		return nil, io.EOF
-	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("seeds: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r.br, name); err != nil {
-		return nil, fmt.Errorf("seeds: name: %w", err)
-	}
-	// From here on the record has started: a clean EOF from the underlying
-	// reader is a truncation, and must surface as an error — never as the
-	// bare io.EOF that callers read as a complete stream (and that would
-	// leave a v2 Reader's Remaining() stuck at -1).
-	fragP1, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("seeds: fragment: %w", noCleanEOF(err))
-	}
-	end, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("seeds: end: %w", noCleanEOF(err))
-	}
-	seqLen, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("seeds: read length: %w", noCleanEOF(err))
-	}
-	if seqLen > 1<<20 {
-		return nil, fmt.Errorf("seeds: implausible read length %d", seqLen)
-	}
-	data := make([]byte, (seqLen+3)/4)
-	if _, err := io.ReadFull(r.br, data); err != nil {
-		return nil, fmt.Errorf("seeds: bases: %w", err)
-	}
-	packed, err := dna.PackedFromRaw(data, int(seqLen))
+// ReadFile loads all records from a file at path. All names share one
+// string; bases and seeds lie in chunks that are never copied, each record's
+// Seq and Seeds a capacity-clipped window of one.
+func ReadFile(path string) ([]ReadSeeds, error) {
+	in, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	nSeeds, err := get()
+	defer in.Close()
+	r, err := NewReader(in)
 	if err != nil {
-		return nil, fmt.Errorf("seeds: seed count: %w", noCleanEOF(err))
+		return nil, err
 	}
+	var b Batch
+	// The v1 header count is untrusted input: a capacity hint only, capped
+	// at 1<<16 records (5 MB) whatever the header claims.
+	if n := r.Remaining(); n > 0 {
+		b.Recs = make([]ReadSeeds, 0, min(n, 1<<16))
+	}
+	for {
+		err := r.record(&b)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	b.Seal()
+	return b.Recs, nil
+}
+
+// record decodes the next record and appends it to b, name unsealed; io.EOF
+// after the last one. A window that ends inside the record is refilled and
+// the record decoded again from its start, with b as it was before.
+func (r *Reader) record(b *Batch) error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.done || (!r.stream && r.remaining == 0) {
+		return io.EOF
+	}
+	for {
+		recs, names, nameEnd, bases, seeds := b.Recs, b.names, b.nameEnd, b.bases, b.seeds
+		n, err := r.decode(r.buf[r.lo:r.hi], b)
+		if _, short := err.(truncated); short {
+			b.Recs, b.names, b.nameEnd, b.bases, b.seeds = recs, names, nameEnd, bases, seeds
+			if r.more() {
+				continue
+			}
+			if r.srcErr != io.EOF {
+				err = fmt.Errorf("seeds: reading: %w", r.srcErr)
+			}
+		}
+		switch {
+		case err == nil:
+			r.lo += n
+			r.read++
+			if !r.stream {
+				r.remaining--
+			}
+		case err == io.EOF:
+			r.lo += n
+			r.done = true
+		default:
+			r.err = err
+		}
+		return err
+	}
+}
+
+// truncated names the field a window ended in. Decoding the record again
+// over a longer window may complete it; at the end of the input it is the
+// error: a truncation, which wraps io.ErrUnexpectedEOF.
+type truncated string
+
+func (t truncated) Error() string { return "seeds: " + string(t) + ": " + io.ErrUnexpectedEOF.Error() }
+func (t truncated) Unwrap() error { return io.ErrUnexpectedEOF }
+
+var errOverflow = errors.New("varint overflows a 64-bit integer")
+
+// fieldErr is the error of a binary.Uvarint call that decoded nothing: a window
+// that ends inside the varint (k = 0) or a varint past 64 bits (k < 0).
+func fieldErr(k int, field truncated) error {
+	if k == 0 {
+		return field
+	}
+	return fmt.Errorf("seeds: %s: %w", string(field), errOverflow)
+}
+
+// decode decodes the record at the start of w into b and returns its length
+// in bytes, or, for a version-2 footer, the footer's length and io.EOF. A
+// window that ends inside the record gives a truncated error, and b then
+// holds part of the record: record puts b back.
+func (r *Reader) decode(w []byte, b *Batch) (int, error) {
+	nameLen, pos := binary.Uvarint(w)
+	if pos <= 0 {
+		return 0, fieldErr(pos, "name length")
+	}
+	if r.stream && nameLen == streamEndSentinel {
+		// End-of-stream footer: verify the trailing count.
+		if len(w)-pos < 8 {
+			return 0, truncated("stream footer")
+		}
+		if n := binary.LittleEndian.Uint64(w[pos:]); n != r.read {
+			return 0, fmt.Errorf("seeds: stream footer declares %d records, read %d", n, r.read)
+		}
+		return pos + 8, io.EOF
+	}
+	if nameLen > 1<<16 {
+		return 0, fmt.Errorf("seeds: implausible name length %d", nameLen)
+	}
+	if uint64(len(w)-pos) < nameLen {
+		return 0, truncated("name")
+	}
+	name := w[pos : pos+int(nameLen)]
+	pos += int(nameLen)
+	var fields [3]uint64 // fragment+1, end, read length
+	for i, field := range [...]truncated{"fragment", "end", "read length"} {
+		v, k := binary.Uvarint(w[pos:])
+		if k <= 0 {
+			return 0, fieldErr(k, field)
+		}
+		fields[i], pos = v, pos+k
+	}
+	seqLen := fields[2]
+	if seqLen > 1<<20 {
+		return 0, fmt.Errorf("seeds: implausible read length %d", seqLen)
+	}
+	packedLen := int(seqLen+3) / 4
+	if len(w)-pos < packedLen {
+		return 0, truncated("bases")
+	}
+	packed, err := dna.PackedFromRaw(w[pos:pos+packedLen], int(seqLen))
+	if err != nil {
+		return 0, err
+	}
+	pos += packedLen
+	nSeeds, k := binary.Uvarint(w[pos:])
+	if k <= 0 {
+		return 0, fieldErr(k, "seed count")
+	}
+	pos += k
 	if nSeeds > 1<<24 {
-		return nil, fmt.Errorf("seeds: implausible seed count %d", nSeeds)
+		return 0, fmt.Errorf("seeds: implausible seed count %d", nSeeds)
 	}
-	// Preallocate from the declared count only up to a modest bound: a
-	// corrupt or hostile count must not translate into a huge allocation
-	// before any seed bytes have been read.
-	capHint := nSeeds
-	if capHint > 4096 {
-		capHint = 4096
+	if uint64(len(w)-pos) < nSeeds*minSeedBytes {
+		return 0, truncated("seeds")
 	}
-	rs := &ReadSeeds{
-		Read: dna.Read{
-			Name:     string(name),
-			Seq:      packed.Unpack(),
-			Fragment: int(fragP1) - 1,
-			End:      int(end),
-		},
-		Seeds: make([]Seed, 0, capHint),
-	}
-	for i := 0; i < int(nSeeds); i++ {
-		node, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("seeds: seed %d node: %w", i, noCleanEOF(err))
+
+	b.names = append(grow(b.names, len(name)), name...)
+	seq := take(&b.bases, int(seqLen), maxBaseChunk)
+	packed.UnpackTo(seq)
+	ss := take(&b.seeds, int(nSeeds), maxSeedChunk)
+	for i := range ss {
+		var f [4]uint64 // node, offset, read offset, flags
+		for j, field := range [...]truncated{"seed node", "seed offset", "seed read offset", "seed flags"} {
+			v, k := binary.Uvarint(w[pos:])
+			if k <= 0 {
+				return 0, fieldErr(k, field)
+			}
+			f[j], pos = v, pos+k
 		}
-		off, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("seeds: seed %d offset: %w", i, noCleanEOF(err))
+		if len(w)-pos < 4 {
+			return 0, truncated("seed score")
 		}
-		readOff, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("seeds: seed %d read offset: %w", i, noCleanEOF(err))
-		}
-		flags, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("seeds: seed %d flags: %w", i, noCleanEOF(err))
-		}
-		var f [4]byte
-		if _, err := io.ReadFull(r.br, f[:]); err != nil {
-			return nil, fmt.Errorf("seeds: seed %d score: %w", i, err)
-		}
+		score := math.Float32frombits(binary.LittleEndian.Uint32(w[pos:]))
+		pos += 4
+		node, off, readOff := f[0], f[1], f[2]
 		if node > math.MaxUint32 {
-			return nil, fmt.Errorf("seeds: seed %d node %d: %w", i, node, errNodeRange)
+			return 0, fmt.Errorf("seeds: seed %d node %d: %w", i, node, errNodeRange)
 		}
 		if off > math.MaxInt32 || readOff > math.MaxInt32 {
-			return nil, fmt.Errorf("seeds: seed %d offset %d, read offset %d: %w", i, off, readOff, errOffsetRange)
+			return 0, fmt.Errorf("seeds: seed %d offset %d, read offset %d: %w", i, off, readOff, errOffsetRange)
 		}
-		rs.Seeds = append(rs.Seeds, Seed{
+		ss[i] = Seed{
 			Pos:     vgraph.Position{Node: vgraph.NodeID(node), Off: int32(off)},
 			ReadOff: int32(readOff),
-			Rev:     flags&1 != 0,
-			Score:   math.Float32frombits(binary.LittleEndian.Uint32(f[:])),
-		})
+			Rev:     f[3]&1 != 0,
+			Score:   score,
+		}
 	}
-	r.read++
-	return rs, nil
+	b.Recs = append(grow(b.Recs, 1), ReadSeeds{
+		Read:  dna.Read{Seq: seq, Fragment: int(fields[0]) - 1, End: int(fields[1])},
+		Seeds: ss,
+	})
+	b.nameEnd = append(grow(b.nameEnd, 1), len(b.names))
+	return pos, nil
 }
 
 // WriteFile saves all records to a file at path.
@@ -389,36 +534,3 @@ func Open(path string) (*File, error) {
 
 // Close releases the underlying file.
 func (f *File) Close() error { return f.f.Close() }
-
-// ReadFile loads all records from a file at path.
-func ReadFile(path string) ([]ReadSeeds, error) {
-	in, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	r, err := NewReader(in)
-	if err != nil {
-		return nil, err
-	}
-	// The v1 header count is untrusted input — use it as a capacity hint
-	// only within a modest bound.
-	capHint := r.Remaining()
-	if capHint < 0 {
-		capHint = 0
-	} else if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
-	out := make([]ReadSeeds, 0, capHint)
-	for {
-		rs, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *rs)
-	}
-	return out, nil
-}

@@ -72,6 +72,11 @@ func wireCapture(node, off, readOff uint64) []byte {
 // it). When a full parse succeeds, serialising the records must be stable:
 // write -> read -> write yields identical bytes.
 //
+// The decoder's front ends must agree on every input: Next in a loop,
+// ReadBatch at batch sizes 1, 3 and 65536, ReadFile through a file, and the
+// reference reader (reference_test.go) return the same records, or all
+// refuse.
+//
 // The Remaining() contract is checked on every input that opens: a v1
 // reader starts at its declared count and decrements by exactly one per
 // record; a v2 stream answers -1 until the footer is reached; both answer 0
@@ -79,23 +84,6 @@ func wireCapture(node, off, readOff uint64) []byte {
 func FuzzReadSeeds(f *testing.F) {
 	recs := fuzzRecords()
 	v1 := serializeV1(f, recs)
-	serializeV2 := func(t testing.TB, recs []ReadSeeds) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		sw, err := NewStreamWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range recs {
-			if err := sw.Write(&recs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	v2 := serializeV2(f, recs)
 
 	f.Add(v1)
@@ -117,6 +105,7 @@ func FuzzReadSeeds(f *testing.F) {
 	f.Add(wireCapture(1, 0, 1<<31))      // read offset beyond int32
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		agree(t, data)
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			return
