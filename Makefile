@@ -130,7 +130,8 @@ staticcheck:
 # bounds BENCHMARK.json fixes per end-to-end metric. It exits non-zero exactly
 # when a verdict is "worse"; both documents stay in perfdiff-run/ for
 # inspection. BASE defaults to the parent commit, as CI's push path passes;
-# a base that predates cmd/bench stops the target with one line.
+# a base that predates cmd/bench stops the target with one line. A failed
+# base run removes its worktree before the target exits non-zero.
 BASE ?= HEAD^
 perfdiff:
 	rm -rf perfdiff-run
@@ -139,7 +140,8 @@ perfdiff:
 	@if [ ! -d perfdiff-run/base/cmd/bench ]; then \
 		git worktree remove --force perfdiff-run/base; \
 		echo "perfdiff: base $(BASE) has no cmd/bench; pass a newer BASE=<rev>"; exit 1; fi
-	cd perfdiff-run/base && $(GO) run ./cmd/bench -trace 0 > ../base.json
+	(cd perfdiff-run/base && $(GO) run ./cmd/bench -trace 0 > ../base.json) || \
+		{ git worktree remove --force perfdiff-run/base; exit 1; }
 	git worktree remove --force perfdiff-run/base
 	$(GO) run ./cmd/bench -trace 0 > perfdiff-run/head.json
 	$(GO) run ./cmd/bench -compare perfdiff-run/base.json perfdiff-run/head.json

@@ -1,7 +1,7 @@
 // Package atomicmix flags struct fields that are accessed through
-// sync/atomic somewhere in a package but read or written plainly elsewhere —
-// the exact bug class fixed in internal/distindex (PR 1), where a counter
-// was atomically incremented on one path and non-atomically read on another.
+// sync/atomic somewhere in a package but read or written plainly elsewhere,
+// such as a counter atomically incremented on one path and non-atomically
+// read on another.
 // Mixed access makes the atomic side pointless: the plain side still races.
 //
 // The check is package-scoped: a field is "atomic" if any `&x.f` in the

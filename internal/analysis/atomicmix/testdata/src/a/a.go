@@ -1,5 +1,5 @@
 // Fixture for the atomicmix analyzer: mixed atomic/non-atomic access to the
-// same struct field must be reported (the internal/distindex PR 1 bug class).
+// same struct field must be reported.
 package a
 
 import "sync/atomic"

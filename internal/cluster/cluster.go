@@ -10,8 +10,8 @@ import (
 	"slices"
 
 	"repro/internal/counters"
-	"repro/internal/distindex"
 	"repro/internal/seeds"
+	"repro/internal/snarl"
 )
 
 // Params tunes the clustering kernel.
@@ -91,9 +91,9 @@ type Scratch struct {
 
 // ClusterSeeds groups the seeds of one read into memory the caller owns: it
 // runs Scratch.ClusterSeeds on a fresh scratch that it then lets go of.
-func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters.Probe, readIdx int) []Cluster {
+func ClusterSeeds(t *snarl.Tree, ss []seeds.Seed, p Params, probe counters.Probe, readIdx int) []Cluster {
 	var s Scratch
-	return s.ClusterSeeds(ix, ss, p, probe, readIdx)
+	return s.ClusterSeeds(t, ss, p, probe, readIdx)
 }
 
 // ClusterSeeds groups the seeds of one read. readIdx identifies the read for
@@ -106,7 +106,7 @@ func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters
 // only: a forward and a reverse seed never share a cluster.
 //
 //minigiraffe:hot
-func (s *Scratch) ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters.Probe, readIdx int) []Cluster {
+func (s *Scratch) ClusterSeeds(t *snarl.Tree, ss []seeds.Seed, p Params, probe counters.Probe, readIdx int) []Cluster {
 	p = p.normalize()
 	n := len(ss)
 	if n == 0 {
@@ -119,7 +119,7 @@ func (s *Scratch) ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, p
 	uf := unionFind{parent: s.ints[2*n : 3*n]}
 	byRoot := s.ints[3*n : 4*n]
 
-	g := ix.Graph()
+	g := t.Graph()
 	// Sort seed indices by (orientation, backbone coordinate).
 	for i := range ss {
 		order[i] = i
@@ -161,8 +161,8 @@ func (s *Scratch) ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, p
 				probe.Access(counters.NodeSeqAddr(uint32(ss[i].Pos.Node), 0), 8)
 				probe.Access(counters.NodeSeqAddr(uint32(ss[j].Pos.Node), 0), 8)
 			}
-			d := ix.MinDistance(ss[i].Pos, ss[j].Pos, p.DistanceLimit)
-			if d != distindex.Unreachable {
+			d := t.MinDistance(ss[i].Pos, ss[j].Pos)
+			if d != snarl.Unreachable && d <= p.DistanceLimit {
 				uf.union(i, j)
 			}
 		}

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/counters"
-	"repro/internal/distindex"
 	"repro/internal/dna"
 	"repro/internal/seeds"
+	"repro/internal/snarl"
 	"repro/internal/vgraph"
 )
 
@@ -43,6 +43,16 @@ func linearGraph(t *testing.T, total, nodeLen int) (*vgraph.Graph, []vgraph.Node
 	return g, ids
 }
 
+// decompose builds the distance index of g.
+func decompose(t testing.TB, g *vgraph.Graph) *snarl.Tree {
+	t.Helper()
+	tree, err := snarl.Decompose(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
 // seedAt makes a forward seed at linear coordinate c on a chain with the
 // given node length.
 func seedAt(ids []vgraph.NodeID, nodeLen, c int, score float32, readOff int32) seeds.Seed {
@@ -55,15 +65,15 @@ func seedAt(ids []vgraph.NodeID, nodeLen, c int, score float32, readOff int32) s
 
 func TestClusterSeedsEmpty(t *testing.T) {
 	g, _ := linearGraph(t, 100, 10)
-	ix := distindex.New(g)
-	if cs := ClusterSeeds(ix, nil, DefaultParams(), nil, 0); cs != nil {
+	tree := decompose(t, g)
+	if cs := ClusterSeeds(tree, nil, DefaultParams(), nil, 0); cs != nil {
 		t.Errorf("clusters of no seeds = %v", cs)
 	}
 }
 
 func TestClusterSeedsTwoGroups(t *testing.T) {
 	g, ids := linearGraph(t, 2000, 10)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	ss := []seeds.Seed{
 		seedAt(ids, 10, 100, 2, 0),
 		seedAt(ids, 10, 130, 2, 30),
@@ -72,7 +82,7 @@ func TestClusterSeedsTwoGroups(t *testing.T) {
 		seedAt(ids, 10, 1500, 3, 10),
 		seedAt(ids, 10, 1520, 3, 40),
 	}
-	cs := ClusterSeeds(ix, ss, Params{DistanceLimit: 100, CheckWindow: 4}, nil, 0)
+	cs := ClusterSeeds(tree, ss, Params{DistanceLimit: 100, CheckWindow: 4}, nil, 0)
 	if len(cs) != 2 {
 		t.Fatalf("%d clusters, want 2", len(cs))
 	}
@@ -88,13 +98,13 @@ func TestClusterSeedsTwoGroups(t *testing.T) {
 
 func TestClusteringIsPartition(t *testing.T) {
 	g, ids := linearGraph(t, 3000, 16)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	rng := rand.New(rand.NewSource(7))
 	var ss []seeds.Seed
 	for i := 0; i < 60; i++ {
 		ss = append(ss, seedAt(ids, 16, rng.Intn(2900), float32(1+rng.Float64()), int32(rng.Intn(100))))
 	}
-	cs := ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+	cs := ClusterSeeds(tree, ss, DefaultParams(), nil, 0)
 	seen := make([]bool, len(ss))
 	for _, c := range cs {
 		for _, i := range c.SeedIdx {
@@ -113,26 +123,74 @@ func TestClusteringIsPartition(t *testing.T) {
 
 func TestNearbySeedsShareCluster(t *testing.T) {
 	g, ids := linearGraph(t, 1000, 10)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	// Any two seeds within the limit must be in one cluster (direct check
 	// window covers them).
 	ss := []seeds.Seed{
 		seedAt(ids, 10, 300, 1, 0),
 		seedAt(ids, 10, 320, 1, 20),
 	}
-	cs := ClusterSeeds(ix, ss, Params{DistanceLimit: 50, CheckWindow: 4}, nil, 0)
+	cs := ClusterSeeds(tree, ss, Params{DistanceLimit: 50, CheckWindow: 4}, nil, 0)
 	if len(cs) != 1 {
 		t.Fatalf("%d clusters, want 1", len(cs))
 	}
 }
 
+// insertionBubble is S(AC) -> INS(GGGGGG) -> E(TTTT) plus S -> E, an
+// insertion bubble whose inserted node projects onto E's coordinate, with
+// a seed on INS[0] and one on E[2]: 2 apart on the backbone but 6 + 2 bases
+// apart in the graph.
+func insertionBubble(t *testing.T) (*snarl.Tree, []seeds.Seed) {
+	t.Helper()
+	g := &vgraph.Graph{}
+	s, _ := g.AddNode(dna.MustParse("AC"))
+	ins, _ := g.AddNode(dna.MustParse("GGGGGG"))
+	e, _ := g.AddNode(dna.MustParse("TTTT"))
+	g.SetBackbone(s, 0)
+	g.SetBackbone(ins, 2)
+	g.SetBackbone(e, 2)
+	for _, edge := range [][2]vgraph.NodeID{{s, ins}, {ins, e}, {s, e}} {
+		if err := g.AddEdge(edge[0], edge[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss := []seeds.Seed{
+		{Pos: vgraph.Position{Node: ins}, Score: 1},
+		{Pos: vgraph.Position{Node: e, Off: 2}, ReadOff: 8, Score: 1},
+	}
+	return decompose(t, g), ss
+}
+
+// TestDistanceLimitIsInclusive: the limit applies to the graph distance,
+// not to the backbone coordinates, and a pair exactly at it is joined.
+func TestDistanceLimitIsInclusive(t *testing.T) {
+	tree, ss := insertionBubble(t)
+	for _, c := range []struct{ limit, want int }{{7, 2}, {8, 1}} {
+		if got := len(ClusterSeeds(tree, ss, Params{DistanceLimit: c.limit, CheckWindow: 4}, nil, 0)); got != c.want {
+			t.Errorf("limit %d: %d clusters, want %d", c.limit, got, c.want)
+		}
+	}
+}
+
+// TestTightLimitDoesNotStick: on one Scratch, a pair kept apart by a tight
+// limit is joined by a later, generous one.
+func TestTightLimitDoesNotStick(t *testing.T) {
+	tree, ss := insertionBubble(t)
+	var scratch Scratch
+	for _, c := range []struct{ limit, want int }{{5, 2}, {100, 1}, {5, 2}} {
+		if got := len(scratch.ClusterSeeds(tree, ss, Params{DistanceLimit: c.limit, CheckWindow: 4}, nil, 0)); got != c.want {
+			t.Errorf("limit %d: %d clusters, want %d", c.limit, got, c.want)
+		}
+	}
+}
+
 func TestOrientationSeparatesClusters(t *testing.T) {
 	g, ids := linearGraph(t, 1000, 10)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	fwd := seedAt(ids, 10, 300, 1, 0)
 	rev := seedAt(ids, 10, 305, 1, 0)
 	rev.Rev = true
-	cs := ClusterSeeds(ix, []seeds.Seed{fwd, rev}, DefaultParams(), nil, 0)
+	cs := ClusterSeeds(tree, []seeds.Seed{fwd, rev}, DefaultParams(), nil, 0)
 	if len(cs) != 2 {
 		t.Fatalf("%d clusters, want 2 (orientations must not merge)", len(cs))
 	}
@@ -140,14 +198,14 @@ func TestOrientationSeparatesClusters(t *testing.T) {
 
 func TestPermutationInvariance(t *testing.T) {
 	g, ids := linearGraph(t, 2000, 10)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	rng := rand.New(rand.NewSource(3))
 	var ss []seeds.Seed
 	for i := 0; i < 30; i++ {
 		ss = append(ss, seedAt(ids, 10, rng.Intn(1900), float32(1+rng.Float64()), int32(rng.Intn(90))))
 	}
 	canon := func(in []seeds.Seed) [][]vgraph.Position {
-		cs := ClusterSeeds(ix, in, DefaultParams(), nil, 0)
+		cs := ClusterSeeds(tree, in, DefaultParams(), nil, 0)
 		var out [][]vgraph.Position
 		for _, c := range cs {
 			var poss []vgraph.Position
@@ -183,7 +241,7 @@ func TestPermutationInvariance(t *testing.T) {
 
 func TestClusterScore(t *testing.T) {
 	g, ids := linearGraph(t, 500, 10)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	// Two seeds at the same read offset: only the best counts; a third at a
 	// different offset adds its own score.
 	ss := []seeds.Seed{
@@ -191,7 +249,7 @@ func TestClusterScore(t *testing.T) {
 		seedAt(ids, 10, 104, 3.0, 0),
 		seedAt(ids, 10, 110, 1.5, 25),
 	}
-	cs := ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+	cs := ClusterSeeds(tree, ss, DefaultParams(), nil, 0)
 	if len(cs) != 1 {
 		t.Fatalf("%d clusters, want 1", len(cs))
 	}
@@ -202,13 +260,13 @@ func TestClusterScore(t *testing.T) {
 
 func TestClustersSortedByScore(t *testing.T) {
 	g, ids := linearGraph(t, 3000, 10)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	ss := []seeds.Seed{
 		seedAt(ids, 10, 100, 1, 0),
 		seedAt(ids, 10, 1000, 5, 0),
 		seedAt(ids, 10, 2000, 3, 0),
 	}
-	cs := ClusterSeeds(ix, ss, Params{DistanceLimit: 50, CheckWindow: 4}, nil, 0)
+	cs := ClusterSeeds(tree, ss, Params{DistanceLimit: 50, CheckWindow: 4}, nil, 0)
 	if len(cs) != 3 {
 		t.Fatalf("%d clusters, want 3", len(cs))
 	}
@@ -221,13 +279,13 @@ func TestClustersSortedByScore(t *testing.T) {
 
 func TestProbeAccounting(t *testing.T) {
 	g, ids := linearGraph(t, 1000, 10)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	ss := []seeds.Seed{
 		seedAt(ids, 10, 100, 1, 0),
 		seedAt(ids, 10, 120, 1, 20),
 	}
 	h := counters.NewDefaultHierarchy()
-	ClusterSeeds(ix, ss, DefaultParams(), h, 0)
+	ClusterSeeds(tree, ss, DefaultParams(), h, 0)
 	c := h.Snapshot(counters.DefaultCycleModel)
 	if c.Instr == 0 {
 		t.Error("probe recorded no instructions")
@@ -247,14 +305,14 @@ func newUnionFind(n int) unionFind {
 
 // exactClusters computes the ground-truth partition: transitive closure of
 // "graph distance ≤ limit" over all same-orientation seed pairs.
-func exactClusters(ix *distindex.Index, ss []seeds.Seed, limit int) [][]int {
+func exactClusters(tree *snarl.Tree, ss []seeds.Seed, limit int) [][]int {
 	uf := newUnionFind(len(ss))
 	for i := 0; i < len(ss); i++ {
 		for j := i + 1; j < len(ss); j++ {
 			if ss[i].Rev != ss[j].Rev {
 				continue
 			}
-			if ix.MinDistance(ss[i].Pos, ss[j].Pos, limit) != distindex.Unreachable {
+			if d := tree.MinDistance(ss[i].Pos, ss[j].Pos); d != snarl.Unreachable && d <= limit {
 				uf.union(i, j)
 			}
 		}
@@ -280,7 +338,7 @@ func exactClusters(ix *distindex.Index, ss []seeds.Seed, limit int) [][]int {
 // cluster-scale seed sets satisfy.
 func TestWindowedClusteringMatchesExact(t *testing.T) {
 	g, ids := linearGraph(t, 4000, 16)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	rng := rand.New(rand.NewSource(99))
 	params := DefaultParams()
 	for trial := 0; trial < 10; trial++ {
@@ -295,13 +353,13 @@ func TestWindowedClusteringMatchesExact(t *testing.T) {
 		for k := 0; k < 5; k++ {
 			ss = append(ss, seedAt(ids, 16, rng.Intn(3900), 1, 0))
 		}
-		got := ClusterSeeds(ix, ss, params, nil, 0)
+		got := ClusterSeeds(tree, ss, params, nil, 0)
 		var gotSets [][]int
 		for _, c := range got {
 			gotSets = append(gotSets, c.SeedIdx)
 		}
 		sort.Slice(gotSets, func(a, b int) bool { return gotSets[a][0] < gotSets[b][0] })
-		want := exactClusters(ix, ss, params.DistanceLimit)
+		want := exactClusters(tree, ss, params.DistanceLimit)
 		if !reflect.DeepEqual(gotSets, want) {
 			t.Fatalf("trial %d: windowed partition %v != exact %v", trial, gotSets, want)
 		}
@@ -328,13 +386,13 @@ func randomSeedSet(rng *rand.Rand, ids []vgraph.NodeID, n int) []seeds.Seed {
 // scratch returns — nothing is left over from the read before.
 func TestScratchMatchesFresh(t *testing.T) {
 	g, ids := linearGraph(t, 4000, 16)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	rng := rand.New(rand.NewSource(5))
 	var s Scratch
 	for trial := 0; trial < 200; trial++ {
 		ss := randomSeedSet(rng, ids, rng.Intn(40))
-		got := s.ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
-		want := ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+		got := s.ClusterSeeds(tree, ss, DefaultParams(), nil, 0)
+		want := ClusterSeeds(tree, ss, DefaultParams(), nil, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%d seeds): reused scratch %+v != fresh %+v", trial, len(ss), got, want)
 		}
@@ -346,10 +404,10 @@ func TestScratchMatchesFresh(t *testing.T) {
 // clusters across reads).
 func TestFreshResultIsCallerOwned(t *testing.T) {
 	g, ids := linearGraph(t, 4000, 16)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	rng := rand.New(rand.NewSource(6))
 	first := randomSeedSet(rng, ids, 30)
-	got := ClusterSeeds(ix, first, DefaultParams(), nil, 0)
+	got := ClusterSeeds(tree, first, DefaultParams(), nil, 0)
 	saved := make([]Cluster, len(got))
 	for i, c := range got {
 		saved[i] = Cluster{SeedIdx: append([]int(nil), c.SeedIdx...), Score: c.Score}
@@ -357,8 +415,8 @@ func TestFreshResultIsCallerOwned(t *testing.T) {
 	var s Scratch
 	for trial := 0; trial < 20; trial++ {
 		ss := randomSeedSet(rng, ids, 30)
-		ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
-		s.ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+		ClusterSeeds(tree, ss, DefaultParams(), nil, 0)
+		s.ClusterSeeds(tree, ss, DefaultParams(), nil, 0)
 	}
 	if !reflect.DeepEqual(got, saved) {
 		t.Fatalf("a later call changed an earlier result: now %+v, was %+v", got, saved)
@@ -374,14 +432,14 @@ func TestFreshResultIsCallerOwned(t *testing.T) {
 // the fresh-scratch entry pays for its two buffers.
 func TestClusterAllocations(t *testing.T) {
 	g, ids := linearGraph(t, 4000, 16)
-	ix := distindex.New(g)
+	tree := decompose(t, g)
 	ss := randomSeedSet(rand.New(rand.NewSource(7)), ids, 24)
 	var s Scratch
-	s.ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
-	if n := testing.AllocsPerRun(100, func() { s.ClusterSeeds(ix, ss, DefaultParams(), nil, 0) }); n != 0 {
+	s.ClusterSeeds(tree, ss, DefaultParams(), nil, 0)
+	if n := testing.AllocsPerRun(100, func() { s.ClusterSeeds(tree, ss, DefaultParams(), nil, 0) }); n != 0 {
 		t.Errorf("warm scratch: %.1f allocations per read, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { ClusterSeeds(ix, ss, DefaultParams(), nil, 0) }); n > 2 {
+	if n := testing.AllocsPerRun(100, func() { ClusterSeeds(tree, ss, DefaultParams(), nil, 0) }); n > 2 {
 		t.Errorf("fresh scratch: %.1f allocations per read, want ≤ 2", n)
 	}
 }
@@ -404,7 +462,7 @@ func BenchmarkClusterSeeds(b *testing.B) {
 		}
 		ids = append(ids, id)
 	}
-	ix := distindex.New(g)
+	tree := decompose(b, g)
 	// A realistic per-read seed set: one dense clump + scattered noise.
 	var ss []seeds.Seed
 	center := 2000
@@ -418,14 +476,14 @@ func BenchmarkClusterSeeds(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ClusterSeeds(ix, ss, p, nil, 0)
+			ClusterSeeds(tree, ss, p, nil, 0)
 		}
 	})
 	b.Run("scratch", func(b *testing.B) {
 		var s Scratch
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.ClusterSeeds(ix, ss, p, nil, 0)
+			s.ClusterSeeds(tree, ss, p, nil, 0)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -10,11 +11,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/counters"
+	"repro/internal/dna"
 	"repro/internal/extend"
+	"repro/internal/gbwt"
 	"repro/internal/gbz"
 	"repro/internal/giraffe"
 	"repro/internal/sched"
 	"repro/internal/seeds"
+	"repro/internal/snarl"
 	"repro/internal/trace"
 	"repro/internal/vgraph"
 	"repro/internal/workload"
@@ -342,6 +346,52 @@ func TestRunRefusesSeedsOutsideTheGraph(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Extensions, want.Extensions) {
 		t.Error("valid records map differently after the refused runs")
+	}
+}
+
+// TestNewMapperRejectsUndecomposableGraph: a GBZ whose graph has two
+// sources (a path starting on each) has no snarl tree, so both start-up
+// routes refuse it with snarl.ErrNotDecomposable instead of mapping without
+// a distance index.
+func TestNewMapperRejectsUndecomposableGraph(t *testing.T) {
+	g := &vgraph.Graph{}
+	var ids []vgraph.NodeID
+	for _, s := range []string{"ACGTACGTAACCGGTT", "TTGGCCAATGCATGCA", "GATTACAGATTACAGG", "CCCTTTAAAGGGTCAG"} {
+		id, err := g.AddNode(dna.MustParse(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	src1, src2, mid, end := ids[0], ids[1], ids[2], ids[3]
+	for _, e := range [][2]vgraph.NodeID{{src1, mid}, {src2, mid}, {mid, end}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths := [][]vgraph.NodeID{{src1, mid, end}, {src2, mid, end}}
+	for _, p := range paths {
+		if _, err := g.AddPath(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err := gbwt.New(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gbz.Write(&buf, &gbz.File{Graph: g, Index: idx}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := gbz.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := giraffe.BuildIndexes(f); !errors.Is(err, snarl.ErrNotDecomposable) {
+		t.Errorf("giraffe.BuildIndexes: error %v, want snarl.ErrNotDecomposable", err)
+	}
+	if _, err := core.NewMapper(f, core.Options{}); !errors.Is(err, snarl.ErrNotDecomposable) {
+		t.Errorf("core.NewMapper: error %v, want snarl.ErrNotDecomposable", err)
 	}
 }
 

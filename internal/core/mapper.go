@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/distindex"
 	"repro/internal/extend"
 	"repro/internal/gbwt"
 	"repro/internal/gbz"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/seeds"
+	"repro/internal/snarl"
 	"repro/internal/trace"
 )
 
@@ -59,7 +59,7 @@ func newMapperMetrics(reg *obs.Registry) mapperMetrics {
 // identical by construction.
 type Mapper struct {
 	file *gbz.File
-	dist *distindex.Index
+	dist *snarl.Tree
 	bi   *gbwt.Bidirectional
 	opts Options
 	met  mapperMetrics
@@ -138,8 +138,9 @@ func (m *Mapper) release(st *mapState) {
 }
 
 // NewMapper prepares the indexes from a GBZ file: the graph distance index
-// and the reverse orientation of the embedded haplotype index, so both
-// extension directions are haplotype-constrained.
+// (the snarl tree; a graph that does not decompose is an error wrapping
+// snarl.ErrNotDecomposable) and the reverse orientation of the embedded
+// haplotype index, so both extension directions are haplotype-constrained.
 func NewMapper(f *gbz.File, opts Options) (*Mapper, error) {
 	if f == nil || f.Graph == nil || f.Index == nil {
 		return nil, errors.New("core: nil GBZ file")
@@ -155,13 +156,17 @@ func NewMapper(f *gbz.File, opts Options) (*Mapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewMapperFromIndexes(f, distindex.New(f.Graph), bi, opts)
+	dist, err := snarl.Decompose(f.Graph)
+	if err != nil {
+		return nil, fmt.Errorf("core: building distance index: %w", err)
+	}
+	return NewMapperFromIndexes(f, dist, bi, opts)
 }
 
 // NewMapperFromIndexes wraps indexes that were already built elsewhere
 // (e.g. giraffe.BuildIndexes) so the parent emulator and the proxy share one
 // mapping engine without rebuilding anything.
-func NewMapperFromIndexes(f *gbz.File, dist *distindex.Index, bi *gbwt.Bidirectional, opts Options) (*Mapper, error) {
+func NewMapperFromIndexes(f *gbz.File, dist *snarl.Tree, bi *gbwt.Bidirectional, opts Options) (*Mapper, error) {
 	if f == nil || f.Graph == nil {
 		return nil, errors.New("core: nil GBZ file")
 	}

@@ -11,11 +11,11 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/counters"
-	"repro/internal/distindex"
 	"repro/internal/dna"
 	"repro/internal/gbwt"
 	"repro/internal/minimizer"
 	"repro/internal/seeds"
+	"repro/internal/snarl"
 	"repro/internal/vgraph"
 )
 
@@ -25,7 +25,7 @@ type fixture struct {
 	index *gbwt.GBWT
 	bi    *gbwt.Bidirectional
 	minIx *minimizer.Index
-	dist  *distindex.Index
+	dist  *snarl.Tree
 	haps  [][]vgraph.NodeID
 	seqs  []dna.Sequence
 }
@@ -92,7 +92,10 @@ func finishFixture(t testing.TB, pg *vgraph.Pangenome, rng *rand.Rand, nHaps int
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.dist = distindex.New(pg.Graph)
+	f.dist, err = snarl.Decompose(pg.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return f
 }
 

@@ -194,24 +194,3 @@ func (b *Bidirectional) FindBi(path []NodeID) BiState {
 	}
 	return s
 }
-
-// PredecessorsWith returns the haplotype-consistent predecessors of the match's
-// first node under the current state: the reverse-index successors with a
-// non-empty left extension, ascending.
-func (b *Bidirectional) PredecessorsWith(r BiReader, s BiState) []NodeID {
-	rec := r.Rev.Record(s.Rev.Node)
-	if rec == nil || s.Empty() {
-		return nil
-	}
-	var out []NodeID
-	for _, e := range rec.Edges {
-		if e.To == Endmarker {
-			continue
-		}
-		// Only report predecessors actually taken within the state's range.
-		if rec.rankAt(rec.edgeRank(e.To), s.Rev.End)-rec.rankAt(rec.edgeRank(e.To), s.Rev.Start) > 0 {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}

@@ -159,29 +159,6 @@ func TestBidirectionalLocateAgreement(t *testing.T) {
 	}
 }
 
-func TestPredecessorsWith(t *testing.T) {
-	b := mustBi(t, diamondPaths)
-	r := b.NewBiReader(64)
-	s := b.BiFullState(4)
-	preds := b.PredecessorsWith(r, s)
-	want := []NodeID{2, 3}
-	if !reflect.DeepEqual(preds, want) {
-		t.Errorf("PredecessorsWith(4) = %v, want %v", preds, want)
-	}
-	// After restricting to haplotypes through 2·4, only 2 remains.
-	s = b.ExtendLeft(s, 2)
-	preds = b.PredecessorsWith(r, s)
-	if !reflect.DeepEqual(preds, []NodeID{1}) {
-		t.Errorf("predecessors of 2·4 = %v, want [1]", preds)
-	}
-	// First node of every path: the only predecessor is the endmarker,
-	// which is excluded.
-	s1 := b.BiFullState(1)
-	if preds := b.PredecessorsWith(r, s1); len(preds) != 0 {
-		t.Errorf("predecessors at path start = %v, want none", preds)
-	}
-}
-
 func TestBiReaderCachedMatchesUncached(t *testing.T) {
 	_, paths := buildRandomHaplotypes(t, 55, 10)
 	b := mustBi(t, paths)

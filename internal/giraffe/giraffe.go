@@ -22,13 +22,13 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/counters"
-	"repro/internal/distindex"
 	"repro/internal/dna"
 	"repro/internal/extend"
 	"repro/internal/gbwt"
 	"repro/internal/gbz"
 	"repro/internal/minimizer"
 	"repro/internal/seeds"
+	"repro/internal/snarl"
 	"repro/internal/trace"
 )
 
@@ -107,7 +107,7 @@ type Result struct {
 type Indexes struct {
 	File  *gbz.File
 	MinIx *minimizer.Index
-	Dist  *distindex.Index
+	Dist  *snarl.Tree
 	// Bi is the bidirectional haplotype index used by the extension kernel.
 	Bi *gbwt.Bidirectional
 }
@@ -128,12 +128,14 @@ func BuildIndexes(f *gbz.File) (*Indexes, error) {
 	}
 	// The three builds only read the graph and the paths, so they run side
 	// by side. The minimizer build's error, which names a bad path and node,
-	// is reported ahead of the GBWT build's.
+	// is reported ahead of the GBWT build's, and that ahead of the snarl
+	// decomposition's (snarl.ErrNotDecomposable: no distance index).
 	var (
-		wg    sync.WaitGroup
-		bi    *gbwt.Bidirectional
-		biErr error
-		dist  *distindex.Index
+		wg      sync.WaitGroup
+		bi      *gbwt.Bidirectional
+		biErr   error
+		dist    *snarl.Tree
+		distErr error
 	)
 	wg.Add(2)
 	go func() {
@@ -142,7 +144,7 @@ func BuildIndexes(f *gbz.File) (*Indexes, error) {
 	}()
 	go func() {
 		defer wg.Done()
-		dist = distindex.New(f.Graph)
+		dist, distErr = snarl.Decompose(f.Graph)
 	}()
 	minIx, err := minimizer.Build(f.Graph, paths, minimizer.DefaultConfig())
 	wg.Wait()
@@ -151,6 +153,9 @@ func BuildIndexes(f *gbz.File) (*Indexes, error) {
 	}
 	if biErr != nil {
 		return nil, fmt.Errorf("giraffe: building bidirectional index: %w", biErr)
+	}
+	if distErr != nil {
+		return nil, fmt.Errorf("giraffe: building distance index: %w", distErr)
 	}
 	return &Indexes{File: f, MinIx: minIx, Dist: dist, Bi: bi}, nil
 }

@@ -17,23 +17,6 @@ func (t *Tree) chainOf(v vgraph.NodeID) (nodePos, bool) {
 	return pos, pos.known
 }
 
-// StartCoord returns the minimum number of bases from the start of the
-// chain to the start of node v — the snarl-tree analogue of the backbone
-// coordinate.
-func (t *Tree) StartCoord(v vgraph.NodeID) (int32, bool) {
-	pos, ok := t.chainOf(v)
-	if !ok {
-		return 0, false
-	}
-	if pos.boundary {
-		return t.prefixMin[pos.index], true
-	}
-	l := &t.links[pos.index]
-	// From-boundary start + From length + interior min to v's start.
-	fromPos := t.position[l.From]
-	return t.prefixMin[fromPos.index] + int32(t.g.SeqLen(l.From)) + t.minFromLinkStart[v], true
-}
-
 // MinDistance returns the minimum number of bases separating positions a
 // and b along a forward walk in either direction, or Unreachable. Results
 // are exact for the decomposed chain: positions in different chain elements

@@ -1,12 +1,13 @@
 // Package snarl implements superbubble (snarl) decomposition of variation
-// graphs — the structure Giraffe's distance index is built over (§II-B(c):
-// "the distance index maps the minimum graph distance between seeds").
-// A snarl is a source/sink pair whose interior is reachable only through
-// them; in the bubble-chain pangenomes of this reproduction, snarls are the
-// variant sites and the decomposition is a single top-level chain of
-// boundary nodes and snarls. The chain yields O(1) exact minimum-distance
-// queries via prefix sums, with only positions interior to the same snarl
-// needing a (small) local search.
+// graphs and the distance index Giraffe builds over it (§II-B(c): "the
+// distance index maps the minimum graph distance between seeds"). A snarl
+// is a source/sink pair whose interior is reachable only through them; in
+// the bubble-chain pangenomes of this reproduction, snarls are the variant
+// sites and the decomposition is a single top-level chain of boundary nodes
+// and snarls. The chain yields O(1) exact minimum-distance queries via
+// prefix sums, with only positions interior to the same snarl needing a
+// (small) local search. A graph outside that class is refused with
+// ErrNotDecomposable.
 package snarl
 
 import (
@@ -324,6 +325,9 @@ func (t *Tree) Links() []Link { return t.links }
 
 // Boundaries returns the chain's boundary nodes in order.
 func (t *Tree) Boundaries() []vgraph.NodeID { return t.boundaries }
+
+// Graph returns the decomposed graph.
+func (t *Tree) Graph() *vgraph.Graph { return t.g }
 
 // Contains reports whether the decomposition covers node v.
 func (t *Tree) Contains(v vgraph.NodeID) bool {

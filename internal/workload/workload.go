@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/distindex"
 	"repro/internal/dna"
 	"repro/internal/gbwt"
 	"repro/internal/gbz"
 	"repro/internal/minimizer"
 	"repro/internal/seeds"
+	"repro/internal/snarl"
 	"repro/internal/vgraph"
 )
 
@@ -154,7 +154,7 @@ type Bundle struct {
 	Pangenome *vgraph.Pangenome
 	Index     *gbwt.GBWT
 	MinIx     *minimizer.Index
-	Dist      *distindex.Index
+	Dist      *snarl.Tree
 	Haps      [][]vgraph.NodeID
 	HapSeqs   []dna.Sequence
 	Reads     []dna.Read
@@ -233,7 +233,10 @@ func Generate(spec Spec) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: building minimizer index: %w", err)
 	}
-	b.Dist = distindex.New(pg.Graph)
+	b.Dist, err = snarl.Decompose(pg.Graph)
+	if err != nil {
+		return nil, fmt.Errorf("workload: building distance index: %w", err)
+	}
 
 	// Reads.
 	if spec.Workflow == Single {

@@ -12,18 +12,31 @@
 #      generated graph; internal/seeds/gen_corpus.go writes it) must end
 #      minigiraffe, batch and -stream, with an error naming the record and
 #      the seed — not a goroutine dump.
+#   4. coverage ledger: genworkload, extractseeds, giraffe and minigiraffe
+#      are built with -cover, and every function of the map-path packages
+#      (internal/{snarl,cluster,extend,align,gbwt}) these runs reach or miss
+#      is listed as "covered" or "zero" in coverage.txt, which must equal
+#      the committed results/coverage_baseline.txt.
 set -eu
 
 GO="${GO:-go}"
 SMOKE_DIR="${SMOKE_DIR:-cli-smoke}"
 CORRUPT=internal/seeds/testdata/node-outside-graph.bin
+BASELINE=results/coverage_baseline.txt
 d="$SMOKE_DIR"
 
 mkdir -p "$d"
 echo "== building binaries"
-for b in genworkload validate extractseeds giraffe minigiraffe; do
-    "$GO" build -o "$d/$b" "./cmd/$b"
+"$GO" build -o "$d/validate" ./cmd/validate
+# The main package must be in -coverpkg: without it the binary writes no
+# counters at all.
+for b in genworkload extractseeds giraffe minigiraffe; do
+    "$GO" build -cover -coverpkg="./cmd/$b,./internal/..." -o "$d/$b" "./cmd/$b"
 done
+rm -rf "$d/covdata"
+mkdir -p "$d/covdata"
+GOCOVERDIR="$d/covdata"
+export GOCOVERDIR
 
 echo "== generating workload"
 "$d/genworkload" -input A-human -scale 2 -outdir "$d"
@@ -66,4 +79,18 @@ for mode in "" -stream; do
         exit 1
     fi
 done
+echo "== coverage ledger (expect $BASELINE)"
+pkgs=""
+for p in snarl cluster extend align gbwt; do
+    pkgs="$pkgs${pkgs:+,}repro/internal/$p"
+done
+"$GO" tool covdata func -i="$d/covdata" -pkg="$pkgs" |
+    awk '$1 != "total" { f = $1; sub(/:[0-9]+:$/, "", f)
+        print ($NF == "0.0%" ? "zero   " : "covered"), f, $2 }' |
+    sort >"$d/coverage.txt"
+if ! diff -u "$BASELINE" "$d/coverage.txt"; then
+    echo "FAIL: the map-path coverage ledger changed; if that is intended, refresh it:"
+    echo "    cp $d/coverage.txt $BASELINE"
+    exit 1
+fi
 echo "cli-smoke OK: artifacts in $d/"
