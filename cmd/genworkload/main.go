@@ -1,6 +1,6 @@
-// Command genworkload generates a synthetic input set (Table III stand-in):
-// the pangenome reference as a .gbz container, the reads as FASTQ, and the
-// captured seeds as the proxy's sequence-seeds.bin.
+// Command genworkload generates a synthetic input set (Table III stand-in)
+// and writes three files: the pangenome as <set>.gbz, the reads as <set>.fq,
+// and the captured seeds, the proxy's input, as <set>-seeds.bin.
 //
 // Usage:
 //
@@ -52,12 +52,6 @@ func main() {
 	if err := fastq.WriteFile(fqPath, b.Reads); err != nil {
 		log.Fatal(err)
 	}
-	faPath := filepath.Join(*outdir, spec.Name+".fa")
-	if err := fastq.WriteFastaFile(faPath, []fastq.FastaRecord{
-		{Name: spec.Name + " linear reference", Seq: b.Pangenome.Reference()},
-	}); err != nil {
-		log.Fatal(err)
-	}
 	recs, err := b.CaptureSeeds()
 	if err != nil {
 		log.Fatal(err)
@@ -66,7 +60,7 @@ func main() {
 	if err := seeds.WriteFile(binPath, recs); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %s, %s, %s, %s\n", gbzPath, fqPath, faPath, binPath)
+	fmt.Printf("wrote %s, %s, %s\n", gbzPath, fqPath, binPath)
 	fmt.Printf("graph: %d nodes, %d edges, %d bp; GBWT: %d paths, %d compressed bytes\n",
 		b.Pangenome.NumNodes(), b.Pangenome.NumEdges(), b.Pangenome.TotalSeqLen(),
 		b.Index.NumPaths(), b.Index.CompressedSize())

@@ -1,8 +1,8 @@
 // Command giraffe runs the parent-emulator pipeline: the full Giraffe-like
 // mapping flow (preprocessing, the two critical functions, post-processing)
-// under the VG-style batch scheduler. It can capture the proxy's inputs
-// (-capture) and export the raw extensions expected by validation
-// (-expected).
+// under the VG-style batch scheduler. It writes one alignment TSV line per
+// read and, on request, the proxy's captured inputs (-capture) and the
+// per-thread region timeline (-timeline).
 //
 // Usage:
 //
@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"repro/internal/fastq"
-	"repro/internal/gaf"
 	"repro/internal/gbz"
 	"repro/internal/giraffe"
 	"repro/internal/seeds"
@@ -35,7 +34,6 @@ func main() {
 	out := flag.String("out", "", "alignment TSV output (default stdout)")
 	capture := flag.String("capture", "", "write captured seeds (the proxy input) to this .bin file")
 	timeline := flag.String("timeline", "", "write the per-thread region timeline CSV here")
-	gafPath := flag.String("gaf", "", "also write alignments in Graph Alignment Format here")
 	flag.Parse()
 	if *gbzPath == "" || *readsPath == "" {
 		flag.Usage()
@@ -108,23 +106,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "captured seeds -> %s\n", *capture)
-	}
-	if *gafPath != "" {
-		file, err := os.Create(*gafPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		lens := make([]int, len(reads))
-		for i := range reads {
-			lens[i] = reads[i].Len()
-		}
-		if err := gaf.Write(file, f.Graph, res.Alignments, lens); err != nil {
-			log.Fatal(err)
-		}
-		if err := file.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "GAF -> %s\n", *gafPath)
 	}
 	if *timeline != "" {
 		file, err := os.Create(*timeline)

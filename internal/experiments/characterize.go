@@ -85,7 +85,7 @@ func (s *Suite) Table1(root string) ([]Table1Row, error) {
 	// critical functions and their direct inputs — matching the paper's
 	// framing (the proxy is ~2% of the parent's code base).
 	var parentDirs []string
-	for _, pkg := range strings.Fields("align cluster core counters dna extend fastq gaf gbwt gbz giraffe minimizer obs sched seeds snarl trace vgraph") {
+	for _, pkg := range strings.Fields("align cluster core counters dna extend fastq gbwt gbz giraffe minimizer obs sched seeds snarl trace vgraph") {
 		parentDirs = append(parentDirs, "internal/"+pkg)
 	}
 	proxyDirs := []string{"internal/core", "internal/cluster", "internal/extend"}

@@ -828,7 +828,12 @@ func TestScoreTieGoesToLongerReach(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bi, err := gbwt.NewBidirectional([][]vgraph.NodeID{{1, 2}, {1, 3}})
+	paths := [][]vgraph.NodeID{{1, 2}, {1, 3}}
+	fwd, err := gbwt.New(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi, err := gbwt.FromForward(fwd, paths)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,68 +107,6 @@ func TestFragmentNumbering(t *testing.T) {
 	}
 }
 
-func TestFastaRoundTrip(t *testing.T) {
-	recs := []FastaRecord{
-		{Name: "chr1", Seq: dna.MustParse(strings.Repeat("ACGT", 50))}, // wraps
-		{Name: "chr2 description", Seq: dna.MustParse("GG")},
-	}
-	var buf bytes.Buffer
-	if err := WriteFasta(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFasta(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("%d records", len(got))
-	}
-	for i := range recs {
-		if got[i].Name != recs[i].Name || !got[i].Seq.Equal(recs[i].Seq) {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
-func TestFastaWrapWidth(t *testing.T) {
-	recs := []FastaRecord{{Name: "x", Seq: dna.MustParse(strings.Repeat("A", 150))}}
-	var buf bytes.Buffer
-	if err := WriteFasta(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 { // header + 70 + 70 + 10
-		t.Fatalf("%d lines", len(lines))
-	}
-	if len(lines[1]) != 70 || len(lines[3]) != 10 {
-		t.Errorf("wrap widths: %d, %d", len(lines[1]), len(lines[3]))
-	}
-}
-
-func TestFastaErrors(t *testing.T) {
-	if _, err := ReadFasta(strings.NewReader("ACGT\n")); err == nil {
-		t.Error("headerless sequence accepted")
-	}
-	if _, err := ReadFasta(strings.NewReader(">x\nACGN\n")); err == nil {
-		t.Error("invalid base accepted")
-	}
-}
-
-func TestFastaFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ref.fa")
-	recs := []FastaRecord{{Name: "r", Seq: dna.MustParse("ACGTACGT")}}
-	if err := WriteFastaFile(path, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFastaFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || !got[0].Seq.Equal(recs[0].Seq) {
-		t.Error("file round trip failed")
-	}
-}
-
 // TestScannerAllocatesNameAndSequenceOnly: of a record's four lines the
 // scanner copies one (the header, whose tail is the name) and parses one
 // into the Sequence; the separator and quality lines are read in place.

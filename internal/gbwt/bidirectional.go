@@ -30,18 +30,6 @@ type BiState struct {
 // Empty reports whether the state matches no haplotypes.
 func (s BiState) Empty() bool { return s.Fwd.Empty() }
 
-// Size returns the number of matching haplotype occurrences.
-func (s BiState) Size() int { return s.Fwd.Size() }
-
-// NewBidirectional builds both orientations from the same path set.
-func NewBidirectional(paths [][]NodeID) (*Bidirectional, error) {
-	fwd, err := New(paths)
-	if err != nil {
-		return nil, err
-	}
-	return FromForward(fwd, paths)
-}
-
 // FromForward wraps an existing forward GBWT, rebuilding the reverse index
 // from the given paths (which must be the ones fwd was built from).
 func FromForward(fwd *GBWT, paths [][]NodeID) (*Bidirectional, error) {
@@ -155,42 +143,4 @@ func ExtendLeftWith(r BiReader, s BiState, u NodeID) BiState {
 	}
 	newFwd.End = newFwd.Start + int32(newRev.Size())
 	return BiState{Fwd: newFwd, Rev: newRev}
-}
-
-// ExtendRight is one ExtendRightWith step without a cache. The capacity-0
-// reader pair it decodes through is inlined onto its stack (calling
-// NewBiReader here would put it on the heap); a search of many steps builds
-// NewBiReader(0) once, as FindBi does.
-func (b *Bidirectional) ExtendRight(s BiState, to NodeID) BiState {
-	return ExtendRightWith(BiReader{Fwd: NewCached(b.fwd, 0), Rev: NewCached(b.rev, 0)}, s, to)
-}
-
-// ExtendLeft is ExtendRight's mirror image over ExtendLeftWith.
-func (b *Bidirectional) ExtendLeft(s BiState, u NodeID) BiState {
-	return ExtendLeftWith(BiReader{Fwd: NewCached(b.fwd, 0), Rev: NewCached(b.rev, 0)}, s, u)
-}
-
-// FindBi searches for the node path bidirectionally (seeding on the middle
-// node and alternating directions) — primarily a consistency exerciser; its
-// result must match the forward Find.
-func (b *Bidirectional) FindBi(path []NodeID) BiState {
-	if len(path) == 0 {
-		return BiState{}
-	}
-	mid := len(path) / 2
-	s := b.BiFullState(path[mid])
-	r := b.NewBiReader(0)
-	// Alternate directions to exercise the synchronisation both ways.
-	left, right := mid-1, mid+1
-	for !s.Empty() && (left >= 0 || right < len(path)) {
-		if right < len(path) {
-			s = ExtendRightWith(r, s, path[right])
-			right++
-		}
-		if !s.Empty() && left >= 0 {
-			s = ExtendLeftWith(r, s, path[left])
-			left--
-		}
-	}
-	return s
 }

@@ -154,9 +154,6 @@ func (c *CachedGBWT) Stats() CacheStats { return c.stats }
 // Capacity returns the private table's current capacity (0 when disabled).
 func (c *CachedGBWT) Capacity() int { return len(c.table.keys) }
 
-// Len returns the number of privately cached records.
-func (c *CachedGBWT) Len() int { return c.table.used }
-
 // Record returns the decoded record of v, or nil if v has no visits, from the
 // first level that holds it: snapshot hit (lock-free, zero-alloc) → private
 // table → decode.
@@ -223,34 +220,6 @@ func (c *CachedGBWT) rehash() {
 			c.table.put(k-1, old.vals[i])
 		}
 	}
-}
-
-// Extend advances state along the edge to `to`, LF-mapping the visit range
-// into to's record. The result is empty if no haplotype in the state
-// continues to `to`.
-//
-//minigiraffe:hot
-func (c *CachedGBWT) Extend(s SearchState, to NodeID) SearchState {
-	if s.Empty() {
-		return SearchState{Node: to}
-	}
-	return c.Record(s.Node).lf(s, to)
-}
-
-// Find returns the search state of haplotypes containing the node sequence
-// `path` as a consecutive subpath.
-func (c *CachedGBWT) Find(path []NodeID) SearchState {
-	if len(path) == 0 {
-		return SearchState{}
-	}
-	s := c.g.FullState(path[0])
-	for _, v := range path[1:] {
-		s = c.Extend(s, v)
-		if s.Empty() {
-			break
-		}
-	}
-	return s
 }
 
 // Reset makes c what its constructor would return now for worker — the

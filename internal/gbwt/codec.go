@@ -17,11 +17,6 @@ import (
 // The run-length body is what makes repeated decompression costly enough for
 // the CachedGBWT to matter, mirroring the GBZ/GBWT byte layout.
 
-// encodeRecord serialises a decoded record.
-func encodeRecord(rec *DecodedRecord) []byte {
-	return appendRecord(make([]byte, 0, 16+len(rec.Edges)*4+len(rec.Ranks)), rec.Edges, rec.Ranks)
-}
-
 // appendRecord appends the record with the given edges and body to buf.
 func appendRecord(buf []byte, edges []Edge, ranks []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(edges)))

@@ -25,9 +25,7 @@
 package gbwt
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/vgraph"
 )
@@ -57,9 +55,6 @@ type DecodedRecord struct {
 	Edges []Edge
 	Ranks []byte
 }
-
-// NumVisits returns the number of haplotype visits through the record.
-func (r *DecodedRecord) NumVisits() int { return len(r.Ranks) }
 
 // edgeRank returns the index of `to` in the sorted edge list, or -1. The
 // binary search is inlined by hand: sort.Search's func parameter keeps this
@@ -106,7 +101,8 @@ type GBWT struct {
 	// visits[v] caches the visit count per node so NumVisits avoids decoding.
 	visits []int32
 	// endDA is the document array of the endmarker record: the path
-	// identifier of each arrival, in visit order. Supports LocatePaths.
+	// identifier of each arrival, in visit order. It is part of the
+	// serialized index; the tests' LocatePaths reads it.
 	endDA    []int32
 	numPaths int
 }
@@ -116,11 +112,6 @@ func (g *GBWT) NumPaths() int { return g.numPaths }
 
 // MaxNode returns the largest node identifier with a record (0 if empty).
 func (g *GBWT) MaxNode() NodeID { return NodeID(len(g.comp) - 1) }
-
-// Contains reports whether node v is visited by any path.
-func (g *GBWT) Contains(v NodeID) bool {
-	return int(v) < len(g.comp) && g.comp[v] != nil
-}
 
 // NumVisits returns the number of path visits through node v.
 func (g *GBWT) NumVisits(v NodeID) int {
@@ -191,80 +182,4 @@ func (r *DecodedRecord) lf(s SearchState, to NodeID) SearchState {
 		Start: off + r.rankAt(e, s.Start),
 		End:   off + r.rankAt(e, s.End),
 	}
-}
-
-// Extend is CachedGBWT.Extend without a cache: it decodes s.Node's record.
-func (g *GBWT) Extend(s SearchState, to NodeID) SearchState {
-	if s.Empty() {
-		return SearchState{Node: to}
-	}
-	return g.Record(s.Node).lf(s, to)
-}
-
-// Find is CachedGBWT.Find through a reader that caches nothing.
-func (g *GBWT) Find(path []NodeID) SearchState { return NewCached(g, 0).Find(path) }
-
-// Successors returns the nodes reachable from v along at least one
-// haplotype, ascending, excluding the endmarker.
-func (g *GBWT) Successors(v NodeID) []NodeID {
-	rec := g.Record(v)
-	if rec == nil {
-		return nil
-	}
-	out := make([]NodeID, 0, len(rec.Edges))
-	for _, e := range rec.Edges {
-		if e.To != Endmarker {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
-// LocatePaths resolves a search state to the identifiers of the matching
-// paths by following each haplotype forward to the endmarker. Cost is
-// O(size × remaining-path-length); intended for validation, not hot loops.
-func (g *GBWT) LocatePaths(s SearchState) []int {
-	out := make([]int, 0, s.Size())
-	for i := s.Start; i < s.End; i++ {
-		out = append(out, g.locateOne(s.Node, i))
-	}
-	sort.Ints(out)
-	return out
-}
-
-// locateOne follows the haplotype at visit i of node v to the endmarker and
-// returns its path id from the document array.
-func (g *GBWT) locateOne(v NodeID, i int32) int {
-	for v != Endmarker {
-		rec := g.Record(v)
-		e := int(rec.Ranks[i])
-		edge := rec.Edges[e]
-		i = edge.Offset + rec.rankAt(e, i)
-		v = edge.To
-	}
-	return int(g.endDA[i])
-}
-
-// ExtractPath reconstructs path id p by walking from the endmarker record.
-func (g *GBWT) ExtractPath(p int) ([]NodeID, error) {
-	if p < 0 || p >= g.numPaths {
-		return nil, fmt.Errorf("gbwt: path %d out of range [0,%d)", p, g.numPaths)
-	}
-	end := g.Record(Endmarker)
-	// Endmarker visits are in path order by construction.
-	v := end.Edges[end.Ranks[p]].To
-	i := end.Edges[end.Ranks[p]].Offset + end.rankAt(int(end.Ranks[p]), int32(p))
-	var out []NodeID
-	for v != Endmarker {
-		out = append(out, v)
-		rec := g.Record(v)
-		e := int(rec.Ranks[i])
-		edge := rec.Edges[e]
-		i = edge.Offset + rec.rankAt(e, i)
-		v = edge.To
-	}
-	if len(out) == 0 {
-		return nil, errors.New("gbwt: empty path")
-	}
-	return out, nil
 }

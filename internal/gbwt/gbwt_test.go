@@ -124,22 +124,6 @@ func TestExtractPath(t *testing.T) {
 	}
 }
 
-func TestSuccessors(t *testing.T) {
-	g := mustGBWT(t, diamondPaths)
-	got := g.Successors(4)
-	want := []NodeID{5, 6}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Successors(4) = %v, want %v", got, want)
-	}
-	// Last node's only successor is the endmarker, which is excluded.
-	if s := g.Successors(7); len(s) != 0 {
-		t.Errorf("Successors(7) = %v, want empty", s)
-	}
-	if s := g.Successors(99); s != nil {
-		t.Errorf("Successors(absent) = %v", s)
-	}
-}
-
 func TestExtendMonotonic(t *testing.T) {
 	g := mustGBWT(t, diamondPaths)
 	s := g.FullState(1)

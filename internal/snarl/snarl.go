@@ -30,9 +30,6 @@ type Link struct {
 	Inner []vgraph.NodeID
 }
 
-// IsSnarl reports whether the link has interior structure.
-func (l *Link) IsSnarl() bool { return len(l.Inner) > 0 }
-
 // Tree is the decomposition of a single-source, single-sink DAG into a
 // top-level chain of boundary nodes and snarls.
 type Tree struct {
@@ -309,27 +306,5 @@ func (t *Tree) measureLink(l *Link) error {
 	return nil
 }
 
-// NumSnarls returns the number of non-trivial chain elements.
-func (t *Tree) NumSnarls() int {
-	n := 0
-	for i := range t.links {
-		if t.links[i].IsSnarl() {
-			n++
-		}
-	}
-	return n
-}
-
-// Links returns the chain elements in order. The slice aliases tree storage.
-func (t *Tree) Links() []Link { return t.links }
-
-// Boundaries returns the chain's boundary nodes in order.
-func (t *Tree) Boundaries() []vgraph.NodeID { return t.boundaries }
-
 // Graph returns the decomposed graph.
 func (t *Tree) Graph() *vgraph.Graph { return t.g }
-
-// Contains reports whether the decomposition covers node v.
-func (t *Tree) Contains(v vgraph.NodeID) bool {
-	return int(v) < len(t.position) && t.position[v].known
-}

@@ -70,7 +70,6 @@ type site struct {
 // derived as allele vectors.
 type Pangenome struct {
 	*Graph
-	ref   dna.Sequence
 	sites []site   // only sites with ≥2 alleles (real bubbles)
 	tail  []NodeID // shared nodes after the final bubble
 }
@@ -80,9 +79,6 @@ func (p *Pangenome) NumSites() int { return len(p.sites) }
 
 // NumAlleles returns the allele count at site i (≥ 2).
 func (p *Pangenome) NumAlleles(i int) int { return len(p.sites[i].alleles) }
-
-// Reference returns the linear reference the pangenome was built from.
-func (p *Pangenome) Reference() dna.Sequence { return p.ref }
 
 // HaplotypePath materialises the node path of the haplotype choosing
 // alleles[i] at site i. Allele 0 is the reference allele. len(alleles) must
@@ -125,7 +121,7 @@ func BuildPangenome(ref dna.Sequence, variants []Variant, nodeLen int) (*Pangeno
 		return nil, err
 	}
 
-	p := &Pangenome{Graph: &Graph{}, ref: ref}
+	p := &Pangenome{Graph: &Graph{}}
 	// addRun chops ref[start:end) into ≤nodeLen nodes with backbone coords.
 	addRun := func(start, end int) ([]NodeID, error) {
 		var ids []NodeID

@@ -12,11 +12,11 @@
 #      generated graph; internal/seeds/gen_corpus.go writes it) must end
 #      minigiraffe, batch and -stream, with an error naming the record and
 #      the seed — not a goroutine dump.
-#   4. coverage ledger: genworkload, extractseeds, giraffe and minigiraffe
-#      are built with -cover, and every function of the map-path packages
-#      (internal/{snarl,cluster,extend,align,gbwt}) these runs reach or miss
-#      is listed as "covered" or "zero" in coverage.txt, which must equal
-#      the committed results/coverage_baseline.txt.
+#   4. coverage ledger: validate, genworkload, extractseeds, giraffe and
+#      minigiraffe are built with -cover, and every function of the map-path
+#      packages (internal/{snarl,cluster,extend,align,gbwt}) these runs reach
+#      or miss is listed as "covered" or "zero" in coverage.txt, which must
+#      equal the committed results/coverage_baseline.txt.
 set -eu
 
 GO="${GO:-go}"
@@ -27,10 +27,9 @@ d="$SMOKE_DIR"
 
 mkdir -p "$d"
 echo "== building binaries"
-"$GO" build -o "$d/validate" ./cmd/validate
 # The main package must be in -coverpkg: without it the binary writes no
 # counters at all.
-for b in genworkload extractseeds giraffe minigiraffe; do
+for b in validate genworkload extractseeds giraffe minigiraffe; do
     "$GO" build -cover -coverpkg="./cmd/$b,./internal/..." -o "$d/$b" "./cmd/$b"
 done
 rm -rf "$d/covdata"
