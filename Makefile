@@ -61,7 +61,8 @@ bench-quick:
 # binary format, FASTQ, the GBWT record body every GBZ load decodes, the GBZ
 # container around it, and the two things giraffed parses off the network on
 # every request: the /map body and the traceparent header), plus the GBWT
-# builder held to its reference on paths decoded from the fuzz bytes. The
+# and minimizer-index builders held to their references on graphs and paths
+# decoded from the fuzz bytes. The
 # checked-in corpora under testdata/fuzz seed the mutation; 10 seconds each
 # is a smoke test, not a campaign.
 fuzz-smoke:
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFASTQ -fuzztime=10s ./internal/fastq
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/gbwt
 	$(GO) test -run='^$$' -fuzz=FuzzBuildGBWT -fuzztime=10s ./internal/gbwt
+	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=10s ./internal/minimizer
 	$(GO) test -run='^$$' -fuzz=FuzzReadGBZ -fuzztime=10s ./internal/gbz
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMapRequest -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace

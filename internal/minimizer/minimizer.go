@@ -68,13 +68,14 @@ func Minimizers(seq dna.Sequence, cfg Config) ([]Minimizer, error) {
 	return appendMinimizers(nil, seq, cfg)
 }
 
-// ringSize is the largest window whose candidates the scan keeps on its own
-// stack (Giraffe's short-read w is 11). It must be a power of two.
+// ringSize is how many window candidates the scan keeps on its own stack,
+// enough for any w below it (Giraffe's short-read w is 11). It must be a
+// power of two.
 const ringSize = 32
 
 // appendMinimizers is Minimizers appending to dst, for a caller that does not
 // keep the list (Index.AppendLookup scans a read into a stack buffer). It
-// allocates nothing but dst's growth, and a ring when w exceeds ringSize.
+// allocates nothing but dst's growth, and a ring when w reaches ringSize.
 func appendMinimizers(dst []Minimizer, seq dna.Sequence, cfg Config) ([]Minimizer, error) {
 	if err := cfg.Validate(); err != nil {
 		return dst, err
@@ -85,13 +86,15 @@ func appendMinimizers(dst []Minimizer, seq dna.Sequence, cfg Config) ([]Minimize
 	}
 	// Sliding-window minima via a monotonic deque of the k-mers that can
 	// still win a window: hashes ascend from head to tail, so the head is
-	// the current window's minimizer. It never holds more than w k-mers and
-	// lives in a ring indexed by two counters.
+	// the current window's minimizer. A k-mer joins before the one leaving
+	// the window is dropped, so it holds up to w+1 k-mers (a homopolymer
+	// run, whose hashes all tie, fills it), in a ring indexed by two
+	// counters.
 	var fixed [ringSize]Minimizer
 	ring := fixed[:]
-	if w > ringSize {
+	if w >= ringSize {
 		n := ringSize
-		for n < w {
+		for n <= w {
 			n <<= 1
 		}
 		ring = make([]Minimizer, n)

@@ -138,14 +138,18 @@ func refMinimizers(seq dna.Sequence, cfg Config) []Minimizer {
 func TestMinimizersMatchReference(t *testing.T) {
 	// Every field, over the window shapes that matter to the ring: w = 1
 	// (every k-mer wins), the defaults, Giraffe's 29/11, w at and one past
-	// ringSize (the heap ring), and a low-entropy sequence full of equal
-	// hashes (the leftmost-wins tie-break).
+	// ringSize and at twice it (the heap ring), a low-entropy sequence full
+	// of equal hashes (the leftmost-wins tie-break), and a homopolymer run,
+	// where every k-mer of a window stays a candidate.
 	cfgs := []Config{{K: 1, W: 1}, {K: 5, W: 1}, DefaultConfig(), {K: 29, W: 11}, {K: 31, W: 3},
-		{K: 7, W: ringSize}, {K: 7, W: ringSize + 1}, {K: 4, W: 100}}
+		{K: 7, W: ringSize}, {K: 7, W: ringSize + 1}, {K: 4, W: 2 * ringSize}, {K: 4, W: 100}}
 	for _, cfg := range cfgs {
 		for seed := int64(0); seed < 8; seed++ {
 			seq := randomSeq(150+int(seed)*40, seed)
-			if seed%4 == 3 {
+			switch seed % 4 {
+			case 2:
+				clear(seq[20:])
+			case 3:
 				for i := range seq {
 					seq[i] = dna.Base(i / 3 % 2)
 				}
@@ -192,6 +196,60 @@ func TestAppendLookupAllocatesNothing(t *testing.T) {
 	for i, rm := range got[1:] {
 		if rm.Min != want[i].Min || rm.Score != want[i].Score || len(rm.Occs) != len(want[i].Occs) {
 			t.Fatalf("read minimizer %d = %+v, want %+v", i, rm, want[i])
+		}
+	}
+}
+
+// TestMinimizersAreWindowLocal checks the window invariant Build rests on:
+// a sequence's minimizers are exactly the union, over its windows of K+W−1
+// bases, of each window's single minimizer, so a window's own bases decide
+// what it contributes, wherever it is spelled. Low-entropy sequences repeat
+// k-mers inside a window, and their equal hashes test the leftmost-wins
+// tie-break.
+func TestMinimizersAreWindowLocal(t *testing.T) {
+	cfgs := []Config{{K: 1, W: 1}, {K: 5, W: 3}, DefaultConfig(), {K: 31, W: 11}, {K: 7, W: ringSize}, {K: 7, W: ringSize + 1}}
+	for _, cfg := range cfgs {
+		for seed := int64(0); seed < 8; seed++ {
+			seq := randomSeq(100+int(seed)*25, seed)
+			switch seed % 4 {
+			case 1:
+				for i := range seq {
+					seq[i] = dna.Base(i / 3 % 2)
+				}
+			case 2:
+				for i := range seq {
+					seq[i] = dna.Base(i % 2 * 3)
+				}
+			case 3:
+				for i := range seq {
+					seq[i] = dna.A
+				}
+			}
+			got, err := Minimizers(seq, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Minimizer
+			span := cfg.K + cfg.W - 1
+			for s := 0; s+span <= len(seq); s++ {
+				win, err := Minimizers(seq[s:s+span], cfg)
+				if err != nil || len(win) != 1 {
+					t.Fatalf("%+v seed %d: window at %d has %d minimizers, err %v", cfg, seed, s, len(win), err)
+				}
+				m := win[0]
+				m.Off += int32(s)
+				if len(want) == 0 || want[len(want)-1] != m {
+					want = append(want, m)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%+v seed %d: %d minimizers, the windows' union has %d", cfg, seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%+v seed %d: minimizer %d = %+v, the windows' union has %+v", cfg, seed, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

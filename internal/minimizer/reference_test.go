@@ -8,6 +8,7 @@ package minimizer_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
@@ -118,16 +119,25 @@ func checkAgainstReference(t *testing.T, g *vgraph.Graph, paths [][]vgraph.NodeI
 	return ix
 }
 
+// referenceConfigs are the K/W pairs every input set is checked under: the
+// default, a short window, Giraffe-sized k-mers, and a window longer than the
+// scan's stack ring.
+var referenceConfigs = []minimizer.Config{minimizer.DefaultConfig(), {K: 5, W: 3}, {K: 31, W: 11}, {K: 11, W: 40}}
+
 func TestBuildMatchesReferenceOnWorkloads(t *testing.T) {
-	for _, spec := range []workload.Spec{workload.AHuman(), workload.BYeast()} {
+	for _, spec := range workload.AllSpecs() {
 		t.Run(spec.Name, func(t *testing.T) {
 			b, err := workload.Generate(spec.Scaled(0.001))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix := checkAgainstReference(t, b.Pangenome.Graph, b.Haps, minimizer.DefaultConfig())
-			if ix.NumKmers() == 0 {
-				t.Fatal("empty index")
+			for _, cfg := range referenceConfigs {
+				t.Run(fmt.Sprintf("k%d-w%d", cfg.K, cfg.W), func(t *testing.T) {
+					ix := checkAgainstReference(t, b.Pangenome.Graph, b.Haps, cfg)
+					if ix.NumKmers() == 0 {
+						t.Fatal("empty index")
+					}
+				})
 			}
 		})
 	}
@@ -189,6 +199,57 @@ func TestBuildMatchesReferenceOnHandBuiltGraphs(t *testing.T) {
 		// path[:2] spells 5 bases, fewer than k+w-1 = 7.
 		checkAgainstReference(t, g, [][]vgraph.NodeID{path[:2], path, path[:1]}, cfg)
 	})
+	// The tests below aim at Build's grouping of path steps: a window of
+	// K+W−1 = 7 bases that starts in a node reaches span = 6 bases past it.
+	const span = 6
+	t.Run("divergence at the window's reach", func(t *testing.T) {
+		// After the shared node S, c1+c2 spell exactly span bases before the
+		// haplotypes split into X or Y, so S's windows never see the split;
+		// c1+c2b spell one base fewer, so S's last window ends in X or Y.
+		g, n := chain(t, "GATTACA", "ACG", "TAC", "TA", "GTTCA", "CGGAT", "TTGACCA")
+		s, c1, c2, c2b, x, y, tail := n[0], n[1], n[2], n[3], n[4], n[5], n[6]
+		if got := g.SeqLen(c1) + g.SeqLen(c2); got != span {
+			t.Fatalf("c1+c2 spell %d bases, want %d", got, span)
+		}
+		checkAgainstReference(t, g, [][]vgraph.NodeID{
+			{s, c1, c2, x, tail}, {s, c1, c2, y, tail},
+			{s, c1, c2b, x, tail}, {s, c1, c2b, y, tail},
+		}, cfg)
+	})
+	t.Run("path ends within the window's reach", func(t *testing.T) {
+		// S's windows run into c1 on every path, but the second path ends
+		// fewer than span bases after S and the third ends at S itself.
+		g, n := chain(t, "GATTACAG", "ACG", "TTACCA", "GGCAT")
+		checkAgainstReference(t, g, [][]vgraph.NodeID{n, n[:2], n[:1], n[1:]}, cfg)
+	})
+	t.Run("reach through one-base nodes", func(t *testing.T) {
+		// S's continuation is a run of one-base nodes; the haplotypes differ
+		// in the run's last node or just past it.
+		g, n := chain(t, "GATTACAG", "A", "C", "G", "T", "T", "A", "C", "G", "CCATGA")
+		s, one, a, c, g2, tail := n[0], n[1:6], n[6], n[7], n[8], n[9]
+		run := func(last ...vgraph.NodeID) []vgraph.NodeID {
+			return append(append([]vgraph.NodeID{s}, one...), append(last, tail)...)
+		}
+		checkAgainstReference(t, g, [][]vgraph.NodeID{run(a), run(c), run(g2), run(a, c), run()}, cfg)
+	})
+	t.Run("hub with a different continuation each visit", func(t *testing.T) {
+		// One node visited 300 times in a path, each time followed by its
+		// own node: every visit is a group of its own. A second path visits
+		// the same pairs in reverse order, so nearly all of its visits join
+		// one.
+		rng := rand.New(rand.NewSource(3))
+		labels := []string{"ACGTTGCA"}
+		for i := 0; i < 300; i++ {
+			labels = append(labels, randomLabel(rng, 4+rng.Intn(6)))
+		}
+		g, n := chain(t, labels...)
+		var fwd, rev []vgraph.NodeID
+		for i := 1; i < len(n); i++ {
+			fwd = append(fwd, n[0], n[i])
+			rev = append(rev, n[0], n[len(n)-i])
+		}
+		checkAgainstReference(t, g, [][]vgraph.NodeID{fwd, rev}, cfg)
+	})
 	t.Run("missing node", func(t *testing.T) {
 		g, path := chain(t, "ACGTACGTTGCA", "GGCATTAC")
 		_, err := minimizer.Build(g, [][]vgraph.NodeID{path, {path[0], 99, path[1]}}, cfg)
@@ -196,6 +257,129 @@ func TestBuildMatchesReferenceOnHandBuiltGraphs(t *testing.T) {
 			t.Fatalf("error %v", err)
 		}
 		checkAgainstReference(t, g, [][]vgraph.NodeID{path, {path[0], 99, path[1]}}, cfg)
+	})
+}
+
+// randomLabel draws n bases.
+func randomLabel(rng *rand.Rand, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = "ACGT"[rng.Intn(4)]
+	}
+	return string(b)
+}
+
+// Fuzz input layout: two bytes of K and W, the node labels (2 bits of base
+// per byte, 0xFE ends a label, 0xFF ends the labels), then the paths (one
+// node per byte, 0xFE ends a path). A path byte under 0xF0 names one of the
+// graph's nodes; one from 0xF0 up names a node past the last one, since a
+// GBZ's paths are untrusted. Paths need not follow edges and may revisit.
+const (
+	fuzzEnd       = 0xFE
+	fuzzEndLabels = 0xFF
+	fuzzMissing   = 0xF0
+)
+
+// decodeFuzzBuild turns fuzz bytes, at least two, into a graph, its paths
+// and a config.
+func decodeFuzzBuild(t *testing.T, data []byte) (*vgraph.Graph, [][]vgraph.NodeID, minimizer.Config) {
+	cfg := minimizer.Config{K: 1 + int(data[0])%31, W: 1 + int(data[1])%40}
+	data = data[2:]
+	g := &vgraph.Graph{}
+	var label dna.Sequence
+	addLabel := func() {
+		if len(label) > 0 { // vgraph refuses empty labels
+			if _, err := g.AddNode(label); err != nil {
+				t.Fatal(err)
+			}
+		}
+		label = nil
+	}
+	i := 0
+	for ; i < len(data) && data[i] != fuzzEndLabels; i++ {
+		if data[i] == fuzzEnd {
+			addLabel()
+			continue
+		}
+		label = append(label, dna.Base(data[i]&3))
+	}
+	addLabel()
+	n := g.NumNodes()
+	var paths [][]vgraph.NodeID
+	path := []vgraph.NodeID{}
+	for _, b := range data[min(i+1, len(data)):] {
+		switch {
+		case b == fuzzEnd:
+			paths = append(paths, path)
+			path = []vgraph.NodeID{}
+		case b >= fuzzMissing || n == 0:
+			path = append(path, vgraph.NodeID(n+1+int(b)%16))
+		default:
+			path = append(path, vgraph.NodeID(1+int(b)%n))
+		}
+	}
+	return g, append(paths, path), cfg
+}
+
+// bubbleChainInput encodes a random chain of shared nodes and bubbles of one
+// to three alternatives, with haplotypes that pick an alternative per bubble
+// and sometimes stop early or loop back, as a fuzz input.
+func bubbleChainInput(seed int64, cfg minimizer.Config) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	data := []byte{byte(cfg.K - 1), byte(cfg.W - 1)}
+	var sites [][]byte // the node IDs (as path bytes) of each site
+	next := byte(0)
+	for s := 0; s < 12; s++ {
+		alts := 1 + rng.Intn(3)
+		var site []byte
+		for a := 0; a < alts; a++ {
+			n := 1 + rng.Intn(12)
+			if alts > 1 {
+				n = 1 + rng.Intn(5)
+			}
+			for j := 0; j < n; j++ {
+				data = append(data, byte(rng.Intn(4)))
+			}
+			data = append(data, fuzzEnd)
+			site = append(site, next)
+			next++
+		}
+		sites = append(sites, site)
+	}
+	data[len(data)-1] = fuzzEndLabels
+	haps := 2 + rng.Intn(4)
+	for h := 0; h < haps; h++ {
+		if h > 0 {
+			data = append(data, fuzzEnd)
+		}
+		end := len(sites)
+		if rng.Intn(3) == 0 {
+			end = 1 + rng.Intn(len(sites))
+		}
+		for s := 0; s < end; s++ {
+			data = append(data, sites[s][rng.Intn(len(sites[s]))])
+			if rng.Intn(10) == 0 {
+				s = max(s-3, -1)
+			}
+		}
+	}
+	return data
+}
+
+// FuzzBuild holds Build to the reference, errors included, on graphs and
+// paths decoded from arbitrary bytes.
+func FuzzBuild(f *testing.F) {
+	for i, cfg := range []minimizer.Config{{K: 5, W: 3}, {K: 3, W: 1}, {K: 4, W: 2}, {K: 1, W: 1}, {K: 6, W: 33}, {K: 9, W: 4}} {
+		f.Add(bubbleChainInput(int64(i), cfg))
+	}
+	f.Add([]byte{4, 2, 0, 1, 2, 3, 0, 1, fuzzEnd, 3, 3, 2, fuzzEndLabels, 0, 1, fuzzMissing, 0, fuzzEnd, 1, 0})
+	f.Add([]byte{4, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 4096 {
+			return
+		}
+		g, paths, cfg := decodeFuzzBuild(t, data)
+		checkAgainstReference(t, g, paths, cfg)
 	})
 }
 
@@ -210,12 +394,13 @@ func yeastGraph(tb testing.TB) (*vgraph.Graph, [][]vgraph.NodeID) {
 }
 
 // TestBuildAllocations bounds what one Build allocates on the B-yeast graph
-// (≈3.0 MB; the reference builder takes ≈27 MB). A per-base coordinate table
-// re-grown per path (≈15 MB in all) or a map of every hit seen (≈4.3 MB)
-// would each break the bound.
+// (≈1.7 MB; the per-path build it replaced took ≈3.0 MB and the reference
+// takes ≈27 MB). Spelling every path again, with its node-start table, or a
+// per-base coordinate table, or a map of every hit seen would each break the
+// bound.
 func TestBuildAllocations(t *testing.T) {
 	g, paths := yeastGraph(t)
-	const budget = 7 << 19 // 3.5 MiB
+	const budget = 2 << 20 // 2 MiB
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
