@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke cli-smoke lint escapecheck codeweight staticcheck govulncheck perfdiff abpairs pgo-capture pgo-verify ci
+.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke cli-smoke lint codeweight staticcheck govulncheck perfdiff abpairs pgo-capture pgo-verify ci
 
 build:
 	$(GO) build ./...
@@ -90,24 +90,12 @@ serve-smoke:
 cli-smoke:
 	sh scripts/cli_smoke.sh
 
-# lint runs the six project-specific analyzers (atomicmix, ctxflow,
-# escapebudget, hotpath, metricname, nakedgoroutine) over the whole tree, one
-# package after another. Zero findings required. LINT_REPORT_DIR archives
-# vetgiraffe.txt and escapes_diff.txt for CI artifact upload.
+# lint runs the two project-specific analyzers (hotpath, metricname) over
+# the whole tree, one package after another. Zero findings required.
+# LINT_REPORT_DIR archives vetgiraffe.txt for CI artifact upload.
 LINT_REPORT_DIR ?= lint-report
 lint:
 	$(GO) run ./cmd/vetgiraffe -reportdir $(LINT_REPORT_DIR) ./...
-
-# escapecheck runs only the compiler escape/inline budget gate. UPDATE=1
-# rewrites results/escapes_baseline.txt from the current compiler verdicts
-# instead of diffing against it — run after deliberate hot-path changes and
-# commit the refreshed baseline with them.
-escapecheck:
-ifeq ($(UPDATE),1)
-	$(GO) run ./cmd/vetgiraffe -update-escapes ./...
-else
-	$(GO) run ./cmd/vetgiraffe -only escapebudget ./...
-endif
 
 # codeweight prints non-test, non-testdata Go lines per tree (map path,
 # obs+trace, analysis+vetgiraffe, cmd/bench, the other mains): the numbers

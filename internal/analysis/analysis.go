@@ -8,10 +8,10 @@
 // served by the go tool (see load.go).
 //
 // The project-specific analyzers living in the subpackages encode the
-// invariants the miniGiraffe reproduction depends on — atomic-counter
-// discipline, constant metric names, allocation-free and non-blocking hot
-// kernels, context threading on the serving path, and leak-free goroutine
-// construction — and cmd/vetgiraffe runs them as a CI gate (`make lint`).
+// invariants the miniGiraffe reproduction depends on that no test sees —
+// allocation-free and non-blocking hot kernels (hotpath) and constant metric
+// names (metricname) — and cmd/vetgiraffe runs them as a CI gate
+// (`make lint`).
 package analysis
 
 import (
@@ -23,24 +23,16 @@ import (
 	"strings"
 )
 
-// Analyzer is one static check. Per-package analyzers (Run) execute over
-// one package at a time, a package's imports before the package itself.
-// Module analyzers (ModuleRun) execute once over the whole loaded set —
-// escapebudget, which shells out to the compiler, is the only one.
+// Analyzer is one static check. It runs over one package at a time, a
+// package's imports before the package itself.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// `//vetgiraffe:ignore <name>` suppression directives.
 	Name string
 	// Doc is a one-paragraph description, shown by `vetgiraffe -list`.
 	Doc string
-	// Run inspects pass and reports findings via pass.Reportf. Nil for
-	// module analyzers.
+	// Run inspects pass and reports findings via pass.Reportf.
 	Run func(pass *Pass) error
-	// ModuleRun, when non-nil, runs once over the full loaded set (dir is
-	// the module root the packages were loaded from). The returned string is
-	// an optional human-readable report that cmd/vetgiraffe archives next to
-	// the diagnostics.
-	ModuleRun func(dir string, pkgs []*Package) ([]Diagnostic, string, error)
 }
 
 // Diagnostic is one finding, anchored to a source position.
@@ -113,24 +105,18 @@ type RunOptions struct {
 	// analyzer set runs — under -only most directives are legitimately
 	// dormant.
 	StaleIgnores bool
-	// ExtraDiags are diagnostics produced outside the per-package passes —
-	// module analyzers (ModuleRun) — routed through the same suppression
-	// filtering and stale accounting as pass-reported findings.
-	ExtraDiags []Diagnostic
 }
 
-// RunWith applies each per-package analyzer to each package, one package
+// RunWith applies each analyzer to each package, one package
 // after another in the order given, drops findings suppressed by ignore
 // directives, and returns the remaining diagnostics sorted by position. pkgs
 // must list every package after the packages of the set it imports — the
 // order Load returns — so an analyzer reading Facts always finds its
 // dependencies' facts exported; a list that does not is an error, not a run
-// with facts missing. Module analyzers (ModuleRun) are not run here — they
-// are cmd/vetgiraffe's job.
+// with facts missing.
 func RunWith(opts RunOptions, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	facts := make(factStore)
 	indexes := make([]*ignoreIndex, 0, len(pkgs))
-	fileOwner := make(map[string]*ignoreIndex) // by file name
 	pending := make(map[string]bool, len(pkgs))
 	for _, pkg := range pkgs {
 		pending[pkg.PkgPath] = true
@@ -144,9 +130,6 @@ func RunWith(opts RunOptions, pkgs []*Package, analyzers []*Analyzer) ([]Diagnos
 		}
 		ix := buildIgnoreIndex(pkg)
 		indexes = append(indexes, ix)
-		for _, f := range pkg.Syntax {
-			fileOwner[pkg.Fset.Position(f.Pos()).Filename] = ix
-		}
 		diags, err := analyzePackage(pkg, analyzers, facts, ix)
 		if err != nil {
 			return nil, err
@@ -155,14 +138,6 @@ func RunWith(opts RunOptions, pkgs []*Package, analyzers []*Analyzer) ([]Diagnos
 		delete(pending, pkg.PkgPath)
 	}
 
-	// Module-analyzer diagnostics: suppressible by a directive in the file
-	// they point at; unattributable files pass through unfiltered.
-	for _, d := range opts.ExtraDiags {
-		if ix, ok := fileOwner[d.Pos.Filename]; ok && ix.suppressed(d.Pos, d.Analyzer) {
-			continue
-		}
-		out = append(out, d)
-	}
 	if opts.StaleIgnores {
 		known := make(map[string]bool, len(analyzers))
 		for _, a := range analyzers {
@@ -189,14 +164,11 @@ func RunWith(opts RunOptions, pkgs []*Package, analyzers []*Analyzer) ([]Diagnos
 	return out, nil
 }
 
-// analyzePackage runs every per-package analyzer over pkg and filters
+// analyzePackage runs every analyzer over pkg and filters
 // suppressed findings.
 func analyzePackage(pkg *Package, analyzers []*Analyzer, facts factStore, ignores *ignoreIndex) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -293,7 +265,7 @@ func (ix *ignoreIndex) staleDiagnostics(known map[string]bool) []Diagnostic {
 // (`a //vetgiraffe:ignore ...` in documentation) is not a directive. A
 // comment may carry several directives, and one directive may name several
 // analyzers (comma-separated):
-// `x() //vetgiraffe:ignore hotpath,ctxflow startup only`.
+// `x() //vetgiraffe:ignore hotpath,metricname startup only`.
 func buildIgnoreIndex(pkg *Package) *ignoreIndex {
 	ix := &ignoreIndex{byKey: make(map[suppressKey]*ignoreDirective)}
 	for _, f := range pkg.Syntax {

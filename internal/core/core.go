@@ -29,6 +29,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/seeds"
 	"repro/internal/trace"
+	"repro/internal/vgraph"
 )
 
 // Options configures a proxy run: the paper's tuning parameters plus
@@ -226,8 +227,8 @@ func Validate(expected, got [][]extend.Extension) (ValidationReport, error) {
 	for i := range expected {
 		rep.ExpectedTotal += len(expected[i])
 		rep.GotTotal += len(got[i])
-		exp := keySet(expected[i])
-		act := keySet(got[i])
+		exp := alignmentSet(expected[i])
+		act := alignmentSet(got[i])
 		for k := range exp {
 			if !act[k] {
 				rep.MissingInProxy++
@@ -242,12 +243,20 @@ func Validate(expected, got [][]extend.Extension) (ValidationReport, error) {
 	return rep, nil
 }
 
-// keySet builds the canonical identity set of an extension list, including
-// the score so a score drift also fails validation.
-func keySet(exts []extend.Extension) map[string]bool {
-	m := make(map[string]bool, len(exts))
+// alignment is an extension's identity for validation: where it starts, the
+// read interval and strand it covers, and its score, so a score drift also
+// fails validation. Path and Mismatches follow from the rest.
+type alignment struct {
+	start              vgraph.Position
+	readStart, readEnd int32
+	rev                bool
+	score              int32
+}
+
+func alignmentSet(exts []extend.Extension) map[alignment]bool {
+	m := make(map[alignment]bool, len(exts))
 	for _, e := range exts {
-		m[fmt.Sprintf("%s@%d", e.Key(), e.Score)] = true
+		m[alignment{e.StartPos, e.ReadStart, e.ReadEnd, e.Rev, e.Score}] = true
 	}
 	return m
 }

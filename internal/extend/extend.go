@@ -23,7 +23,6 @@ package extend
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/cluster"
@@ -120,16 +119,6 @@ type Extension struct {
 
 // Len returns the matched read length.
 func (e *Extension) Len() int32 { return e.ReadEnd - e.ReadStart }
-
-// Key returns a canonical identity string (used for deduplication and
-// output validation).
-func (e *Extension) Key() string {
-	strand := '+'
-	if e.Rev {
-		strand = '-'
-	}
-	return fmt.Sprintf("%d:%d%c:%d-%d", e.StartPos.Node, e.StartPos.Off, strand, e.ReadStart, e.ReadEnd)
-}
 
 // Env bundles the immutable structures the kernel walks plus the per-worker
 // bidirectional GBWT readers, instrumentation probe (all of which may differ
@@ -249,10 +238,8 @@ func (s *scratch) size(readLen int, p Params) {
 }
 
 // sameAlignment reports whether two extensions are the same alignment for
-// deduplication: same start position, read interval and strand — the
-// identity Extension.Key() spells as a string, compared field by field
-// because Key costs a fmt.Sprintf per candidate and is kept for cold-path
-// validation and debugging output only.
+// deduplication: same start position, read interval and strand. Validation
+// (core.Validate) adds the score to the same identity.
 func sameAlignment(a, b *Extension) bool {
 	return a.StartPos == b.StartPos && a.ReadStart == b.ReadStart && a.ReadEnd == b.ReadEnd && a.Rev == b.Rev
 }

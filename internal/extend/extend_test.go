@@ -342,14 +342,30 @@ func TestProbeCountsWork(t *testing.T) {
 	}
 }
 
+// TestExtensionKey checks the identity deduplication keys extensions on:
+// start position, read interval and strand distinguish two extensions; the
+// path, mismatches and score do not.
 func TestExtensionKey(t *testing.T) {
-	e := Extension{StartPos: vgraph.Position{Node: 5, Off: 3}, ReadStart: 0, ReadEnd: 100}
-	if e.Key() != "5:3+:0-100" {
-		t.Errorf("Key = %q", e.Key())
+	base := Extension{StartPos: vgraph.Position{Node: 5, Off: 3}, ReadStart: 0, ReadEnd: 100, Score: 90}
+	same := base
+	same.Path = []vgraph.NodeID{5, 6}
+	same.Mismatches = []int32{40}
+	same.Score = 80
+	if !sameAlignment(&base, &same) {
+		t.Errorf("path, mismatches and score changed the identity: %+v vs %+v", base, same)
 	}
-	e.Rev = true
-	if e.Key() != "5:3-:0-100" {
-		t.Errorf("Key = %q", e.Key())
+	for name, change := range map[string]func(e *Extension){
+		"node":       func(e *Extension) { e.StartPos.Node = 6 },
+		"offset":     func(e *Extension) { e.StartPos.Off = 4 },
+		"read start": func(e *Extension) { e.ReadStart = 1 },
+		"read end":   func(e *Extension) { e.ReadEnd = 99 },
+		"strand":     func(e *Extension) { e.Rev = true },
+	} {
+		other := base
+		change(&other)
+		if sameAlignment(&base, &other) || sameAlignment(&other, &base) {
+			t.Errorf("%s changed but the extensions are still the same alignment", name)
+		}
 	}
 }
 

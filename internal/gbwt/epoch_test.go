@@ -218,8 +218,8 @@ func TestEpochStatsInvariant(t *testing.T) {
 }
 
 // TestSnapshotHitZeroAlloc asserts the lock-free snapshot hit path never
-// allocates: the property the hotpath/escapebudget analyzers police
-// statically, verified dynamically here.
+// allocates: the hotpath analyzer keeps allocating calls out of it
+// statically, and this counts what the compiler made of it.
 func TestSnapshotHitZeroAlloc(t *testing.T) {
 	g := mustGBWT(t, epochPaths())
 	c := NewShared(g, EpochConfig{Capacity: 4})

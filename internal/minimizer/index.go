@@ -81,6 +81,7 @@ func Build(g *vgraph.Graph, paths [][]vgraph.NodeID, cfg Config) (*Index, error)
 	type group struct{ path, step, end int32 }
 	var groups []group
 	heads := make(map[uint64]int32)
+	firstBases := 0 // window starts over all groups: the bases of their first nodes
 	for pi, path := range paths {
 		end, covered := 0, 0 // path[i+1:end] spells covered bases
 		for i, id := range path {
@@ -105,9 +106,13 @@ func Build(g *vgraph.Graph, paths [][]vgraph.NodeID, cfg Config) (*Index, error)
 			}
 			heads[h] = int32(len(groups))
 			groups = append(groups, group{path: int32(pi), step: int32(i), end: int32(end)})
+			firstBases += g.SeqLen(id)
 		}
 	}
-	ix := &Index{cfg: cfg, hits: make(map[uint64][]Occurrence)}
+	// A random sequence has about 2/(W+1) minimizers per window start, so
+	// the map is sized once for that many k-mers instead of rehashing its
+	// way up to them.
+	ix := &Index{cfg: cfg, hits: make(map[uint64][]Occurrence, 2*firstBases/(cfg.W+1))}
 	var (
 		seq    dna.Sequence
 		starts []int32 // starts[i] is where nodes[i] begins in seq; one more entry ends seq

@@ -59,7 +59,6 @@ func startDebugServer(addr string, reg *Registry, slow *SlowReads, sm *sampler) 
 	mux.Handle("/slow", SlowHandler(slow))
 	mux.HandleFunc("/", d.handleIndex)
 	d.srv = &http.Server{Handler: mux}
-	//vetgiraffe:ignore nakedgoroutine Serve returns when Close shuts the listener down
 	go d.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
 	return d, nil
 }

@@ -74,7 +74,7 @@ func NewProfLabels(class string, workers int) *ProfLabels {
 	// The label contexts are pure value carriers handed to
 	// pprof.SetGoroutineLabels; they never flow into request paths, carry no
 	// deadline, and are built once at startup.
-	root := context.Background() //vetgiraffe:ignore ctxflow label contexts are value-only pprof carriers built once at pool startup, not request contexts
+	root := context.Background()
 	p := &ProfLabels{
 		clear:   root,
 		ingest:  pprof.WithLabels(root, pprof.Labels(LabelStage, StageIngest, LabelRequestClass, class)),
@@ -190,7 +190,7 @@ func StartProfiles(dir string, interval time.Duration) (*ProfileRecorder, error)
 	if err := p.startSegmentLocked(); err != nil {
 		return nil, err
 	}
-	//vetgiraffe:ignore nakedgoroutine loop exits via p.quit and signals p.done; Stop closes and waits
+	// The loop exits via p.quit and signals p.done; Stop closes and waits.
 	go p.loop()
 	return p, nil
 }

@@ -260,7 +260,7 @@ type histShard struct {
 func newHistogram(shards int) *Histogram {
 	h := &Histogram{shards: make([]histShard, shards)}
 	for i := range h.shards {
-		h.shards[i].min = math.MaxInt64 //vetgiraffe:ignore atomicmix init before the histogram is published
+		h.shards[i].min = math.MaxInt64 // a plain store: the histogram is not published yet
 	}
 	return h
 }

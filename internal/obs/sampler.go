@@ -91,7 +91,7 @@ func startSampler(reg *Registry, slow *SlowReads, traces *ReqTracer, path string
 		s.f = f
 	}
 	s.tick(s.start)
-	//vetgiraffe:ignore nakedgoroutine loop exits via s.quit and signals s.done; stop closes and waits
+	// The loop exits via s.quit and signals s.done; stop closes and waits.
 	go s.loop(interval)
 	return s, nil
 }

@@ -160,6 +160,61 @@ func TestSessionDeadlineCancelsWork(t *testing.T) {
 	}
 }
 
+// stopWatcher parks its one batch in MapBatchUntil until the stop flag the
+// session handed it turns true, the way core.Mapper polls it between records.
+type stopWatcher struct {
+	entered      chan struct{}
+	nilStop, saw atomic.Bool
+}
+
+func (w *stopWatcher) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out [][]extend.Extension, stop *atomic.Bool, sb *obs.SubBatch) (gbwt.CacheStats, int) {
+	close(w.entered)
+	if stop == nil {
+		w.nilStop.Store(true)
+		return gbwt.CacheStats{}, 0
+	}
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if stop.Load() {
+			w.saw.Store(true)
+			break
+		}
+	}
+	return gbwt.CacheStats{}, 0
+}
+
+// TestSessionCancelReachesTheWorker covers the other half of cancellation:
+// a request whose context is canceled while its batch is on a worker must
+// raise the stop flag that batch's MapBatchUntil polls, so the mapper halts
+// at its next record instead of running the batch out.
+func TestSessionCancelReachesTheWorker(t *testing.T) {
+	w := &stopWatcher{entered: make(chan struct{})}
+	s, err := pipeline.NewSession(w, pipeline.Options{Workers: 1, BatchSize: 8, Depth: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(ctx, mkRecs(8))
+		errc <- err
+	}()
+	select {
+	case <-w.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no worker took the batch within 5s")
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit after cancel: %v, want context.Canceled", err)
+	}
+	waitFor(t, func() bool { return w.nilStop.Load() || w.saw.Load() })
+	if w.nilStop.Load() {
+		t.Fatal("the worker mapped the batch with a nil stop flag: nothing can cancel it")
+	}
+}
+
 // TestSessionOrderedResultsConcurrent covers result ordering: many
 // concurrent clients submit interleaved requests through a multi-worker
 // session under every scheduling policy, and each client's results must

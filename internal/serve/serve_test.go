@@ -492,7 +492,10 @@ func TestScratchNotRecycledUnderWorkers(t *testing.T) {
 		waitFor(t, func() bool { return reg.Counter(obs.MetricSchedClaims).Value() == int64(k+1) })
 	}
 	cancel()
-	wg.Wait()
+	if !waitWithin(&wg, 10*time.Second) {
+		close(lm.gate)
+		t.Fatal("abandoned requests still running 10s after their contexts were canceled")
+	}
 
 	// The followers queue behind the stalled workers and time out; each has
 	// decoded into an arena by then, from several goroutines so that they
@@ -509,7 +512,10 @@ func TestScratchNotRecycledUnderWorkers(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	if !waitWithin(&wg, 10*time.Second) {
+		close(lm.gate)
+		t.Fatal("1 ms-deadline requests still running after 10s")
+	}
 
 	close(lm.gate)
 	waitFor(t, func() bool { return lm.seen.Load() == held*reads })
@@ -532,6 +538,21 @@ func TestEndpoints(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", path, resp.StatusCode)
 		}
+	}
+}
+
+// waitWithin waits for wg for at most d and reports whether it finished.
+func waitWithin(wg *sync.WaitGroup, d time.Duration) bool {
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+		return false
 	}
 }
 
