@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke cli-smoke lint codeweight staticcheck govulncheck perfdiff abpairs pgo-capture pgo-verify ci
+.PHONY: build vet fmt-check test verify race bench-smoke bench-quick fuzz-smoke serve-smoke cli-smoke workprofile lint codeweight staticcheck govulncheck perfdiff abpairs pgo-capture pgo-verify ci
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,15 @@ serve-smoke:
 # Artifacts land in SMOKE_DIR (default cli-smoke/).
 cli-smoke:
 	sh scripts/cli_smoke.sh
+
+# workprofile counts the work each read costs, with no clock: the proxy,
+# parent and stream routes run on one thread at genworkload -scale 2 and 4
+# over one GBZ, built with atomic coverage counters (cli-smoke's build), and
+# the difference in statements executed per function, package and route
+# must equal the committed results/work_profile.txt. UPDATE=1 rewrites it.
+# Artifacts land in WORK_DIR (default work-profile/).
+workprofile:
+	sh scripts/work_profile.sh
 
 # lint runs the two project-specific analyzers (hotpath, metricname) over
 # the whole tree, one package after another. Zero findings required.
@@ -177,4 +186,4 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-ci: verify vet fmt-check lint staticcheck govulncheck race bench-smoke bench-quick cli-smoke fuzz-smoke serve-smoke
+ci: verify vet fmt-check lint staticcheck govulncheck race bench-smoke bench-quick cli-smoke workprofile fuzz-smoke serve-smoke

@@ -206,10 +206,27 @@ func (p Packed) Unpack() Sequence {
 	return out
 }
 
-// UnpackTo expands the packed sequence into dst[:Len()].
+// unpacked[c] is packed byte c as its four bases, lowest bits first.
+var unpacked = func() (t [256][4]Base) {
+	for c := range t {
+		for j := range t[c] {
+			t[c][j] = Base(c>>(2*j)) & 3
+		}
+	}
+	return t
+}()
+
+// UnpackTo expands the packed sequence into dst[:Len()], four bases per
+// packed byte from a table. Like the slice indexing it stands for, it
+// panics when dst is shorter than Len().
 func (p Packed) UnpackTo(dst Sequence) {
-	for i := 0; i < p.n; i++ {
-		dst[i] = Base(p.data[i/4]>>uint(2*(i%4))) & 3
+	dst = dst[:p.n:len(dst)]
+	whole := p.n / 4
+	for i, c := range p.data[:whole] {
+		*(*[4]Base)(dst[4*i:]) = unpacked[c]
+	}
+	if tail := dst[4*whole:]; len(tail) > 0 {
+		copy(tail, unpacked[p.data[whole]][:])
 	}
 }
 

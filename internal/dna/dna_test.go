@@ -233,3 +233,46 @@ func TestParseAllocatesTheSequenceOnly(t *testing.T) {
 		t.Errorf("ParseBytes error = %v", err)
 	}
 }
+
+// unpackBits is UnpackTo base by base, two bits at a time: the referee for
+// the table.
+func unpackBits(p Packed, dst Sequence) {
+	for i := 0; i < p.n; i++ {
+		dst[i] = Base(p.data[i/4]>>uint(2*(i%4))) & 3
+	}
+}
+
+// TestUnpackToMatchesBitLoop: at every length from 0 to 67, with every byte
+// value at every position of the packed data, the table unpacks what the bit
+// loop does and writes nothing past Len(); a destination shorter than Len()
+// panics, as indexing it would.
+func TestUnpackToMatchesBitLoop(t *testing.T) {
+	for n := 0; n <= 67; n++ {
+		for c := 0; c < 256; c++ {
+			data := make([]byte, (n+3)/4)
+			for j := range data {
+				data[j] = byte(c + 97*j)
+			}
+			p, err := PackedFromRaw(data, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := make(Sequence, n+5), make(Sequence, n+5)
+			for i := range got {
+				got[i], want[i] = 9, 9
+			}
+			p.UnpackTo(got)
+			unpackBits(p, want)
+			if !got.Equal(want) {
+				t.Fatalf("length %d, first byte %#x: table %v, bit loop %v", n, c, got, want)
+			}
+		}
+	}
+	p := Pack(MustParse("ACGTA"))
+	defer func() {
+		if recover() == nil {
+			t.Error("UnpackTo into 4 bases of room did not panic on 5 bases")
+		}
+	}()
+	p.UnpackTo(make(Sequence, 4, 8))
+}

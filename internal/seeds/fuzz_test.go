@@ -53,14 +53,21 @@ func serializeV1(t testing.TB, recs []ReadSeeds) []byte {
 // one seed carries the given raw varints — values the Writer cannot emit,
 // since it serialises from the already-narrowed fields.
 func wireCapture(node, off, readOff uint64) []byte {
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	return rawCapture(uv(node), uv(off), uv(readOff), uv(0), 0)
+}
+
+// rawCapture is wireCapture with the seed's four fields given as raw
+// varint bytes, and pad bytes after the record, which a version-1 reader
+// never reads: with 64 of them the window holds the record's worst case.
+func rawCapture(node, off, readOff, flags []byte, pad int) []byte {
 	b := append([]byte("MGSB"), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0) // version 1, count 1
-	b = append(b, 1, 'w', 0, 0)                                     // name, single-end, end 0
-	b = append(b, 4, 0xE4)                                          // ACGT, 2-bit packed
-	b = append(b, 1)                                                // one seed
-	for _, v := range []uint64{node, off, readOff, 0} {             // …, flags
-		b = binary.AppendUvarint(b, v)
+	b = append(b, 1, 'w', 0, 0, 4, 0xE4, 1)                         // name, single-end, ACGT, one seed
+	for _, f := range [][]byte{node, off, readOff, flags} {
+		b = append(b, f...)
 	}
-	return append(b, 0, 0, 0x80, 0x3F) // score 1.0
+	b = append(b, 0, 0, 0x80, 0x3F) // score 1.0
+	return append(b, make([]byte, pad)...)
 }
 
 // FuzzReadSeeds throws arbitrary bytes at the capture-file reader. The

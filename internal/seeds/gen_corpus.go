@@ -9,6 +9,10 @@
 // minigiraffe. Run from the repository root:
 //
 //	go run internal/seeds/gen_corpus.go
+//
+// The straddle-* entries, captures with a field cut by the end of the
+// reader's first window, are TestFieldsStraddlingTheWindow's; it rewrites
+// them with go test ./internal/seeds -run Straddling -update-corpus.
 package main
 
 import (

@@ -2,9 +2,10 @@ package seeds
 
 // The reference reader: Reader.Next and ReadFile as they stood before the
 // reader decoded out of a buffered window into slabs. It reads every field
-// through binary.ReadUvarint and io.ReadFull on a bufio.Reader and allocates
-// each record's name, bases and seeds apart. It shares no decoding code with
-// Reader, so where the two disagree on a record, the new decoder is wrong.
+// through binary.ReadUvarint and io.ReadFull on a bufio.Reader, unpacks bases
+// two bits at a time and allocates each record's name, bases and seeds
+// apart. It shares no decoding code with Reader, so where the two disagree
+// on a record, the new decoder is wrong.
 
 import (
 	"bufio"
@@ -135,9 +136,10 @@ func (r *refReader) Next() (*ReadSeeds, error) {
 	if _, err := io.ReadFull(r.br, data); err != nil {
 		return nil, fmt.Errorf("seeds: bases: %w", err)
 	}
-	packed, err := dna.PackedFromRaw(data, int(seqLen))
-	if err != nil {
-		return nil, err
+	// Base by base, two bits at a time: no code shared with dna's table.
+	seq := make(dna.Sequence, seqLen)
+	for i := range seq {
+		seq[i] = dna.Base(data[i/4]>>(2*(i%4))) & 3
 	}
 	nSeeds, err := get()
 	if err != nil {
@@ -156,7 +158,7 @@ func (r *refReader) Next() (*ReadSeeds, error) {
 	rs := &ReadSeeds{
 		Read: dna.Read{
 			Name:     string(name),
-			Seq:      packed.Unpack(),
+			Seq:      seq,
 			Fragment: int(fragP1) - 1,
 			End:      int(end),
 		},

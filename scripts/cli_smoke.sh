@@ -13,7 +13,8 @@
 #      minigiraffe, batch and -stream, with an error naming the record and
 #      the seed — not a goroutine dump.
 #   4. coverage ledger: validate, genworkload, extractseeds, giraffe and
-#      minigiraffe are built with -cover, and every function of the map-path
+#      minigiraffe are built with -cover (scripts/cover_build.sh, the build
+#      scripts/work_profile.sh shares), and every function of the map-path
 #      packages (internal/{snarl,cluster,extend,align,gbwt}) these runs reach
 #      or miss is listed as "covered" or "zero" in coverage.txt, which must
 #      equal the committed results/coverage_baseline.txt.
@@ -27,11 +28,7 @@ d="$SMOKE_DIR"
 
 mkdir -p "$d"
 echo "== building binaries"
-# The main package must be in -coverpkg: without it the binary writes no
-# counters at all.
-for b in validate genworkload extractseeds giraffe minigiraffe; do
-    "$GO" build -cover -coverpkg="./cmd/$b,./internal/..." -o "$d/$b" "./cmd/$b"
-done
+GO="$GO" sh scripts/cover_build.sh "$d" validate genworkload extractseeds giraffe minigiraffe
 rm -rf "$d/covdata"
 mkdir -p "$d/covdata"
 GOCOVERDIR="$d/covdata"
